@@ -19,13 +19,8 @@ from pmimb import (
     OperatingPoint,
     SimConfig,
     TimeSeries,
+    closed_form_dq,
     compare_waveforms,
-    compose_total,
-    decompose,
-    flux_delta,
-    ideal_dq_nonsalient,
-    inductance_delta,
-    resistance_delta,
     run_current_fed,
 )
 from pmimb.cli import write_csv
@@ -45,17 +40,6 @@ FAMILY_DEVIATIONS = {
 }
 
 
-def analytic_dq(params, omega_e, i_d, i_q, theta):
-    dec = decompose(params)
-    op = OperatingPoint(theta=theta, omega_e=omega_e, i_d=i_d, i_q=i_q)
-    ideal = ideal_dq_nonsalient(dec.nominal_r, dec.nominal_l + dec.nominal_m,
-                                dec.nominal_lam, params.pole_pairs, op)
-    return compose_total(ideal,
-                         resistance_delta(dec.d_r, op),
-                         flux_delta(dec.d_lam, omega_e, theta),
-                         inductance_delta(dec.d_l, dec.d_m, op))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("overlays"),
@@ -70,7 +54,9 @@ def main(argv=None):
             NOMINAL["r"], NOMINAL["l"], NOMINAL["m"], NOMINAL["lam"],
             POLE_PAIRS, **deviations)
         ts = run_current_fed(params, I_CMD, OMEGA_E, CFG)
-        v_d_model, v_q_model = analytic_dq(params, OMEGA_E, *I_CMD, ts.theta)
+        op = OperatingPoint(theta=ts.theta, omega_e=OMEGA_E, i_d=I_CMD[0],
+                            i_q=I_CMD[1])
+        v_d_model, v_q_model = closed_form_dq(params, op)
 
         path = args.out / f"{family}.csv"
         write_csv(TimeSeries(ts.t, ts.theta, {

@@ -14,15 +14,14 @@ from .harmonics import (HarmonicDecomposition, WaveformComparison,
                         check_angle_coverage, compare_waveforms, demodulate)
 from .identify import (IdentificationResult, fit_flux, fit_resistance,
                        invert_phasor)
-from .imbalance import (DqVoltageDelta, SecondHarmonicPhasor, compose_total,
-                        flux_coeffs, flux_delta, inductance_coeffs,
-                        inductance_delta, resistance_coeffs,
-                        resistance_delta)
+from .imbalance import (DqVoltageDelta, SecondHarmonicPhasor, closed_form_dq,
+                        compose_total, flux_coeffs, flux_delta,
+                        inductance_coeffs, inductance_delta,
+                        resistance_coeffs, resistance_delta)
 from .machine import (ImbalanceDecomposition, MachineParameters,
                       OperatingPoint, decompose, electrical_time_constant,
-                      flux_linkages, ideal_dq_nonsalient, ideal_dq_salient,
-                      phase_voltages, synchronous_inductance, torque_abc,
-                      transient_window, zero_sequence_voltage)
+                      ideal_dq_nonsalient, phase_voltages,
+                      synchronous_inductance, torque_abc, transient_window)
 from .refsim import (SimConfig, TimeSeries, balanced_voltage_command,
                      predict_current_ripple, run_current_fed,
                      run_voltage_fed, steady_state_window)
@@ -53,6 +52,7 @@ __all__ = [
     "WaveformComparison",
     "balanced_voltage_command",
     "check_angle_coverage",
+    "closed_form_dq",
     "compare_waveforms",
     "compose_total",
     "decompose",
@@ -62,9 +62,7 @@ __all__ = [
     "fit_resistance",
     "flux_coeffs",
     "flux_delta",
-    "flux_linkages",
     "ideal_dq_nonsalient",
-    "ideal_dq_salient",
     "inductance_coeffs",
     "inductance_delta",
     "invert_phasor",
@@ -82,5 +80,4 @@ __all__ = [
     "synchronous_inductance",
     "torque_abc",
     "transient_window",
-    "zero_sequence_voltage",
 ]

@@ -21,8 +21,10 @@ from .errors import ConfigError, IdentifiabilityError, InputError, \
     SimulationError
 from .harmonics import compare_waveforms
 from .identify import fit_flux, fit_resistance
-from .imbalance import (compose_total, flux_coeffs, flux_delta,
-                        inductance_coeffs, inductance_delta,
+# The delta functions and compose_total stay bound here, though only
+# closed_form_dq calls them: perfbench/tracing.py looks them up by name.
+from .imbalance import (closed_form_dq, compose_total, flux_coeffs,
+                        flux_delta, inductance_coeffs, inductance_delta,
                         resistance_coeffs, resistance_delta)
 from .machine import OperatingPoint, decompose, ideal_dq_nonsalient
 from .refsim import TimeSeries, run_current_fed, run_voltage_fed
@@ -61,7 +63,10 @@ def write_csv(ts: TimeSeries, path, channels=None, stride=1):
 
 
 def read_csv(path):
-    """Read a write_csv file back as {column name: array}."""
+    """Read a write_csv file back as {column name: array}.
+
+    Rejects files with ragged rows or non-finite cells.
+    """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().strip()
         if not header:
@@ -73,6 +78,10 @@ def read_csv(path):
             raise InputError(f"{path}: {exc}") from None
     if data.shape[0] == 0 or data.shape[1] != len(names):
         raise InputError(f"{path}: rows do not match header")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        bad = names[int(np.argmin(finite))]
+        raise InputError(f"{path}: column {bad!r} holds a non-finite value")
     return {name: data[:, idx] for idx, name in enumerate(names)}
 
 
@@ -132,25 +141,6 @@ def _simulate(scenario: Scenario):
                            i_0=scenario.i_0)
 
 
-def _analytic_dq(scenario: Scenario, theta):
-    """Closed-form (v_d, v_q) waveforms at the commanded currents."""
-    dec = decompose(scenario.machine)
-    op = OperatingPoint(theta=theta, omega_e=scenario.omega_e,
-                        i_d=scenario.i_d, i_q=scenario.i_q,
-                        i_0=scenario.i_0)
-    ideal = ideal_dq_nonsalient(dec.nominal_r,
-                                dec.nominal_l + dec.nominal_m,
-                                dec.nominal_lam,
-                                scenario.machine.pole_pairs, op)
-    total = compose_total(
-        ideal[:2],
-        resistance_delta(dec.d_r, op),
-        flux_delta(dec.d_lam, scenario.omega_e, theta),
-        inductance_delta(dec.d_l, dec.d_m, op),
-    )
-    return ideal, total
-
-
 def _job_coeffs(scenario: Scenario, out_dir: Path):
     summary = out_dir / scenario.summary_name
     _write_summary(summary, [("job", "coeffs")] + _coefficient_entries(scenario)
@@ -184,7 +174,9 @@ def _job_compare(scenario: Scenario, out_dir: Path):
             "take prescribed currents"
         )
     ts = _simulate(scenario)
-    _, (v_d_model, v_q_model) = _analytic_dq(scenario, ts.theta)
+    op = OperatingPoint(theta=ts.theta, omega_e=scenario.omega_e,
+                        i_d=scenario.i_d, i_q=scenario.i_q, i_0=scenario.i_0)
+    v_d_model, v_q_model = closed_form_dq(scenario.machine, op)
     metrics_d = compare_waveforms(ts.channels["v_d"], v_d_model)
     metrics_q = compare_waveforms(ts.channels["v_q"], v_q_model)
 

@@ -52,6 +52,8 @@ def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 3:
         raise InputError("theta must be a 1-D array of at least 3 samples")
+    if not np.all(np.isfinite(theta)):
+        raise InputError("theta must be finite")
     span = float(theta.max() - theta.min())
     if span <= 0.0:
         raise InputError("theta samples span zero angle")

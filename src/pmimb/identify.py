@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, InputError
 from .harmonics import check_angle_coverage
-from .imbalance import SecondHarmonicPhasor
+from .imbalance import SecondHarmonicPhasor, _couple
 
 _FAMILIES = ("resistance", "flux")
 
@@ -86,11 +86,25 @@ def _stack_inputs(dv_d, dv_q, theta):
     theta = np.asarray(theta, dtype=float)
     if not (dv_d.shape == dv_q.shape == theta.shape):
         raise InputError("dv_d, dv_q and theta must have identical shapes")
+    if not (np.all(np.isfinite(dv_d)) and np.all(np.isfinite(dv_q))):
+        raise InputError("dv_d and dv_q must be finite")
     check_angle_coverage(theta)
     return dv_d, dv_q, theta
 
 
-def _finish(family, design, target):
+def _fit(family, dv_d, dv_q, theta, drive):
+    if not np.all(np.isfinite(drive)):
+        raise InputError(f"{family} fit needs a finite operating point")
+    # The residual model is linear in (s, k cos phi, k sin phi) =
+    # (s, Re C/3, Im C/3), so the design columns are the coupling operator
+    # at the unit spreads (s, C) = (1, 0), (0, 3) and (0, 3j). One call
+    # evaluates all three along a leading axis; both axes are fitted
+    # jointly.
+    spread = np.array([[0.0], [3.0], [3.0j]])
+    unit = _couple(theta, np.array([[1.0], [0.0], [0.0]]), spread, spread,
+                   drive)
+    design = np.concatenate([unit.dv_d, unit.dv_q], axis=1).T
+    target = np.concatenate([dv_d, dv_q])
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 3:
         raise IdentifiabilityError(
@@ -136,20 +150,7 @@ def fit_resistance(dv_d, dv_q, i_d, i_q, theta) -> IdentificationResult:
         raise IdentifiabilityError(
             "resistance imbalance is invisible at zero current"
         )
-    cos2 = np.cos(2.0 * theta)
-    sin2 = np.sin(2.0 * theta)
-    # dv_d = s/3 i_d + [cos2 i_d + sin2 i_q] kcos + [-sin2 i_d + cos2 i_q] ksin
-    # dv_q = s/3 i_q + [sin2 i_d - cos2 i_q] kcos + [ cos2 i_d + sin2 i_q] ksin
-    design = np.block([
-        [np.full_like(theta, i_d / 3.0)[:, None],
-         (i_d * cos2 + i_q * sin2)[:, None],
-         (-i_d * sin2 + i_q * cos2)[:, None]],
-        [np.full_like(theta, i_q / 3.0)[:, None],
-         (i_d * sin2 - i_q * cos2)[:, None],
-         (i_d * cos2 + i_q * sin2)[:, None]],
-    ])
-    target = np.concatenate([dv_d, dv_q])
-    return _finish("resistance", design, target)
+    return _fit("resistance", dv_d, dv_q, theta, (i_d, i_q, 0.0))
 
 
 def fit_flux(dv_d, dv_q, omega_e, theta) -> IdentificationResult:
@@ -164,18 +165,4 @@ def fit_flux(dv_d, dv_q, omega_e, theta) -> IdentificationResult:
         raise IdentifiabilityError(
             "flux imbalance is invisible at zero speed"
         )
-    cos2 = np.cos(2.0 * theta)
-    sin2 = np.sin(2.0 * theta)
-    zeros = np.zeros_like(theta)
-    # dv_d = omega [sin2 kcos + cos2 ksin]
-    # dv_q = omega [s/3 - cos2 kcos + sin2 ksin]
-    design = np.block([
-        [zeros[:, None],
-         (omega_e * sin2)[:, None],
-         (omega_e * cos2)[:, None]],
-        [np.full_like(theta, omega_e / 3.0)[:, None],
-         (-omega_e * cos2)[:, None],
-         (omega_e * sin2)[:, None]],
-    ])
-    target = np.concatenate([dv_d, dv_q])
-    return _finish("flux", design, target)
+    return _fit("flux", dv_d, dv_q, theta, (0.0, omega_e, 0.0))

@@ -7,9 +7,12 @@ model:
 
     v_d = v_d_ideal + dv_d(resistance) + dv_d(flux) + dv_d(inductance)
 
-and likewise for the q axis. The coefficient of the 2theta component is a
-phasor (k, phi) obtained from the deviation triple alone; the delta
-operations evaluate the full voltage contribution at an operating point.
+and likewise for the q axis. Every family's deviation matrix Delta, seen
+in the rotor frame as T(theta) Delta T(theta)^-1, is a DC term plus a
+2theta phasor (k, phi) obtained from the deviation triple alone, plus a
+1theta coupling to zero-sequence quantities. ``_couple`` states that fact
+once; each family applies it to its own drive vector, and
+``closed_form_dq`` composes the balanced model with the three families.
 
 Conventions. For a triple (d_a, d_b, d_c),
 
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import OperatingPoint
+from .machine import (MachineParameters, OperatingPoint, decompose,
+                      ideal_dq_nonsalient)
 
 # Deviations smaller than this fraction of the triple's scale count as
 # balanced and get the deterministic phase phi = 0.
@@ -67,16 +71,45 @@ class DqVoltageDelta:
             raise ValueError("voltage deltas must be finite")
 
 
+def _spread(triple):
+    """Complex spread C of a deviation triple, so k = |C|/3 and phi = arg C."""
+    d_a, d_b, d_c = (float(v) for v in triple)
+    return complex(d_a - 0.5 * (d_b + d_c), 0.5 * math.sqrt(3.0) * (d_b - d_c))
+
+
 def _spread_phasor(triple):
     """(k, phi) of a deviation triple; phi = 0 when the spread vanishes."""
-    d_a, d_b, d_c = (float(v) for v in triple)
-    re = d_a - 0.5 * (d_b + d_c)
-    im = 0.5 * math.sqrt(3.0) * (d_b - d_c)
-    k = math.hypot(re, im) / 3.0
-    scale = max(abs(d_a), abs(d_b), abs(d_c))
+    c = _spread(triple)
+    k = math.hypot(c.real, c.imag) / 3.0
+    scale = max(abs(float(v)) for v in triple)
     if k <= _DEGENERATE_REL * scale:
         return k, 0.0
-    return k, math.atan2(im, re)
+    return k, math.atan2(c.imag, c.real)
+
+
+def _couple(theta, s, c_2theta, c_0, drive) -> DqVoltageDelta:
+    """Apply T(theta) Delta T(theta)^-1 to a drive vector (x_d, x_q, x_0).
+
+    Delta is a family's deviation matrix, given by its deviation sum ``s``
+    and the complex spreads ``c_2theta`` and ``c_0`` (see ``_spread``).
+    With E = (c_2theta/3) e^{j2theta} and F = (2/3) conj(c_0) e^{jtheta}
+    the coupling rows are (s/3 + Re E, Im E, Re F) for the d axis and
+    (Im E, s/3 - Re E, Im F) for the q axis. The 1theta column only acts
+    on a zero-sequence drive, so it is skipped when x_0 is zero.
+    """
+    x_d, x_q, x_0 = drive
+    cos2 = np.cos(2.0 * theta)
+    sin2 = np.sin(2.0 * theta)
+    re_e = (c_2theta.real * cos2 - c_2theta.imag * sin2) / 3.0
+    im_e = (c_2theta.real * sin2 + c_2theta.imag * cos2) / 3.0
+    dv_d = (s / 3.0 + re_e) * x_d + im_e * x_q
+    dv_q = im_e * x_d + (s / 3.0 - re_e) * x_q
+    if np.any(x_0):
+        cos1 = np.cos(theta)
+        sin1 = np.sin(theta)
+        dv_d = dv_d + (2.0 / 3.0) * (c_0.real * cos1 + c_0.imag * sin1) * x_0
+        dv_q = dv_q + (2.0 / 3.0) * (c_0.real * sin1 - c_0.imag * cos1) * x_0
+    return DqVoltageDelta(dv_d, dv_q)
 
 
 def resistance_coeffs(d_r) -> SecondHarmonicPhasor:
@@ -103,38 +136,42 @@ def inductance_coeffs(d_l, d_m):
             SecondHarmonicPhasor(2.0 * k_m, phi_m))
 
 
+def _resistance_terms(d_r, op: OperatingPoint):
+    c = _spread(d_r)
+    return float(sum(d_r)), c, c, (op.i_d, op.i_q, op.i_0)
+
+
+def _flux_terms(d_lam, omega_e):
+    c = _spread(d_lam)
+    return float(sum(d_lam)), c, c, (0.0, omega_e, 0.0)
+
+
+def _inductance_terms(d_l, d_m, op: OperatingPoint):
+    c_l = _spread(d_l)
+    c_m = _spread((d_m[1], d_m[2], d_m[0]))
+    drive = (op.di_d + op.omega_e * op.i_q, op.di_q - op.omega_e * op.i_d,
+             op.di_0)
+    return (float(sum(d_l)) + float(sum(d_m)), c_l - 2.0 * c_m, c_l + c_m,
+            drive)
+
+
 def resistance_delta(d_r, op: OperatingPoint) -> DqVoltageDelta:
     """Rotor-frame voltage contribution of resistance imbalance.
 
-    Bilinear in the deviations and the currents: a DC term (sum/3) on each
-    axis, 2theta terms through the phasor, and a 1theta coupling to the
-    zero-sequence current.
+    Bilinear in the deviations and the currents (i_d, i_q, i_0): a DC term
+    (sum/3) on each axis, 2theta terms through the phasor, and a 1theta
+    coupling to the zero-sequence current.
     """
-    s = float(sum(d_r))
-    ph = resistance_coeffs(d_r)
-    k, g = ph.k, ph.phi
-    th = op.theta
-    cos2 = np.cos(2.0 * th + g)
-    sin2 = np.sin(2.0 * th + g)
-    dv_d = ((s / 3.0 + k * cos2) * op.i_d + k * sin2 * op.i_q
-            + 2.0 * k * np.cos(th - g) * op.i_0)
-    dv_q = (k * sin2 * op.i_d + (s / 3.0 - k * cos2) * op.i_q
-            + 2.0 * k * np.sin(th - g) * op.i_0)
-    return DqVoltageDelta(dv_d, dv_q)
+    return _couple(op.theta, *_resistance_terms(d_r, op))
 
 
 def flux_delta(d_lam, omega_e, theta) -> DqVoltageDelta:
     """Rotor-frame voltage contribution of PM flux imbalance.
 
     Every term scales with the electrical speed: the imbalance rides on
-    the back emf.
+    the back emf, whose drive is (0, omega_e, 0).
     """
-    s = float(sum(d_lam))
-    ph = flux_coeffs(d_lam)
-    k, g = ph.k, ph.phi
-    dv_d = omega_e * k * np.sin(2.0 * theta + g)
-    dv_q = omega_e * (s / 3.0 - k * np.cos(2.0 * theta + g))
-    return DqVoltageDelta(dv_d, dv_q)
+    return _couple(theta, *_flux_terms(d_lam, omega_e))
 
 
 def inductance_delta(d_l, d_m, op: OperatingPoint) -> DqVoltageDelta:
@@ -142,28 +179,12 @@ def inductance_delta(d_l, d_m, op: OperatingPoint) -> DqVoltageDelta:
 
     Non-salient machine: the deviation inductances are position
     independent, so the contribution is bilinear in the deviations and
-    the flux-derivative pair (di_d + omega_e i_q, di_q - omega_e i_d),
-    plus zero-sequence derivative coupling.
+    the flux-derivative drive (di_d + omega_e i_q, di_q - omega_e i_d,
+    di_0). Self and mutual deviations share the sum; their spreads enter
+    as C_l - 2 C_m' at 2theta and C_l + C_m' at 1theta, with C_m' the
+    spread of the pair triple rotated to (bc, ca, ab).
     """
-    s = float(sum(d_l)) + float(sum(d_m))
-    ph_l, ph_m = inductance_coeffs(d_l, d_m)
-    k_l, g_l = ph_l.k, ph_l.phi
-    k_m, g_m = ph_m.k, ph_m.phi
-    th = op.theta
-    cos_l = k_l * np.cos(2.0 * th + g_l)
-    sin_l = k_l * np.sin(2.0 * th + g_l)
-    cos_m = k_m * np.cos(2.0 * th + g_m)
-    sin_m = k_m * np.sin(2.0 * th + g_m)
-    g_d = op.di_d + op.omega_e * op.i_q
-    g_q = op.di_q - op.omega_e * op.i_d
-    n_dd = s / 3.0 + cos_l - cos_m
-    n_dq = sin_l - sin_m
-    n_qq = s / 3.0 - cos_l + cos_m
-    n_d0 = 2.0 * k_l * np.cos(th - g_l) + k_m * np.cos(th - g_m)
-    n_q0 = 2.0 * k_l * np.sin(th - g_l) + k_m * np.sin(th - g_m)
-    dv_d = n_dd * g_d + n_dq * g_q + n_d0 * op.di_0
-    dv_q = n_dq * g_d + n_qq * g_q + n_q0 * op.di_0
-    return DqVoltageDelta(dv_d, dv_q)
+    return _couple(op.theta, *_inductance_terms(d_l, d_m, op))
 
 
 def compose_total(ideal, d_res: DqVoltageDelta, d_flux: DqVoltageDelta,
@@ -172,3 +193,19 @@ def compose_total(ideal, d_res: DqVoltageDelta, d_flux: DqVoltageDelta,
     v_d = ideal[0] + d_res.dv_d + d_flux.dv_d + d_ind.dv_d
     v_q = ideal[1] + d_res.dv_q + d_flux.dv_q + d_ind.dv_q
     return v_d, v_q
+
+
+def closed_form_dq(params: MachineParameters, op: OperatingPoint):
+    """Closed-form rotor-frame (v_d, v_q) of an unbalanced machine.
+
+    Splits the parameters into nominal values plus deviations, evaluates
+    the balanced model at the nominal values and adds the resistance,
+    flux and inductance deltas.
+    """
+    dec = decompose(params)
+    ideal = ideal_dq_nonsalient(dec.nominal_r, dec.nominal_l + dec.nominal_m,
+                                dec.nominal_lam, params.pole_pairs, op)
+    return compose_total(ideal,
+                         resistance_delta(dec.d_r, op),
+                         flux_delta(dec.d_lam, op.omega_e, op.theta),
+                         inductance_delta(dec.d_l, dec.d_m, op))

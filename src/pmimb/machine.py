@@ -205,18 +205,6 @@ def _per_phase(values, ang):
     return values.reshape((3,) + (1,) * (ang.ndim - 1))
 
 
-def flux_linkages(params: MachineParameters, i_abc, theta):
-    """Phase flux linkages at currents ``i_abc`` and electrical angle theta.
-
-    ``i_abc`` has shape (3,) or (3, n); theta is a scalar or an (n,)
-    array; either may carry the sample axis. The magnet contributes
-    ``-lam_x cos(theta_x)`` per phase.
-    """
-    ang, (i_abc,) = _phase_frame(theta, i_abc)
-    magnet = _per_phase(params.pm_flux(), ang) * np.cos(ang)
-    return params.inductance_matrix() @ i_abc - magnet
-
-
 def phase_voltages(params: MachineParameters, i_abc, di_abc, theta, omega_e):
     """Phase terminal voltages for given currents and current derivatives.
 
@@ -267,24 +255,6 @@ def ideal_dq_nonsalient(r, l_sum, lam_m, pole_pairs, op: OperatingPoint):
         + op.omega_e * lam_m
     t_e = 1.5 * pole_pairs * lam_m * op.i_q
     return v_d, v_q, t_e
-
-
-def ideal_dq_salient(r, l_d, l_q, lam_m, pole_pairs, op: OperatingPoint):
-    """Balanced salient rotor-frame model with distinct axis inductances.
-
-    Returns ``(v_d, v_q, t_e)`` where the torque includes the reluctance
-    term ``(l_q - l_d) i_d i_q``.
-    """
-    v_d = r * op.i_d + op.omega_e * l_q * op.i_q + l_d * op.di_d
-    v_q = r * op.i_q - op.omega_e * l_d * op.i_d + l_q * op.di_q \
-        + op.omega_e * lam_m
-    t_e = 1.5 * pole_pairs * (lam_m + (l_q - l_d) * op.i_d) * op.i_q
-    return v_d, v_q, t_e
-
-
-def zero_sequence_voltage(r, l_zero, i_0, di_0):
-    """Zero-sequence voltage ``v_0 = r i_0 + (l - 2m) di_0/dt``."""
-    return r * i_0 + l_zero * di_0
 
 
 def synchronous_inductance(params: MachineParameters) -> float:

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SimulationError
+# demodulate and the delta functions are not called here; they stay bound
+# because perfbench/tracing.py looks them up under this module's names.
 from .harmonics import demodulate
-from .imbalance import flux_delta, inductance_delta, resistance_delta
+from .imbalance import (_flux_terms, _inductance_terms, _resistance_terms,
+                        flux_delta, inductance_delta, resistance_delta)
 from .machine import (MachineParameters, OperatingPoint, decompose,
                       ideal_dq_nonsalient, phase_voltages, torque_abc,
                       transient_window)
@@ -310,19 +313,15 @@ def predict_current_ripple(params: MachineParameters, omega_e, i_d, i_q):
     r = dec.nominal_r
     l_sync = dec.nominal_l + dec.nominal_m
 
-    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    op = OperatingPoint(theta=theta, omega_e=omega_e, i_d=i_d, i_q=i_q)
-    d_res = resistance_delta(dec.d_r, op)
-    d_flux = flux_delta(dec.d_lam, omega_e, theta)
-    d_ind = inductance_delta(dec.d_l, dec.d_m, op)
-    dv_d = d_res.dv_d + d_flux.dv_d + d_ind.dv_d
-    dv_q = d_res.dv_q + d_flux.dv_q + d_ind.dv_q
-
-    def phasor_of(signal):
-        dec_h = demodulate(signal, theta)
-        return dec_h.second.k * np.exp(1j * dec_h.second.phi)
-
-    v_tilde = np.array([phasor_of(dv_d), phasor_of(dv_q)])
+    # Each family adds Re(P e^{j2theta}) to v_d and Re(-j P e^{j2theta})
+    # to v_q, with P = (C_2theta/3)(x_d - j x_q) from its spread and drive.
+    op = OperatingPoint(theta=0.0, omega_e=omega_e, i_d=i_d, i_q=i_q)
+    p_d = sum(c_2theta / 3.0 * (x_d - 1j * x_q)
+              for _, c_2theta, _, (x_d, x_q, _) in (
+                  _resistance_terms(dec.d_r, op),
+                  _flux_terms(dec.d_lam, omega_e),
+                  _inductance_terms(dec.d_l, dec.d_m, op)))
+    v_tilde = np.array([p_d, -1j * p_d])
     # Rotor-frame impedance seen by a 2theta perturbation.
     z = np.array([
         [r + 2j * omega_e * l_sync, omega_e * l_sync],

@@ -355,6 +355,36 @@ class TestIdentifyJob:
         assert rc == 3
         assert "v_d" in captured.err
 
+    @pytest.mark.parametrize("column", ["v_d", "theta"])
+    def test_non_finite_source_cell_is_input_error(self, tmp_path, capsys,
+                                                   column):
+        sim_text = MACHINE + OP_SIM + \
+            "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n" + \
+            "[outputs]\ncsv = measured.csv\n"
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario",
+                     write_scenario(tmp_path, sim_text, "sim.ini"),
+                     "--out", str(out)]) == 0
+        csv_path = out / "measured.csv"
+        lines = csv_path.read_text().splitlines()
+        names = lines[0].split(",")
+        cells = lines[5].split(",")
+        cells[names.index(column)] = "nan"
+        lines[5] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        fit_text = MACHINE + OP_SIM + \
+            "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n" + \
+            "[identify]\nsource_csv = measured.csv\n"
+        capsys.readouterr()
+        rc = main(["identify", "--scenario",
+                   write_scenario(tmp_path, fit_text, "fit.ini"),
+                   "--out", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:")
+        assert repr(column) in err_lines[0]
+
     def test_insufficient_angle_coverage_is_input_error(self, tmp_path, capsys):
         text = MACHINE + """\
 [operating_point]

@@ -49,6 +49,12 @@ class TestCoverage:
         with pytest.raises(InputError):
             check_angle_coverage(np.array(1.0))
 
+    def test_non_finite_rejected(self):
+        theta = GRID.copy()
+        theta[7] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            check_angle_coverage(theta)
+
 
 class TestDemodulate:
     def test_constant_signal(self):

@@ -125,6 +125,19 @@ class TestFitResistance:
         with pytest.raises(InputError, match="shape"):
             fit_resistance(np.zeros(10), np.zeros(11), 1.0, 0.0, GRID)
 
+    def test_non_finite_residual_rejected(self):
+        dv_d = np.zeros_like(GRID)
+        dv_d[3] = np.inf
+        with pytest.raises(InputError, match="finite"):
+            fit_resistance(dv_d, np.zeros_like(GRID), 1.0, 0.0, GRID)
+
+    def test_non_finite_operating_point_rejected(self):
+        zeros = np.zeros_like(GRID)
+        with pytest.raises(InputError, match="finite"):
+            fit_resistance(zeros, zeros, np.nan, 1.0, GRID)
+        with pytest.raises(InputError, match="finite"):
+            fit_flux(zeros, zeros, np.inf, GRID)
+
     def test_out_of_family_content_lands_in_residual(self):
         d_r = (0.02, 0.0, 0.01)
         dv_d, dv_q = resistance_residuals(d_r, i_d=2.0, i_q=3.0)

@@ -10,8 +10,8 @@ from pmimb import (
     MachineParameters,
     OperatingPoint,
     SecondHarmonicPhasor,
+    closed_form_dq,
     compose_total,
-    decompose,
     flux_coeffs,
     flux_delta,
     ideal_dq_nonsalient,
@@ -286,21 +286,13 @@ class TestDeltaOracleEquivalence:
             2e-5, 2.2e-5, 2e-5,
             0.0505, 0.05, 0.0502,
             pole_pairs=3)
-        dec = decompose(p)
         for _ in range(20):
             c = random_op(rng)
             op = OperatingPoint(theta=c["theta"], omega_e=c["omega"],
                                 i_d=c["i_dq0"][0], i_q=c["i_dq0"][1],
                                 i_0=c["i_dq0"][2], di_d=c["di_dq0"][0],
                                 di_q=c["di_dq0"][1], di_0=c["di_dq0"][2])
-            ideal = ideal_dq_nonsalient(
-                dec.nominal_r, dec.nominal_l + dec.nominal_m,
-                dec.nominal_lam, p.pole_pairs, op)
-            v_d, v_q = compose_total(
-                ideal,
-                resistance_delta(dec.d_r, op),
-                flux_delta(dec.d_lam, op.omega_e, op.theta),
-                inductance_delta(dec.d_l, dec.d_m, op))
+            v_d, v_q = closed_form_dq(p, op)
             want = oracles.dq_voltages_brute(
                 [p.r_a, p.r_b, p.r_c], [p.l_a, p.l_b, p.l_c],
                 [p.m_ab, p.m_bc, p.m_ca], [p.lam_a, p.lam_b, p.lam_c],

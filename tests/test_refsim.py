@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pmimb import (
     SimConfig,
     TimeSeries,
     balanced_voltage_command,
+    closed_form_dq,
     compose_total,
     demodulate,
     flux_delta,
@@ -26,10 +29,36 @@ from pmimb import (
 )
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+FAMILY_DEVIATIONS = {
+    "resistance": dict(d_r=(0.005, 0.0, 0.002)),
+    "flux": dict(d_lam=(0.0015, 0.0, 0.0005)),
+    "inductance": dict(d_l=(8e-6, 2e-6, 0.0), d_m=(0.0, 6e-7, 0.0)),
+    "combined": dict(d_r=(0.005, 0.0, 0.002), d_l=(8e-6, 2e-6, 0.0),
+                     d_m=(0.0, 6e-7, 0.0), d_lam=(0.0015, 0.0, 0.0005)),
+}
+
+
 def make_machine(nominal, pole_pairs=3, **families):
     return MachineParameters.from_nominal(
         nominal["r"], nominal["l"], nominal["m"], nominal["lam"],
         pole_pairs, **families)
+
+
+def demodulated_ripple(params, omega_e, i_d, i_q):
+    """Ripple from the demodulated 2theta content of the closed forms."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    op = OperatingPoint(theta=theta, omega_e=omega_e, i_d=i_d, i_q=i_q)
+    v_tilde = [demodulate(v, theta).second.as_complex()
+               for v in closed_form_dq(params, op)]
+    r = min(params.resistances())
+    l_sync = synchronous_inductance(params)
+    z = np.array([
+        [r + 2j * omega_e * l_sync, omega_e * l_sync],
+        [-omega_e * l_sync, r + 2j * omega_e * l_sync],
+    ])
+    return -np.linalg.solve(z, v_tilde)
 
 
 class TestConfigValidation:
@@ -265,6 +294,22 @@ class TestRipplePrediction:
             measured = demodulate(ts.channel(name)[mask], ts.theta[mask])
             got = measured.second.as_complex()
             assert abs(got - predicted) < 0.05 * abs(predicted)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_DEVIATIONS))
+    def test_matches_demodulated_closed_form(self, nominal, family):
+        p = make_machine(nominal, **FAMILY_DEVIATIONS[family])
+        want = demodulated_ripple(p, 400.0, -2.0, 8.0)
+        got = np.array(predict_current_ripple(p, 400.0, -2.0, 8.0))
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+class TestFamilyOverlaysScript:
+    def test_writes_one_csv_per_family(self, tmp_path, capsys):
+        script = runpy.run_path(str(SCRIPTS / "family_overlays.py"))
+        assert script["main"](["--out", str(tmp_path)]) == 0
+        written = sorted(path.name for path in tmp_path.glob("*.csv"))
+        assert written == sorted(f"{name}.csv" for name in FAMILY_DEVIATIONS)
+        assert "relative rms" in capsys.readouterr().out
 
 
 class TestSteadyStateWindow:
