@@ -1,7 +1,7 @@
 """Measured vs predicted 2-theta current ripple under voltage drive.
 
-Sweeps the phase-a resistance deviation, integrates the voltage-fed
-machine to steady state at each level, demodulates the second-harmonic
+Sweeps the phase-a resistance deviation, solves the voltage-fed machine
+to steady state at each level, demodulates the second-harmonic
 current ripple on both rotor-frame axes and compares it against the
 first-order impedance-divider prediction. The relative error should stay
 small and grow with the deviation, the first-order truncation.

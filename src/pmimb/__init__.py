@@ -8,8 +8,7 @@ phase-frame simulation, and inverts measured signatures back to
 per-phase deviations.
 """
 
-from .errors import (ConfigError, IdentifiabilityError, InputError,
-                     SimulationError)
+from .errors import ConfigError, IdentifiabilityError, InputError
 from .harmonics import (HarmonicDecomposition, WaveformComparison,
                         check_angle_coverage, compare_waveforms, demodulate)
 from .identify import (IdentificationResult, fit_flux, fit_resistance,
@@ -47,7 +46,6 @@ __all__ = [
     "Scenario",
     "SecondHarmonicPhasor",
     "SimConfig",
-    "SimulationError",
     "TimeSeries",
     "WaveformComparison",
     "balanced_voltage_command",

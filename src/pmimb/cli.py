@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IdentifiabilityError, InputError, \
-    SimulationError
+from .errors import ConfigError, IdentifiabilityError, InputError
 from .harmonics import compare_waveforms
 from .identify import fit_flux, fit_resistance
 # The delta functions and compose_total stay bound here, though only
@@ -317,8 +316,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, IdentifiabilityError, SimulationError,
-            OSError) as exc:
+    except (InputError, IdentifiabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for path in artifacts:

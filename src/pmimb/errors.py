@@ -14,7 +14,3 @@ class InputError(ValueError):
 class IdentifiabilityError(InputError):
     """A fit whose data cannot determine the requested parameters
     (rank-deficient regressor, zero excitation, zero speed)."""
-
-
-class SimulationError(RuntimeError):
-    """Numerical failure during time integration (non-finite state)."""

@@ -2,9 +2,10 @@
 
 Two drive modes. Current-fed evaluates the machine equations exactly at
 prescribed rotor-frame currents (no integration error, the comparison
-basis for the closed-form models). Voltage-fed integrates the winding
-dynamics with fixed-step RK4 under constant rotor-frame voltage commands
-and an isolated star point.
+basis for the closed-form models). Voltage-fed evaluates the exact
+solution of the winding ODE under constant rotor-frame voltage commands
+and an isolated star point; tests/oracles.py checks it against an
+independent fixed-step RK4 integration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 # demodulate and the delta functions are not called here; they stay bound
 # because perfbench/tracing.py looks them up under this module's names.
 from .harmonics import demodulate
@@ -26,25 +27,19 @@ from .machine import (MachineParameters, OperatingPoint, decompose,
 from .transforms import (AbcVector, Dq0Vector, park_forward, park_inverse,
                          phase_angles)
 
-# Resolution guard: at least this many steps per electrical period.
+# Resolution guard: at least this many samples per electrical period.
 MIN_STEPS_PER_PERIOD = 200
 
 _MODES = ("current-fed", "voltage-fed")
-_NEUTRALS = ("isolated", "driven")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time-stepping settings.
-
-    The driven-neutral option is reserved; only the isolated star point
-    is implemented.
-    """
+    """Sampling settings."""
 
     dt: float = 1e-6
     duration: float = 0.05
     mode: str = "current-fed"
-    neutral: str = "isolated"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -53,10 +48,6 @@ class SimConfig:
             raise ConfigError("duration must be at least one step")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
-        if self.neutral not in _NEUTRALS:
-            raise ConfigError(f"neutral must be one of {_NEUTRALS}")
-        if self.neutral == "driven":
-            raise ConfigError("driven neutral is not implemented")
 
 
 @dataclass
@@ -169,7 +160,7 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
                     cfg: SimConfig) -> TimeSeries:
-    """Integrate the voltage-fed machine with an isolated star point.
+    """Solve the voltage-fed machine with an isolated star point.
 
     Parameters
     ----------
@@ -194,91 +185,61 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     Notes
     -----
     The isolated star point forces i_a + i_b + i_c = 0, so the state is
-    reduced to (i_a, i_b) and the zero-sequence current is zero by
-    construction. Integration is fixed-step classic RK4.
+    reduced to x = (i_a, i_b) and the zero-sequence current is zero by
+    construction. Differencing the winding equations against phase c
+    removes the star-point voltage and leaves a linear system with
+    constant coefficients,
+
+        x' = A x + Re(F e^{j theta}),  A = -H R_red,  F = H (G_ab - G_c),
+
+    with H = L_red^-1 and phase x driven by Re(G_x e^{j theta}). Its
+    solution from rest is evaluated exactly at every sample:
+
+        x(t) = Re(X e^{j theta}) - e^{A t} Re(X),
+
+    X = (j omega_e I - A)^-1 F = (R_red + j omega_e L_red)^-1 (G_ab - G_c).
+    With L_red = C C^T, A is similar to the symmetric negative-definite
+    -C^-1 R_red C^-T, so its eigenvalues are real and negative: e^{A t}
+    comes from a real symmetric eigendecomposition, and j omega_e I - A
+    is invertible at every speed. dt only sets the sampling grid.
 
     """
     if cfg.mode != "voltage-fed":
         raise ConfigError(f"config mode is {cfg.mode!r}, not 'voltage-fed'")
     _check_resolution(cfg, omega_e)
     v_d, v_q = (float(v) for v in v_dq_cmd)
+    t, theta = _sample_grid(cfg, omega_e)
 
     l_mat = params.inductance_matrix()
-    # Constrained inductance: with i_c = -i_a - i_b and the star-point
-    # voltage eliminated by differencing rows against phase c.
+    r_abc = params.resistances()
+    # Constrained inductance and resistance: with i_c = -i_a - i_b and the
+    # star-point voltage eliminated by differencing rows against phase c.
     reduce_map = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     l_red = reduce_map.T @ l_mat @ reduce_map
+    r_red = reduce_map.T @ (r_abc[:, None] * reduce_map)
     h = np.linalg.inv(l_red)
-    h00, h01 = float(h[0, 0]), float(h[0, 1])
-    h10, h11 = float(h[1, 0]), float(h[1, 1])
-
-    r_a, r_b, r_c = (float(v) for v in params.resistances())
-    wl_a, wl_b, wl_c = (omega_e * float(v) for v in params.pm_flux())
-    rt3_2 = math.sqrt(3.0) / 2.0
-    dt = cfg.dt
-    w_dt = omega_e * dt
-    n_steps = int(round(cfg.duration / dt))
-
-    cos = math.cos
-    sin = math.sin
-
-    def deriv(th, ia, ib):
-        c_a = cos(th)
-        s_a = sin(th)
-        # Phase b and c angles by exact 2*pi/3 rotations.
-        c_b = -0.5 * c_a + rt3_2 * s_a
-        s_b = -0.5 * s_a - rt3_2 * c_a
-        c_c = -0.5 * c_a - rt3_2 * s_a
-        s_c = -0.5 * s_a + rt3_2 * c_a
-        ic = -ia - ib
-        r0 = v_d * c_a + v_q * s_a - r_a * ia - wl_a * s_a
-        r1 = v_d * c_b + v_q * s_b - r_b * ib - wl_b * s_b
-        r2 = v_d * c_c + v_q * s_c - r_c * ic - wl_c * s_c
-        u0 = r0 - r2
-        u1 = r1 - r2
-        return h00 * u0 + h01 * u1, h10 * u0 + h11 * u1
-
-    hist_a = np.empty(n_steps + 1)
-    hist_b = np.empty(n_steps + 1)
-    hist_a[0] = 0.0
-    hist_b[0] = 0.0
-    ia = 0.0
-    ib = 0.0
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for k in range(n_steps):
-        th0 = w_dt * k
-        th_half = th0 + 0.5 * w_dt
-        th1 = th0 + w_dt
-        a1, b1 = deriv(th0, ia, ib)
-        a2, b2 = deriv(th_half, ia + half * a1, ib + half * b1)
-        a3, b3 = deriv(th_half, ia + half * a2, ib + half * b2)
-        a4, b4 = deriv(th1, ia + dt * a3, ib + dt * b3)
-        ia += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        ib += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        hist_a[k + 1] = ia
-        hist_b[k + 1] = ib
-
-    if not (np.all(np.isfinite(hist_a)) and np.all(np.isfinite(hist_b))):
-        bad = np.flatnonzero(~(np.isfinite(hist_a) & np.isfinite(hist_b)))[0]
-        raise SimulationError(
-            f"integration diverged near t = {bad * dt:g} s; "
-            "reduce dt or check parameters"
-        )
-
-    t = np.arange(n_steps + 1) * dt
-    theta = omega_e * t
-    i_abc = np.stack([hist_a, hist_b, -hist_a - hist_b])
+    # Phase x is driven by v_d cos(theta_x) + (v_q - omega_e lam_x)
+    # sin(theta_x) = Re(G_x e^{j theta}).
+    g = ((v_d - 1j * (v_q - omega_e * params.pm_flux()))
+         * np.exp(1j * phase_angles(0.0)))
+    x_ss = np.linalg.solve(r_red + 1j * omega_e * l_red, g[:2] - g[2])
+    chol = np.linalg.cholesky(l_red)
+    rates, q = np.linalg.eigh(
+        np.linalg.solve(chol, np.linalg.solve(chol, r_red).T))
+    # e^{A t} = V e^{-rates t} V^-1 with V = C^-T Q and V^-1 = Q^T C^T.
+    modes = np.linalg.solve(chol.T, q)
+    start = -(q.T @ chol.T @ x_ss.real)
+    i_ab = (x_ss.real[:, None] * np.cos(theta)
+            - x_ss.imag[:, None] * np.sin(theta)
+            + modes @ (start[:, None] * np.exp(-rates[:, None] * t)))
+    i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
 
     # Reconstruct applied voltages, derivatives and the star-point shift.
     applied = park_inverse(Dq0Vector(v_d, v_q, 0.0), theta).as_array()
     emf = omega_e * params.pm_flux()[:, None] * np.sin(phase_angles(theta))
-    rhs = applied - params.resistances()[:, None] * i_abc - emf
-    u0 = rhs[0] - rhs[2]
-    u1 = rhs[1] - rhs[2]
-    di_a = h00 * u0 + h01 * u1
-    di_b = h10 * u0 + h11 * u1
-    di_abc = np.stack([di_a, di_b, -di_a - di_b])
+    rhs = applied - r_abc[:, None] * i_abc - emf
+    di_ab = h @ (rhs[:2] - rhs[2])
+    di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
     v_n = np.mean(rhs - l_mat @ di_abc, axis=0)
     winding = applied - v_n
     return _assemble(params, t, theta, i_abc, winding, extra={"v_n": v_n})

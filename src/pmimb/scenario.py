@@ -25,7 +25,6 @@ with their section in diagnostics (``machine.l_a``). Schema:
     dt                   step (s), default 1e-6
     duration             simulated time (s), default 0.05
     mode                 current-fed (default) | voltage-fed
-    neutral              isolated (default)
 
     [outputs]            optional
     csv                  time-series file name, default timeseries.csv
@@ -60,13 +59,6 @@ _FAMILY_KEYS = {
     "combined": ("d_r", "d_l", "d_m", "d_lam"),
 }
 
-_MACHINE_NOMINAL = {"r": "r", "l": "l", "m": "m", "lam": "lam"}
-_MACHINE_PHASE = {
-    "r_a": ("r", 0), "r_b": ("r", 1), "r_c": ("r", 2),
-    "l_a": ("l", 0), "l_b": ("l", 1), "l_c": ("l", 2),
-    "m_ab": ("m", 0), "m_bc": ("m", 1), "m_ca": ("m", 2),
-    "lam_a": ("lam", 0), "lam_b": ("lam", 1), "lam_c": ("lam", 2),
-}
 _PHASE_KEYS = {
     "r": ("r_a", "r_b", "r_c"),
     "l": ("l_a", "l_b", "l_c"),
@@ -191,7 +183,7 @@ def parse_scenario(path) -> Scenario:
     pole_pairs = _int(raw_pp, "machine.pole_pairs")
 
     nominal = {}
-    for key in _MACHINE_NOMINAL:
+    for key in _PHASE_KEYS:
         raw = _take(machine, key)
         nominal[key] = None if raw is None else _float(raw, f"machine.{key}")
 
@@ -300,10 +292,9 @@ def parse_scenario(path) -> Scenario:
     duration = _float(_take(sim_section, "duration", "0.05"),
                       "sim.duration")
     mode = _take(sim_section, "mode", "current-fed").strip()
-    neutral = _take(sim_section, "neutral", "isolated").strip()
     _reject_unknown(sim_section, "sim")
     try:
-        sim = SimConfig(dt=dt, duration=duration, mode=mode, neutral=neutral)
+        sim = SimConfig(dt=dt, duration=duration, mode=mode)
     except ConfigError as exc:
         raise ConfigError(f"sim: {exc}") from None
     if sim.mode == "voltage-fed" and (v_d is None or v_q is None):
@@ -314,7 +305,6 @@ def parse_scenario(path) -> Scenario:
     note("sim.dt", repr(sim.dt))
     note("sim.duration", repr(sim.duration))
     note("sim.mode", sim.mode)
-    note("sim.neutral", sim.neutral)
 
     # --- outputs -------------------------------------------------------
     outputs = _section(parser, "outputs")

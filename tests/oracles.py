@@ -1,10 +1,13 @@
 """Independent brute-force references for the test suite.
 
 Everything here is rebuilt from first principles: explicit transform
-matrices, explicit phase-frame voltage evaluation, quadrature co-energy.
+matrices, explicit phase-frame voltage evaluation, quadrature co-energy,
+fixed-step RK4 integration of the voltage-fed windings.
 Deliberately redundant with the package so each side checks the other;
 nothing in this module calls package code.
 """
+
+import math
 
 import numpy as np
 
@@ -106,3 +109,76 @@ def coenergy_torque(l_abc, m_pairs, lam_abc, i_abc, theta, pole_pairs,
 
     return pole_pairs * (coenergy(theta + step)
                          - coenergy(theta - step)) / (2.0 * step)
+
+
+def voltage_fed_rk4(r_abc, l_abc, m_pairs, lam_abc, v_dq, omega, dt,
+                    n_steps):
+    """Voltage-fed machine with an isolated star point by classic RK4.
+
+    The state is (i_a, i_b) with i_c = -i_a - i_b, starting at rest; the
+    star-point voltage is eliminated by differencing the winding rows
+    against phase c. Fixed steps of dt, one Python iteration per step.
+    Returns i_a, i_b and the star-point voltage v_n on the n_steps + 1
+    samples t = k dt.
+    """
+    v_d, v_q = (float(v) for v in v_dq)
+    l_mat = inductance_matrix(l_abc, m_pairs)
+    reduce_map = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    h = np.linalg.inv(reduce_map.T @ l_mat @ reduce_map)
+    h00, h01 = float(h[0, 0]), float(h[0, 1])
+    h10, h11 = float(h[1, 0]), float(h[1, 1])
+
+    r_a, r_b, r_c = (float(v) for v in r_abc)
+    wl_a, wl_b, wl_c = (omega * float(v) for v in lam_abc)
+    rt3_2 = math.sqrt(3.0) / 2.0
+    w_dt = omega * dt
+
+    cos = math.cos
+    sin = math.sin
+
+    def deriv(th, ia, ib):
+        c_a = cos(th)
+        s_a = sin(th)
+        # Phase b and c angles by exact 2*pi/3 rotations.
+        c_b = -0.5 * c_a + rt3_2 * s_a
+        s_b = -0.5 * s_a - rt3_2 * c_a
+        c_c = -0.5 * c_a - rt3_2 * s_a
+        s_c = -0.5 * s_a + rt3_2 * c_a
+        ic = -ia - ib
+        r0 = v_d * c_a + v_q * s_a - r_a * ia - wl_a * s_a
+        r1 = v_d * c_b + v_q * s_b - r_b * ib - wl_b * s_b
+        r2 = v_d * c_c + v_q * s_c - r_c * ic - wl_c * s_c
+        u0 = r0 - r2
+        u1 = r1 - r2
+        return h00 * u0 + h01 * u1, h10 * u0 + h11 * u1
+
+    hist_a = np.empty(n_steps + 1)
+    hist_b = np.empty(n_steps + 1)
+    hist_a[0] = 0.0
+    hist_b[0] = 0.0
+    ia = 0.0
+    ib = 0.0
+    sixth = dt / 6.0
+    half = 0.5 * dt
+    for k in range(n_steps):
+        th0 = w_dt * k
+        th_half = th0 + 0.5 * w_dt
+        th1 = th0 + w_dt
+        a1, b1 = deriv(th0, ia, ib)
+        a2, b2 = deriv(th_half, ia + half * a1, ib + half * b1)
+        a3, b3 = deriv(th_half, ia + half * a2, ib + half * b2)
+        a4, b4 = deriv(th1, ia + dt * a3, ib + dt * b3)
+        ia += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        ib += sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        hist_a[k + 1] = ia
+        hist_b[k + 1] = ib
+
+    # Star point from the sum of the three winding equations.
+    ang = phase_angle_vec(omega * dt * np.arange(n_steps + 1))
+    i_abc = np.stack([hist_a, hist_b, -hist_a - hist_b])
+    rhs = (v_d * np.cos(ang) + (v_q - omega * np.asarray(lam_abc)[:, None])
+           * np.sin(ang) - np.asarray(r_abc)[:, None] * i_abc)
+    di_ab = h @ (rhs[:2] - rhs[2])
+    di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
+    v_n = np.mean(rhs - l_mat @ di_abc, axis=0)
+    return hist_a, hist_b, v_n

@@ -46,6 +46,12 @@ def make_machine(nominal, pole_pairs=3, **families):
         pole_pairs, **families)
 
 
+def phase_values(p):
+    """Per-phase (r, l, m, lam) triples in the oracles' argument order."""
+    return ([p.r_a, p.r_b, p.r_c], [p.l_a, p.l_b, p.l_c],
+            [p.m_ab, p.m_bc, p.m_ca], [p.lam_a, p.lam_b, p.lam_c])
+
+
 def demodulated_ripple(params, omega_e, i_d, i_q):
     """Ripple from the demodulated 2theta content of the closed forms."""
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -73,10 +79,6 @@ class TestConfigValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             SimConfig(mode="torque-fed")
-
-    def test_rejects_driven_neutral(self):
-        with pytest.raises(ConfigError, match="not implemented"):
-            SimConfig(neutral="driven")
 
     def test_resolution_guard(self, nominal):
         p = make_machine(nominal)
@@ -256,16 +258,56 @@ class TestVoltageFed:
         v_cmd = balanced_voltage_command(p, omega, 0.0, 5.0)
         runs = {}
         for dt in (6e-5, 3e-5, 1.5e-5):
-            cfg = SimConfig(dt=dt, duration=0.018, mode="voltage-fed")
-            runs[dt] = run_voltage_fed(p, v_cmd, omega, cfg)
-        coarse = runs[6e-5].channel("i_a")
-        mid = runs[3e-5].channel("i_a")[::2]
-        fine = runs[1.5e-5].channel("i_a")[::4]
+            runs[dt], _, _ = oracles.voltage_fed_rk4(
+                *phase_values(p), v_cmd, omega, dt, int(round(0.018 / dt)))
+        coarse = runs[6e-5]
+        mid = runs[3e-5][::2]
+        fine = runs[1.5e-5][::4]
         e_coarse = np.max(np.abs(coarse - mid))
         e_mid = np.max(np.abs(mid - fine))
         assert e_mid > 0.0
         ratio = e_coarse / e_mid
         assert 10.0 < ratio < 24.0
+
+    @pytest.mark.parametrize("omega", [0.0, 700.0])
+    @pytest.mark.parametrize("family", [*sorted(FAMILY_DEVIATIONS),
+                                        "balanced", "near-balanced"])
+    def test_matches_rk4_oracle(self, nominal, family, omega):
+        if family == "near-balanced":
+            tiny = 1e-13
+            deviations = dict(
+                d_r=(tiny * nominal["r"], 0.0, 0.5 * tiny * nominal["r"]),
+                d_l=(tiny * nominal["l"], 0.3 * tiny * nominal["l"], 0.0),
+                d_m=(0.0, tiny * nominal["m"], 0.0),
+                d_lam=(0.0, 0.0, tiny * nominal["lam"]))
+        else:
+            deviations = FAMILY_DEVIATIONS.get(family, {})
+        p = make_machine(nominal, **deviations)
+        v_cmd = balanced_voltage_command(p, omega, -2.0, 10.0)
+        dt, steps = 1e-5, 2000
+        ts = run_voltage_fed(p, v_cmd, omega, SimConfig(
+            dt=dt, duration=steps * dt, mode="voltage-fed"))
+        r_abc, l_abc, m_pairs, lam_abc = phase_values(p)
+        i_a, i_b, v_n = oracles.voltage_fed_rk4(
+            r_abc, l_abc, m_pairs, lam_abc, v_cmd, omega, dt, steps)
+        # RK4 truncation per step is (h mu)^5 / 120 of the state, for the
+        # fastest rate mu; rounding adds about one ulp per step. Both
+        # accumulate at most linearly over the run.
+        reduce_map = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        l_red = reduce_map.T @ oracles.inductance_matrix(l_abc, m_pairs) \
+            @ reduce_map
+        r_red = reduce_map.T @ np.diag(r_abc) @ reduce_map
+        rates = np.linalg.eigvals(np.linalg.solve(l_red, r_red))
+        mu = max(float(np.max(np.abs(rates))), omega)
+        scale = max(np.max(np.abs(i_a)), np.max(np.abs(i_b)))
+        tol = 10.0 * scale * steps * ((dt * mu) ** 5 / 120.0
+                                      + np.finfo(float).eps)
+        assert np.max(np.abs(ts.channel("i_a") - i_a)) < tol
+        assert np.max(np.abs(ts.channel("i_b") - i_b)) < tol
+        # The v_n error is the current error seen through the winding
+        # impedance.
+        tol_v = tol * (max(r_abc) + mu * max(l_abc))
+        assert np.max(np.abs(ts.channel("v_n") - v_n)) < tol_v
 
 
 class TestRipplePrediction:
@@ -310,6 +352,24 @@ class TestFamilyOverlaysScript:
         written = sorted(path.name for path in tmp_path.glob("*.csv"))
         assert written == sorted(f"{name}.csv" for name in FAMILY_DEVIATIONS)
         assert "relative rms" in capsys.readouterr().out
+
+
+class TestVoltageFedRippleScript:
+    def test_error_grows_with_deviation(self, tmp_path, capsys):
+        out = tmp_path / "ripple.csv"
+        script = runpy.run_path(str(SCRIPTS / "voltage_fed_ripple.py"))
+        assert script["main"](["--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",")[-1] == "relative_error"
+        assert len(rows) == 8
+        cells = [row.split(",") for row in rows]
+        for axis in ("i_d", "i_q"):
+            sweep = sorted((float(c[0]), float(c[-1])) for c in cells
+                           if c[1] == axis)
+            errors = [err for _, err in sweep]
+            assert len(errors) == 4
+            assert all(a < b for a, b in zip(errors, errors[1:]))
+        assert "wrote" in capsys.readouterr().out
 
 
 class TestSteadyStateWindow:

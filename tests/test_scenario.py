@@ -30,7 +30,6 @@ class TestMachineSection:
         assert sc.sim.dt == 1e-6
         assert sc.sim.duration == 0.05
         assert sc.sim.mode == "current-fed"
-        assert sc.sim.neutral == "isolated"
         assert sc.csv_name == "timeseries.csv"
         assert sc.summary_name == "summary.txt"
         assert sc.channels is None
