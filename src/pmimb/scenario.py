@@ -33,7 +33,8 @@ with their section in diagnostics (``machine.l_a``). Schema:
     stride               keep every n-th sample in the CSV, default 1
 
     [identify]           optional
-    source_csv           fit waveforms from this file instead of simulating
+    source_csv           fit waveforms from this file instead of simulating;
+                         a relative path resolves against --out
 
 Unknown sections or keys are errors, not warnings: scenarios are small
 and a typo silently ignored would invalidate a study.
@@ -319,9 +320,12 @@ def parse_scenario(path) -> Scenario:
         channels = None
     else:
         channels = tuple(p.strip() for p in raw_channels.split(","))
-        for name in channels:
+        for idx, name in enumerate(channels):
             if name not in KNOWN_CHANNELS:
                 raise ConfigError(f"outputs.channels: unknown channel {name!r}")
+            if name in channels[:idx]:
+                raise ConfigError(
+                    f"outputs.channels: channel {name!r} is listed twice")
     note("outputs.csv", csv_name)
     note("outputs.summary", summary_name)
     note("outputs.channels", raw_channels)

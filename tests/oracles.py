@@ -2,7 +2,8 @@
 
 Everything here is rebuilt from first principles: explicit transform
 matrices, explicit phase-frame voltage evaluation, quadrature co-energy,
-fixed-step RK4 integration of the voltage-fed windings.
+fixed-step RK4 integration of the voltage-fed windings, value-by-value
+CSV formatting.
 Deliberately redundant with the package so each side checks the other;
 nothing in this module calls package code.
 """
@@ -182,3 +183,15 @@ def voltage_fed_rk4(r_abc, l_abc, m_pairs, lam_abc, v_dq, omega, dt,
     di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
     v_n = np.mean(rhs - l_mat @ di_abc, axis=0)
     return hist_a, hist_b, v_n
+
+
+def csv_text(names, columns, stride=1):
+    """CSV text the way the package's writer must produce it.
+
+    One header line of names, then one line per kept sample, each value
+    formatted on its own with ``{:.17g}`` and joined by commas.
+    """
+    lines = [",".join(names) + "\n"]
+    for row in zip(*(np.asarray(col)[::stride] for col in columns)):
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)

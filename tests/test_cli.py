@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import oracles
 from pmimb import ConfigError, InputError, TimeSeries
-from pmimb.cli import main, read_csv, write_csv
+from pmimb.cli import _BLOCK_ROWS, main, read_csv, write_csv
 
 MACHINE = """\
 [machine]
@@ -49,6 +54,29 @@ def small_series(n=3):
                                      "v_a": np.linspace(-1, 1, n)})
 
 
+# Values whose %.17g text is easy to get wrong: signed zero, the smallest
+# subnormal, huge and tiny magnitudes, an integral value, non-finite.
+AWKWARD = (-0.0, 5e-324, 1e300, -1.2345e-17, 3.0, math.inf, -math.inf,
+           math.nan)
+
+
+def awkward_series(n):
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 1e-6
+    return TimeSeries(t, 300.0 * t, {
+        "i_a": rng.standard_normal(n),
+        "edge": np.resize(np.array(AWKWARD), n),
+        "v_q": 1e-7 * rng.standard_normal(n),
+    })
+
+
+def oracle_bytes(ts, channels, stride):
+    names = ts.names if channels is None else list(channels)
+    columns = [ts.t, ts.theta] + [ts.channels[name] for name in names]
+    return oracles.csv_text(["t", "theta"] + names, columns,
+                            stride).encode("utf-8")
+
+
 class TestCsvInputOutput:
     def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -86,6 +114,23 @@ class TestCsvInputOutput:
         with pytest.raises(ConfigError, match="channel"):
             write_csv(small_series(), tmp_path / "out.csv", channels=("i_x",))
 
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                      2 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("stride", [1, 3, None])
+    def test_bytes_match_value_by_value_oracle(self, tmp_path, rows, stride):
+        stride = rows + 1 if stride is None else stride
+        ts = awkward_series(rows)
+        path = tmp_path / "out.csv"
+        write_csv(ts, path, stride=stride)
+        assert path.read_bytes() == oracle_bytes(ts, None, stride)
+
+    @pytest.mark.parametrize("channels", [("edge", "i_a"), ()])
+    def test_channel_subset_bytes_match_oracle(self, tmp_path, channels):
+        ts = awkward_series(2 * _BLOCK_ROWS + 7)
+        path = tmp_path / "out.csv"
+        write_csv(ts, path, channels=channels, stride=3)
+        assert path.read_bytes() == oracle_bytes(ts, channels, 3)
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -96,6 +141,25 @@ class TestCsvInputOutput:
         path = tmp_path / "bad.csv"
         path.write_text("t,theta,i_a\n0,0\n")
         with pytest.raises(InputError):
+            read_csv(path)
+
+    def test_read_rejects_repeated_header_name(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,theta,v_d,v_d\n0,0,1,2\n0.1,1,1,2\n")
+        with pytest.raises(InputError, match="'v_d' appears more than once"):
+            read_csv(path)
+
+    def test_read_rejects_blank_header_name(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,,theta\n0,0,0\n")
+        with pytest.raises(InputError, match="column 2 is blank"):
+            read_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_read_rejects_header_only_file_without_warning(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,theta,i_a\n")
+        with pytest.raises(InputError, match="no data rows"):
             read_csv(path)
 
 
@@ -163,6 +227,17 @@ class TestSimulateJob:
         assert header == "t,theta,i_d,i_q"
         data = read_csv(out / "timeseries.csv")
         assert data["t"].size == math.ceil(3001 / 5)
+
+    def test_repeated_channel_exits_2(self, tmp_path, capsys):
+        text = MACHINE + OP_SIM + "[outputs]\nchannels = v_d, v_d, i_a\n"
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err_lines) == 1
+        assert "'v_d' is listed twice" in err_lines[0]
+        assert not (out / "timeseries.csv").exists()
 
     def test_voltage_fed_summary(self, tmp_path):
         text = MACHINE + """\
@@ -385,6 +460,31 @@ class TestIdentifyJob:
         assert err_lines[0].startswith("error:")
         assert repr(column) in err_lines[0]
 
+    def test_repeated_source_column_is_input_error(self, tmp_path, capsys):
+        sim_text = MACHINE + OP_SIM + \
+            "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n" + \
+            "[outputs]\ncsv = measured.csv\nchannels = v_d, v_q, i_d\n"
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario",
+                     write_scenario(tmp_path, sim_text, "sim.ini"),
+                     "--out", str(out)]) == 0
+        csv_path = out / "measured.csv"
+        text = csv_path.read_text()
+        # The header names the i_d column v_d as well, after the real one.
+        csv_path.write_text(text.replace("v_q,i_d\n", "v_q,v_d\n", 1))
+        fit_text = MACHINE + OP_SIM + \
+            "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n" + \
+            "[identify]\nsource_csv = measured.csv\n"
+        capsys.readouterr()
+        rc = main(["identify", "--scenario",
+                   write_scenario(tmp_path, fit_text, "fit.ini"),
+                   "--out", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:")
+        assert "'v_d'" in err_lines[0]
+
     def test_insufficient_angle_coverage_is_input_error(self, tmp_path, capsys):
         text = MACHINE + """\
 [operating_point]
@@ -433,3 +533,102 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
         assert (tmp_path / "out" / "summary.txt").exists()
+
+
+CORRUPT_CELLS = ("", "x", "nan", "inf", "1e", "--1")
+SOURCE_HEADER = "t,theta,v_d,v_q,i_d\n"
+SOURCE_SCENARIO = MACHINE + """\
+[operating_point]
+omega_e = 300
+i_d = -2
+i_q = 10
+
+[sim]
+dt = 1e-4
+duration = 0.03
+
+[imbalance]
+family = resistance
+d_r = 0.02, 0, 0.01
+
+[outputs]
+csv = source.csv
+channels = v_d, v_q, i_d
+
+[identify]
+source_csv = source.csv
+"""
+
+
+@pytest.fixture(scope="module")
+def identify_source(tmp_path_factory):
+    """A small valid simulate CSV, the directory and the identify scenario."""
+    root = tmp_path_factory.mktemp("corrupt")
+    scenario = root / "scenario.ini"
+    scenario.write_text(SOURCE_SCENARIO)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(root)]) == 0
+    text = (root / "source.csv").read_text()
+    assert text.startswith(SOURCE_HEADER)
+    return root, scenario, text
+
+
+def corrupt(text, kind, a, b, cell):
+    """Apply one mutation to CSV text; a and b pick the place."""
+    if kind == "truncate":
+        return text[:a % (len(text) + 1)]
+    lines = text.splitlines(keepends=True)
+    if kind == "delete":
+        del lines[a % len(lines)]
+        return "".join(lines)
+    if kind == "cell":
+        row = 1 + a % (len(lines) - 1)
+        cells = lines[row].rstrip("\n").split(",")
+        cells[b % len(cells)] = cell
+        lines[row] = ",".join(cells) + "\n"
+        return "".join(lines)
+    names = lines[0].rstrip("\n").split(",")
+    target = a % len(names)
+    if kind == "duplicate":
+        other = b % len(names)
+        if other == target:
+            other = (target + 1) % len(names)
+        names[target] = names[other]
+    else:
+        names[target] = ""
+    lines[0] = ",".join(names) + "\n"
+    return "".join(lines)
+
+
+class TestCorruptedIdentifySource:
+    @given(kind=st.sampled_from(("truncate", "delete", "cell", "duplicate",
+                                 "blank")),
+           a=st.integers(0, 10**6), b=st.integers(0, 10**6),
+           cell=st.sampled_from(CORRUPT_CELLS))
+    @example(kind="truncate", a=0, b=0, cell="")
+    @example(kind="truncate", a=7, b=0, cell="")
+    @example(kind="truncate", a=len(SOURCE_HEADER), b=0, cell="")
+    @example(kind="delete", a=0, b=0, cell="")
+    @example(kind="duplicate", a=4, b=2, cell="")
+    def test_exit_0_or_one_error_line(self, identify_source, kind, a, b,
+                                      cell):
+        root, scenario, text = identify_source
+        (root / "source.csv").write_text(corrupt(text, kind, a, b, cell))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["identify", "--scenario", str(scenario),
+                       "--out", str(root)])
+        err_lines = err.getvalue().splitlines()
+        assert rc in (0, 3)
+        assert "Traceback" not in err.getvalue()
+        # Outside pytest a numpy warning would be a second stderr line.
+        assert [str(w.message) for w in caught] == []
+        if rc == 3:
+            assert len(err_lines) == 1
+            assert err_lines[0].startswith("error:")
+        else:
+            assert err_lines == []

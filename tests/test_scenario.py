@@ -233,6 +233,11 @@ class TestOutputsAndIdentify:
         with pytest.raises(ConfigError, match="unknown channel"):
             parse_scenario(write(tmp_path, text))
 
+    def test_repeated_channel_rejected(self, tmp_path):
+        text = MACHINE + "[outputs]\nchannels = v_d, v_d, i_a\n"
+        with pytest.raises(ConfigError, match="'v_d' is listed twice"):
+            parse_scenario(write(tmp_path, text))
+
     def test_zero_stride_rejected(self, tmp_path):
         text = MACHINE + "[outputs]\nstride = 0\n"
         with pytest.raises(ConfigError, match="stride"):
