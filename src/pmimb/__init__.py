@@ -11,30 +11,26 @@ per-phase deviations.
 from .errors import ConfigError, IdentifiabilityError, InputError
 from .harmonics import (HarmonicDecomposition, WaveformComparison,
                         check_angle_coverage, compare_waveforms, demodulate)
-from .identify import (IdentificationResult, fit_flux, fit_resistance,
-                       invert_phasor)
+from .identify import IdentificationResult, fit_flux, fit_resistance
 from .imbalance import (DqVoltageDelta, SecondHarmonicPhasor, closed_form_dq,
                         compose_total, flux_coeffs, flux_delta,
                         inductance_coeffs, inductance_delta,
                         resistance_coeffs, resistance_delta)
 from .machine import (ImbalanceDecomposition, MachineParameters,
                       OperatingPoint, decompose, electrical_time_constant,
-                      ideal_dq_nonsalient, phase_voltages,
-                      synchronous_inductance, torque_abc, transient_window)
+                      ideal_dq_nonsalient, phase_voltages, torque_abc,
+                      transient_window)
 from .refsim import (SimConfig, TimeSeries, balanced_voltage_command,
                      predict_current_ripple, run_current_fed,
                      run_voltage_fed, steady_state_window)
 from .scenario import Scenario, parse_scenario
-from .transforms import (BETA, AbcVector, Dq0Vector, park_forward,
-                         park_inverse, phase_angles)
+from .transforms import BETA, park_forward, park_inverse, phase_angles
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbcVector",
     "BETA",
     "ConfigError",
-    "Dq0Vector",
     "DqVoltageDelta",
     "HarmonicDecomposition",
     "IdentifiabilityError",
@@ -63,7 +59,6 @@ __all__ = [
     "ideal_dq_nonsalient",
     "inductance_coeffs",
     "inductance_delta",
-    "invert_phasor",
     "park_forward",
     "park_inverse",
     "parse_scenario",
@@ -75,7 +70,6 @@ __all__ = [
     "run_current_fed",
     "run_voltage_fed",
     "steady_state_window",
-    "synchronous_inductance",
     "torque_abc",
     "transient_window",
 ]

@@ -54,13 +54,17 @@ def write_csv(ts: TimeSeries, path, channels=None, stride=1):
     Values carry 17 significant digits (``%.17g``) so a read-back
     reproduces every sample exactly. Rows are formatted a block at a time
     with one ``%`` operation per block; the bytes are those of formatting
-    each value on its own.
+    each value on its own. A channel that is missing from the series or
+    listed twice raises ``ConfigError``, since ``read_csv`` would refuse
+    the file.
     """
     names = ts.names if channels is None else list(channels)
-    for name in names:
+    for idx, name in enumerate(names):
         if name not in ts.channels:
             raise ConfigError(f"channel {name!r} is not in this time series "
                               f"(available: {', '.join(ts.names)})")
+        if name in names[:idx]:
+            raise ConfigError(f"channel {name!r} is listed twice")
     columns = [col[::stride] for col in
                [ts.t, ts.theta] + [ts.channels[name] for name in names]]
     header = ",".join(["t", "theta"] + names)

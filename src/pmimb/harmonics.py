@@ -32,11 +32,6 @@ class HarmonicDecomposition:
         if not (np.isfinite(self.residual_rms) and self.residual_rms >= 0.0):
             raise ValueError("residual_rms must be finite and nonnegative")
 
-    def reconstruct(self, theta):
-        """Evaluate dc + k*cos(2*theta + phi) at the given angles."""
-        return self.dc + self.second.k * np.cos(2.0 * np.asarray(theta)
-                                                + self.second.phi)
-
 
 @dataclass(frozen=True)
 class WaveformComparison:

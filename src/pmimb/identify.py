@@ -3,7 +3,7 @@
 Given the difference between measured dq voltages and the balanced model
 prediction, a linear least-squares fit recovers the deviation sum and the
 second-harmonic phasor of one imbalance family, and the phasor algebra is
-inverted back to per-phase deviations in min-as-nominal form.
+inverted back to per-phase deviations.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ class IdentificationResult:
     ``per_phase`` holds the deviations against the nominal model the
     residuals were computed from; ``s`` is their sum and ``phasor`` their
     second-harmonic coefficient, so the forward coefficient map
-    reproduces (s, phasor) exactly. When the true deviations are in
-    min-as-nominal form (smallest is zero), a noise-free fit returns
-    them unchanged; ``invert_phasor`` canonicalizes otherwise.
+    reproduces (s, phasor) exactly. The sum and the phasor fix the triple
+    uniquely, so a noise-free fit returns the true deviations unchanged,
+    with no shift to a zero minimum.
     """
 
     family: str
@@ -57,27 +57,6 @@ def _raw_inverse(s, phasor: SecondHarmonicPhasor):
         third - re + np.sqrt(3.0) * im,
         third - re - np.sqrt(3.0) * im,
     ])
-
-
-def invert_phasor(s, phasor: SecondHarmonicPhasor):
-    """Per-phase deviations matching a sum and second-harmonic phasor.
-
-    Fixing the sum makes the inverse of the coefficient map unique. The
-    solution is then shifted so its smallest entry is zero (min-as-nominal
-    form) and the applied shift is returned alongside: the unshifted
-    triple is ``deviations + shift``, and a caller tracking an assumed
-    nominal value should add ``shift`` to it.
-
-    Returns
-    -------
-    (deviations, shift)
-        ``deviations`` is a 3-array with min 0; ``shift`` is what was
-        subtracted from each entry.
-
-    """
-    raw = _raw_inverse(s, phasor)
-    shift = float(raw.min())
-    return raw - shift, shift
 
 
 def _stack_inputs(dv_d, dv_q, theta):

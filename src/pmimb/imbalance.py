@@ -55,9 +55,6 @@ class SecondHarmonicPhasor:
         if not (-math.pi < self.phi <= math.pi):
             raise ValueError("phi must lie in (-pi, pi]")
 
-    def as_complex(self) -> complex:
-        return self.k * complex(math.cos(self.phi), math.sin(self.phi))
-
 
 @dataclass(frozen=True)
 class DqVoltageDelta:

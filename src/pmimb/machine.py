@@ -9,11 +9,11 @@ rotor-frame models are provided for reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .transforms import BETA, phase_angles
+from .transforms import BETA
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,9 @@ class MachineParameters:
         Permanent-magnet flux linkage amplitudes (Wb), nonnegative.
     pole_pairs : int
         Number of pole pairs, at least 1.
-    beta : float
-        Spatial angle between consecutive phases (rad). Must equal 2*pi/3;
-        the field exists to make the three-phase assumption explicit.
 
+    Every value must be finite. The phases are displaced by ``BETA``,
+    2*pi/3: the model is three-phase by construction.
     """
 
     r_a: float
@@ -53,13 +52,13 @@ class MachineParameters:
     lam_b: float
     lam_c: float
     pole_pairs: int
-    beta: float = BETA
 
     def __post_init__(self):
-        for name in ("r_a", "r_b", "r_c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("l_a", "l_b", "l_c"):
+        for field in fields(self):
+            if field.name != "pole_pairs" and not math.isfinite(
+                    getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
+        for name in ("r_a", "r_b", "r_c", "l_a", "l_b", "l_c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("lam_a", "lam_b", "lam_c"):
@@ -67,8 +66,6 @@ class MachineParameters:
                 raise ValueError(f"{name} must be nonnegative")
         if not (isinstance(self.pole_pairs, int) and self.pole_pairs >= 1):
             raise ValueError("pole_pairs must be an integer >= 1")
-        if self.beta != BETA:
-            raise ValueError("beta must equal 2*pi/3 for a three-phase machine")
         try:
             np.linalg.cholesky(self.inductance_matrix())
         except np.linalg.LinAlgError:
@@ -136,13 +133,6 @@ class ImbalanceDecomposition:
             dev = getattr(self, name)
             if min(dev) != 0.0 or any(v < 0.0 for v in dev):
                 raise ValueError(f"{name} must be nonnegative with a zero minimum")
-
-    def to_parameters(self, pole_pairs) -> MachineParameters:
-        """Reassemble the per-phase parameters."""
-        return MachineParameters.from_nominal(
-            self.nominal_r, self.nominal_l, self.nominal_m, self.nominal_lam,
-            pole_pairs, self.d_r, self.d_l, self.d_m, self.d_lam,
-        )
 
 
 @dataclass(frozen=True)
@@ -255,12 +245,6 @@ def ideal_dq_nonsalient(r, l_sum, lam_m, pole_pairs, op: OperatingPoint):
         + op.omega_e * lam_m
     t_e = 1.5 * pole_pairs * lam_m * op.i_q
     return v_d, v_q, t_e
-
-
-def synchronous_inductance(params: MachineParameters) -> float:
-    """Nominal synchronous inductance l + m of the balanced part."""
-    dec = decompose(params)
-    return dec.nominal_l + dec.nominal_m
 
 
 def electrical_time_constant(params: MachineParameters) -> float:

@@ -24,8 +24,7 @@ from .imbalance import (_flux_terms, _inductance_terms, _resistance_terms,
 from .machine import (MachineParameters, OperatingPoint, decompose,
                       ideal_dq_nonsalient, phase_voltages, torque_abc,
                       transient_window)
-from .transforms import (AbcVector, Dq0Vector, park_forward, park_inverse,
-                         phase_angles)
+from .transforms import park_forward, park_inverse, phase_angles
 
 # Resolution guard: at least this many samples per electrical period.
 MIN_STEPS_PER_PERIOD = 200
@@ -100,14 +99,21 @@ def _sample_grid(cfg: SimConfig, omega_e):
     return t, omega_e * t
 
 
+def _check_drive(omega_e, **commands):
+    # Reject a non-finite drive before any sample array is built.
+    for name, values in (("omega_e", (omega_e,)), *commands.items()):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{name} must be finite")
+
+
 def _assemble(params, t, theta, i_abc, v_abc, extra=None):
-    i_dq0 = park_forward(AbcVector(*i_abc), theta)
-    v_dq0 = park_forward(AbcVector(*v_abc), theta)
+    i_dq0 = park_forward(i_abc, theta)
+    v_dq0 = park_forward(v_abc, theta)
     channels = {
         "v_a": v_abc[0], "v_b": v_abc[1], "v_c": v_abc[2],
         "i_a": i_abc[0], "i_b": i_abc[1], "i_c": i_abc[2],
-        "v_d": v_dq0.d, "v_q": v_dq0.q, "v_0": v_dq0.zero,
-        "i_d": i_dq0.d, "i_q": i_dq0.q, "i_0": i_dq0.zero,
+        "v_d": v_dq0[0], "v_q": v_dq0[1], "v_0": v_dq0[2],
+        "i_d": i_dq0[0], "i_q": i_dq0[1], "i_0": i_dq0[2],
         "t_e": torque_abc(params, i_abc, theta),
     }
     if extra:
@@ -142,18 +148,15 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     """
     if cfg.mode != "current-fed":
         raise ConfigError(f"config mode is {cfg.mode!r}, not 'current-fed'")
-    _check_resolution(cfg, omega_e)
     i_d, i_q = (float(v) for v in i_dq_cmd)
+    _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
+    _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
-    ones = np.ones_like(theta)
-    i_vec = park_inverse(Dq0Vector(i_d * ones, i_q * ones, i_0 * ones), theta)
+    i_abc = np.stack(park_inverse((i_d, i_q, i_0), theta))
     # Constant rotor-frame currents rotate in the phase frame:
     # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
-    di_vec = park_inverse(Dq0Vector(omega_e * i_q * ones,
-                                    -omega_e * i_d * ones,
-                                    0.0 * ones), theta)
-    i_abc = i_vec.as_array()
-    di_abc = di_vec.as_array()
+    di_abc = np.stack(park_inverse(
+        (omega_e * i_q, -omega_e * i_d, 0.0), theta))
     v_abc = phase_voltages(params, i_abc, di_abc, theta, omega_e)
     return _assemble(params, t, theta, i_abc, v_abc)
 
@@ -206,8 +209,9 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     """
     if cfg.mode != "voltage-fed":
         raise ConfigError(f"config mode is {cfg.mode!r}, not 'voltage-fed'")
-    _check_resolution(cfg, omega_e)
     v_d, v_q = (float(v) for v in v_dq_cmd)
+    _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
+    _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
 
     l_mat = params.inductance_matrix()
@@ -235,7 +239,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
 
     # Reconstruct applied voltages, derivatives and the star-point shift.
-    applied = park_inverse(Dq0Vector(v_d, v_q, 0.0), theta).as_array()
+    applied = np.stack(park_inverse((v_d, v_q, 0.0), theta))
     emf = omega_e * params.pm_flux()[:, None] * np.sin(phase_angles(theta))
     rhs = applied - r_abc[:, None] * i_abc - emf
     di_ab = h @ (rhs[:2] - rhs[2])

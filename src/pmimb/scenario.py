@@ -77,10 +77,6 @@ class Scenario:
 
     machine: MachineParameters
     family: str
-    d_r: tuple[float, float, float]
-    d_l: tuple[float, float, float]
-    d_m: tuple[float, float, float]
-    d_lam: tuple[float, float, float]
     omega_e: float
     i_d: float
     i_q: float
@@ -161,7 +157,9 @@ def parse_scenario(path) -> Scenario:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"malformed scenario file: {exc}") from None
+        # Some parser messages span lines; the CLI reports one line.
+        detail = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed scenario file: {detail}") from None
 
     known_sections = ("machine", "imbalance", "operating_point", "sim",
                       "outputs", "identify")
@@ -342,10 +340,6 @@ def parse_scenario(path) -> Scenario:
     return Scenario(
         machine=params,
         family=family,
-        d_r=deviations["d_r"],
-        d_l=deviations["d_l"],
-        d_m=deviations["d_m"],
-        d_lam=deviations["d_lam"],
         omega_e=omega_e,
         i_d=i_d,
         i_q=i_q,

@@ -2,54 +2,20 @@
 
 The rotor frame is locked to the electrical angle theta. Projections use
 cos for the d axis and sin for the q axis, so a balanced three-phase set
-``x_a = X cos(theta)`` maps to ``(X, 0, 0)``. Components may be scalars or
-equally shaped arrays; everything broadcasts.
+``x_a = X cos(theta)`` maps to ``(X, 0, 0)``. Values in either frame are
+plain triples: a tuple of three components or an array of shape (3, ...).
+Components may be scalars or equally shaped arrays; everything
+broadcasts. Both transforms return a tuple of three components and leave
+stacking to the caller. Finiteness is checked where data enters the
+package, not here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # Electrical angle between consecutive phases.
 BETA = 2.0 * np.pi / 3.0
-
-
-@dataclass(frozen=True)
-class AbcVector:
-    """Per-phase quantities (voltage, current, flux linkage)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"AbcVector.{name} must be finite")
-
-    def as_array(self):
-        """Stack the components into an array of shape (3, ...)."""
-        return np.stack(np.broadcast_arrays(
-            np.asarray(self.a, dtype=float),
-            np.asarray(self.b, dtype=float),
-            np.asarray(self.c, dtype=float),
-        ))
-
-
-@dataclass(frozen=True)
-class Dq0Vector:
-    """Rotor-frame quantities: direct, quadrature, zero sequence."""
-
-    d: float
-    q: float
-    zero: float
-
-    def __post_init__(self):
-        for name in ("d", "q", "zero"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"Dq0Vector.{name} must be finite")
 
 
 def phase_angles(theta):
@@ -62,23 +28,33 @@ def phase_angles(theta):
     return th - shift
 
 
-def park_forward(h_abc: AbcVector, theta) -> Dq0Vector:
-    """Project per-phase quantities onto the rotor frame at angle theta."""
+def park_forward(x_abc, theta):
+    """Project per-phase quantities onto the rotor frame at angle theta.
+
+    ``x_abc`` is any three components (a, b, c): a tuple or an array of
+    shape (3, ...). Returns the tuple (d, q, zero).
+    """
+    a, b, c = x_abc
     ang = phase_angles(theta)
     cos_x = np.cos(ang)
     sin_x = np.sin(ang)
-    d = (2.0 / 3.0) * (h_abc.a * cos_x[0] + h_abc.b * cos_x[1] + h_abc.c * cos_x[2])
-    q = (2.0 / 3.0) * (h_abc.a * sin_x[0] + h_abc.b * sin_x[1] + h_abc.c * sin_x[2])
-    zero = (h_abc.a + h_abc.b + h_abc.c) / 3.0
-    return Dq0Vector(d, q, zero)
+    d = (2.0 / 3.0) * (a * cos_x[0] + b * cos_x[1] + c * cos_x[2])
+    q = (2.0 / 3.0) * (a * sin_x[0] + b * sin_x[1] + c * sin_x[2])
+    zero = (a + b + c) / 3.0
+    return d, q, zero
 
 
-def park_inverse(h_dq0: Dq0Vector, theta) -> AbcVector:
-    """Map rotor-frame quantities back to the three phases at angle theta."""
+def park_inverse(x_dq0, theta):
+    """Map rotor-frame quantities back to the three phases at angle theta.
+
+    ``x_dq0`` is any three components (d, q, zero): a tuple or an array
+    of shape (3, ...). Returns the tuple (a, b, c).
+    """
+    d, q, zero = x_dq0
     ang = phase_angles(theta)
     cos_x = np.cos(ang)
     sin_x = np.sin(ang)
-    a = h_dq0.d * cos_x[0] + h_dq0.q * sin_x[0] + h_dq0.zero
-    b = h_dq0.d * cos_x[1] + h_dq0.q * sin_x[1] + h_dq0.zero
-    c = h_dq0.d * cos_x[2] + h_dq0.q * sin_x[2] + h_dq0.zero
-    return AbcVector(a, b, c)
+    a = d * cos_x[0] + q * sin_x[0] + zero
+    b = d * cos_x[1] + q * sin_x[1] + zero
+    c = d * cos_x[2] + q * sin_x[2] + zero
+    return a, b, c

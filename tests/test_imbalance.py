@@ -44,8 +44,14 @@ class TestPhasorTypes:
         assert ph.phi == math.pi
 
     def test_as_complex(self):
-        ph = SecondHarmonicPhasor(2.0, math.pi / 3)
-        assert ph.as_complex() == pytest.approx(2.0 * np.exp(1j * math.pi / 3))
+        # In complex form a triple's phasor k e^{j phi} is its spread C/3,
+        # C = d_a - (d_b + d_c)/2 + j (sqrt(3)/2)(d_b - d_c).
+        d_a, d_b, d_c = 0.03, 0.01, 0.02
+        ph = resistance_coeffs((d_a, d_b, d_c))
+        spread = complex(d_a - 0.5 * (d_b + d_c),
+                         0.5 * math.sqrt(3.0) * (d_b - d_c))
+        assert ph.k * np.exp(1j * ph.phi) == pytest.approx(spread / 3.0,
+                                                           rel=1e-14)
 
     def test_delta_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from pmimb import (
-    BETA,
     ImbalanceDecomposition,
     MachineParameters,
     OperatingPoint,
@@ -12,7 +11,6 @@ from pmimb import (
     electrical_time_constant,
     ideal_dq_nonsalient,
     phase_voltages,
-    synchronous_inductance,
     torque_abc,
     transient_window,
 )
@@ -32,7 +30,6 @@ class TestValidation:
         p = MachineParameters.balanced(**nominal, pole_pairs=4)
         assert p.r_a == p.r_b == p.r_c == nominal["r"]
         assert p.pole_pairs == 4
-        assert p.beta == BETA
 
     def test_rejects_nonpositive_resistance(self, nominal):
         with pytest.raises(ValueError):
@@ -48,11 +45,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineParameters.balanced(**nominal, pole_pairs=0)
 
-    def test_rejects_wrong_beta(self):
-        with pytest.raises(ValueError):
-            MachineParameters(0.1, 0.1, 0.1, 2e-4, 2e-4, 2e-4,
-                              2e-5, 2e-5, 2e-5, 0.05, 0.05, 0.05,
-                              pole_pairs=1, beta=2.0)
+    @pytest.mark.parametrize("name, value", [
+        ("r_a", np.inf), ("r_c", np.nan),
+        ("l_b", np.inf), ("l_a", np.nan),
+        ("m_ab", np.nan), ("m_ca", -np.inf),
+        ("lam_a", np.inf), ("lam_b", np.nan),
+    ])
+    def test_rejects_non_finite(self, name, value):
+        fields = dict(r_a=0.1, r_b=0.1, r_c=0.1, l_a=2e-4, l_b=2e-4,
+                      l_c=2e-4, m_ab=2e-5, m_bc=2e-5, m_ca=2e-5,
+                      lam_a=0.05, lam_b=0.05, lam_c=0.05, pole_pairs=1)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MachineParameters(**fields)
 
     def test_rejects_indefinite_inductance_matrix(self):
         # l - 2m < 0 makes the matrix indefinite even with positive entries
@@ -95,7 +100,9 @@ class TestDecompose:
         p = make_machine(dict(r=0.1, l=2e-4, m=2e-5, lam=0.05),
                          d_r=(da, db, dc), d_lam=(dc, da, db))
         dec = decompose(p)
-        back = dec.to_parameters(p.pole_pairs)
+        back = MachineParameters.from_nominal(
+            dec.nominal_r, dec.nominal_l, dec.nominal_m, dec.nominal_lam,
+            p.pole_pairs, dec.d_r, dec.d_l, dec.d_m, dec.d_lam)
         assert back == p
 
     def test_rejects_negative_deviation(self):
@@ -151,7 +158,7 @@ class TestIdealDq:
 
     def test_nonsalient_matches_phase_frame_oracle(self, nominal, rng):
         p = MachineParameters.balanced(**nominal, pole_pairs=3)
-        l_sync = synchronous_inductance(p)
+        l_sync = nominal["l"] + nominal["m"]
         for _ in range(100):
             theta = rng.uniform(-10, 10)
             omega = rng.uniform(-800, 800)
@@ -213,10 +220,6 @@ class TestTorque:
 
 
 class TestTimeConstants:
-    def test_synchronous_inductance(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
-        assert synchronous_inductance(p) == nominal["l"] + nominal["m"]
-
     def test_time_constant(self, nominal):
         p = MachineParameters.balanced(**nominal, pole_pairs=3)
         want = (nominal["l"] + nominal["m"]) / nominal["r"]

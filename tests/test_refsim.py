@@ -1,4 +1,3 @@
-import math
 import runpy
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from pmimb import (
     run_current_fed,
     run_voltage_fed,
     steady_state_window,
-    synchronous_inductance,
     transient_window,
 )
 
@@ -52,14 +50,20 @@ def phase_values(p):
             [p.m_ab, p.m_bc, p.m_ca], [p.lam_a, p.lam_b, p.lam_c])
 
 
+def as_complex(phasor):
+    """k e^{j phi} of a 2theta phasor."""
+    return phasor.k * np.exp(1j * phasor.phi)
+
+
 def demodulated_ripple(params, omega_e, i_d, i_q):
     """Ripple from the demodulated 2theta content of the closed forms."""
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     op = OperatingPoint(theta=theta, omega_e=omega_e, i_d=i_d, i_q=i_q)
-    v_tilde = [demodulate(v, theta).second.as_complex()
+    v_tilde = [as_complex(demodulate(v, theta).second)
                for v in closed_form_dq(params, op)]
     r = min(params.resistances())
-    l_sync = synchronous_inductance(params)
+    l_sync = min(params.l_a, params.l_b, params.l_c) + min(
+        params.m_ab, params.m_bc, params.m_ca)
     z = np.array([
         [r + 2j * omega_e * l_sync, omega_e * l_sync],
         [-omega_e * l_sync, r + 2j * omega_e * l_sync],
@@ -95,6 +99,35 @@ class TestConfigValidation:
             run_voltage_fed(p, (0.0, 1.0), 100.0,
                             SimConfig(mode="current-fed"))
 
+    @pytest.mark.parametrize("name, drive", [
+        ("i_dq_cmd", dict(i_dq_cmd=(np.nan, 1.0))),
+        ("i_dq_cmd", dict(i_dq_cmd=(0.0, np.inf))),
+        ("i_0", dict(i_0=np.nan)),
+        ("omega_e", dict(omega_e=np.nan)),
+        ("omega_e", dict(omega_e=-np.inf)),
+    ])
+    def test_current_fed_rejects_non_finite_drive(self, nominal, monkeypatch,
+                                                  name, drive):
+        # The check comes before the sample grid is built.
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        args = dict(i_dq_cmd=(0.0, 1.0), omega_e=100.0, i_0=0.0) | drive
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            run_current_fed(make_machine(nominal), cfg=SimConfig(), **args)
+
+    @pytest.mark.parametrize("name, drive", [
+        ("v_dq_cmd", dict(v_dq_cmd=(np.nan, 1.0))),
+        ("v_dq_cmd", dict(v_dq_cmd=(0.0, -np.inf))),
+        ("omega_e", dict(omega_e=np.nan)),
+        ("omega_e", dict(omega_e=np.inf)),
+    ])
+    def test_voltage_fed_rejects_non_finite_drive(self, nominal, monkeypatch,
+                                                  name, drive):
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        args = dict(v_dq_cmd=(0.0, 1.0), omega_e=100.0) | drive
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            run_voltage_fed(make_machine(nominal),
+                            cfg=SimConfig(mode="voltage-fed"), **args)
+
 
 class TestTimeSeries:
     def test_rejects_non_uniform_time(self):
@@ -127,7 +160,7 @@ class TestCurrentFed:
         ts = run_current_fed(p, (-2.0, 5.0), omega, self.CFG)
         op = OperatingPoint(theta=0.0, omega_e=omega, i_d=-2.0, i_q=5.0)
         v_d, v_q, t_e = ideal_dq_nonsalient(
-            nominal["r"], synchronous_inductance(p), nominal["lam"], 3, op)
+            nominal["r"], nominal["l"] + nominal["m"], nominal["lam"], 3, op)
         assert np.max(np.abs(ts.channel("v_d") - v_d)) < 1e-12 * (1 + abs(v_d))
         assert np.max(np.abs(ts.channel("v_q") - v_q)) < 1e-12 * (1 + abs(v_q))
         assert np.max(np.abs(ts.channel("v_0"))) < 1e-14
@@ -334,7 +367,7 @@ class TestRipplePrediction:
         rip_d, rip_q = predict_current_ripple(p, omega, *i_cmd)
         for name, predicted in (("i_d", rip_d), ("i_q", rip_q)):
             measured = demodulate(ts.channel(name)[mask], ts.theta[mask])
-            got = measured.second.as_complex()
+            got = as_complex(measured.second)
             assert abs(got - predicted) < 0.05 * abs(predicted)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_DEVIATIONS))

@@ -18,13 +18,19 @@ def write(tmp_path, text, name="scenario.ini"):
     return path
 
 
+def deviation(sc, key):
+    """Parsed deviation triple, read back from the resolved echo."""
+    raw = dict(sc.resolved)[f"imbalance.{key}"]
+    return tuple(float(v) for v in raw.split(","))
+
+
 class TestMachineSection:
     def test_minimal_scenario_resolves_defaults(self, tmp_path):
         sc = parse_scenario(write(tmp_path, MACHINE))
         assert sc.machine.r_a == sc.machine.r_b == sc.machine.r_c == 0.1
         assert sc.machine.pole_pairs == 3
         assert sc.family == "none"
-        assert sc.d_r == (0.0, 0.0, 0.0)
+        assert deviation(sc, "d_r") == (0.0, 0.0, 0.0)
         assert sc.omega_e == 0.0 and sc.i_d == 0.0
         assert sc.v_d is None and sc.v_q is None
         assert sc.sim.dt == 1e-6
@@ -98,14 +104,15 @@ class TestImbalanceSection:
         text = MACHINE + "[imbalance]\nfamily = resistance\nd_r = 5%, 0, 0\n"
         sc = parse_scenario(write(tmp_path, text))
         assert sc.family == "resistance"
-        assert sc.d_r == pytest.approx((0.005, 0.0, 0.0), rel=1e-12)
+        assert deviation(sc, "d_r") == pytest.approx((0.005, 0.0, 0.0),
+                                                     rel=1e-12)
         assert sc.machine.r_a == pytest.approx(0.105, rel=1e-12)
         assert sc.machine.r_b == 0.1
 
     def test_absolute_deviation(self, tmp_path):
         text = MACHINE + "[imbalance]\nfamily = flux\nd_lam = 0.002, 0, 0.001\n"
         sc = parse_scenario(write(tmp_path, text))
-        assert sc.d_lam == (0.002, 0.0, 0.001)
+        assert deviation(sc, "d_lam") == (0.002, 0.0, 0.001)
         assert sc.machine.lam_a == pytest.approx(0.052)
 
     def test_percent_needs_nominal(self, tmp_path):
@@ -146,10 +153,12 @@ d_m = 0, 0, 1e-6
 d_lam = 2%, 0, 0
 """
         sc = parse_scenario(write(tmp_path, text))
-        assert sc.d_r == pytest.approx((0.001, 0.0, 0.0), rel=1e-12)
-        assert sc.d_l == (0.0, 1e-5, 0.0)
-        assert sc.d_m == (0.0, 0.0, 1e-6)
-        assert sc.d_lam == pytest.approx((0.001, 0.0, 0.0), rel=1e-12)
+        assert deviation(sc, "d_r") == pytest.approx((0.001, 0.0, 0.0),
+                                                     rel=1e-12)
+        assert deviation(sc, "d_l") == (0.0, 1e-5, 0.0)
+        assert deviation(sc, "d_m") == (0.0, 0.0, 1e-6)
+        assert deviation(sc, "d_lam") == pytest.approx((0.001, 0.0, 0.0),
+                                                       rel=1e-12)
 
     def test_unknown_family(self, tmp_path):
         text = MACHINE + "[imbalance]\nfamily = saliency\n"

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from pmimb import AbcVector, BETA, Dq0Vector, park_forward, park_inverse, phase_angles
+from pmimb import BETA, park_forward, park_inverse, phase_angles
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -26,49 +25,63 @@ def test_phase_angles_array_layout():
 
 
 def test_forward_aligned_cosine_triple():
-    dq = park_forward(AbcVector(1.0, -0.5, -0.5), 0.0)
-    assert np.allclose([dq.d, dq.q, dq.zero], [1.0, 0.0, 0.0], atol=1e-15)
+    dq = park_forward((1.0, -0.5, -0.5), 0.0)
+    assert np.allclose(dq, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_forward_pure_zero_sequence():
-    dq = park_forward(AbcVector(0.7, 0.7, 0.7), 1.3)
-    assert np.allclose([dq.d, dq.q, dq.zero], [0.0, 0.0, 0.7], atol=1e-15)
+    dq = park_forward((0.7, 0.7, 0.7), 1.3)
+    assert np.allclose(dq, [0.0, 0.0, 0.7], atol=1e-15)
 
 
 def test_inverse_unit_d_axis():
-    abc = park_inverse(Dq0Vector(1.0, 0.0, 0.0), 0.0)
-    assert np.allclose([abc.a, abc.b, abc.c], [1.0, -0.5, -0.5], atol=1e-15)
+    abc = park_inverse((1.0, 0.0, 0.0), 0.0)
+    assert np.allclose(abc, [1.0, -0.5, -0.5], atol=1e-15)
 
 
 def test_inverse_unit_zero_axis():
-    abc = park_inverse(Dq0Vector(0.0, 0.0, 1.0), 2.1)
-    assert np.allclose([abc.a, abc.b, abc.c], [1.0, 1.0, 1.0], atol=1e-15)
+    abc = park_inverse((0.0, 0.0, 1.0), 2.1)
+    assert np.allclose(abc, [1.0, 1.0, 1.0], atol=1e-15)
 
 
 def test_balanced_sinusoid_maps_to_constant_d():
     theta = np.linspace(0.0, 4.0 * np.pi, 721)
     amp = 3.7
-    abc = AbcVector(*(amp * np.cos(phase_angles(theta))))
-    dq = park_forward(abc, theta)
-    assert np.max(np.abs(dq.d - amp)) < 1e-12
-    assert np.max(np.abs(dq.q)) < 1e-12
-    assert np.max(np.abs(dq.zero)) < 1e-12
+    d, q, zero = park_forward(amp * np.cos(phase_angles(theta)), theta)
+    assert np.max(np.abs(d - amp)) < 1e-12
+    assert np.max(np.abs(q)) < 1e-12
+    assert np.max(np.abs(zero)) < 1e-12
+
+
+def test_tuple_array_and_scalar_components_agree_bitwise(rng):
+    theta = rng.uniform(-5.0, 5.0, size=64)
+    rows = rng.uniform(-10.0, 10.0, size=(3, 64))
+    for transform in (park_forward, park_inverse):
+        out = transform(rows, theta)
+        assert isinstance(out, tuple) and len(out) == 3
+        assert np.array_equal(np.stack(transform(tuple(rows), theta)),
+                              np.stack(out))
+    # Constant rotor-frame components may be scalars: they broadcast
+    # against theta to the bits of full rows.
+    scalars = tuple(float(v) for v in rows[:, 0])
+    constant = np.repeat(rows[:, :1], 64, axis=1)
+    assert np.array_equal(np.stack(park_inverse(scalars, theta)),
+                          np.stack(park_inverse(constant, theta)))
 
 
 def test_roundtrip_random_vectors(rng):
     for _ in range(1000):
         vec = rng.uniform(-10.0, 10.0, size=3)
         theta = rng.uniform(-20.0, 20.0)
-        back = park_inverse(park_forward(AbcVector(*vec), theta), theta)
-        assert np.allclose([back.a, back.b, back.c], vec, atol=1e-12)
+        back = park_inverse(park_forward(vec, theta), theta)
+        assert np.allclose(back, vec, atol=1e-12)
 
 
 def test_identity_on_basis_over_angle_grid():
     theta = np.linspace(-np.pi, np.pi, 360)
     for basis in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:
-        abc = park_inverse(Dq0Vector(*basis), theta)
-        dq = park_forward(abc, theta)
-        got = np.array([dq.d, dq.q, dq.zero])
+        abc = park_inverse(basis, theta)
+        got = np.array(park_forward(abc, theta))
         want = np.array(basis)[:, None] * np.ones_like(theta)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -77,18 +90,18 @@ def test_forward_matches_matrix_oracle(rng):
     for _ in range(200):
         vec = rng.uniform(-5.0, 5.0, size=3)
         theta = rng.uniform(-10.0, 10.0)
-        dq = park_forward(AbcVector(*vec), theta)
+        dq = park_forward(vec, theta)
         want = oracles.t_forward(theta) @ vec
-        assert np.allclose([dq.d, dq.q, dq.zero], want, atol=1e-13)
+        assert np.allclose(dq, want, atol=1e-13)
 
 
 def test_inverse_matches_matrix_oracle(rng):
     for _ in range(200):
         vec = rng.uniform(-5.0, 5.0, size=3)
         theta = rng.uniform(-10.0, 10.0)
-        abc = park_inverse(Dq0Vector(*vec), theta)
+        abc = park_inverse(vec, theta)
         want = oracles.t_inverse(theta) @ vec
-        assert np.allclose([abc.a, abc.b, abc.c], want, atol=1e-13)
+        assert np.allclose(abc, want, atol=1e-13)
 
 
 def test_power_balance_identity(rng):
@@ -96,10 +109,10 @@ def test_power_balance_identity(rng):
         v = rng.uniform(-10.0, 10.0, size=3)
         i = rng.uniform(-10.0, 10.0, size=3)
         theta = rng.uniform(-10.0, 10.0)
-        v_dq = park_forward(AbcVector(*v), theta)
-        i_dq = park_forward(AbcVector(*i), theta)
+        v_d, v_q, v_0 = park_forward(v, theta)
+        i_d, i_q, i_0 = park_forward(i, theta)
         lhs = float(np.dot(v, i))
-        rhs = 1.5 * (v_dq.d * i_dq.d + v_dq.q * i_dq.q) + 3.0 * v_dq.zero * i_dq.zero
+        rhs = 1.5 * (v_d * i_d + v_q * i_q) + 3.0 * v_0 * i_0
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -107,17 +120,10 @@ def test_power_balance_identity(rng):
        scale=finite, theta=angles)
 def test_forward_linearity(a1, b1, c1, a2, b2, c2, scale, theta):
     lhs = park_forward(
-        AbcVector(a1 + scale * a2, b1 + scale * b2, c1 + scale * c2), theta)
-    d1 = park_forward(AbcVector(a1, b1, c1), theta)
-    d2 = park_forward(AbcVector(a2, b2, c2), theta)
+        (a1 + scale * a2, b1 + scale * b2, c1 + scale * c2), theta)
+    d1 = park_forward((a1, b1, c1), theta)
+    d2 = park_forward((a2, b2, c2), theta)
     tol = 1e-9 * (1.0 + abs(scale)) * (1.0 + max(map(abs, (a1, b1, c1, a2, b2, c2))))
-    assert abs(lhs.d - (d1.d + scale * d2.d)) < tol
-    assert abs(lhs.q - (d1.q + scale * d2.q)) < tol
-    assert abs(lhs.zero - (d1.zero + scale * d2.zero)) < tol
+    for got, x1, x2 in zip(lhs, d1, d2):
+        assert abs(got - (x1 + scale * x2)) < tol
 
-
-def test_abc_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        AbcVector(np.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Dq0Vector(0.0, np.inf, 0.0)
