@@ -12,17 +12,17 @@ from .errors import ConfigError, IdentifiabilityError, InputError
 from .harmonics import (HarmonicDecomposition, WaveformComparison,
                         check_angle_coverage, compare_waveforms, demodulate)
 from .identify import IdentificationResult, fit_flux, fit_resistance
-from .imbalance import (DqVoltageDelta, SecondHarmonicPhasor, closed_form_dq,
-                        compose_total, flux_coeffs, flux_delta,
-                        inductance_coeffs, inductance_delta,
-                        resistance_coeffs, resistance_delta)
+from .imbalance import (SecondHarmonicPhasor, closed_form_dq, compose_total,
+                        flux_coeffs, flux_delta, inductance_coeffs,
+                        inductance_delta, resistance_coeffs,
+                        resistance_delta)
 from .machine import (ImbalanceDecomposition, MachineParameters,
                       OperatingPoint, decompose, electrical_time_constant,
                       ideal_dq_nonsalient, phase_voltages, torque_abc,
                       transient_window)
 from .refsim import (SimConfig, TimeSeries, balanced_voltage_command,
                      predict_current_ripple, run_current_fed,
-                     run_voltage_fed, steady_state_window)
+                     run_voltage_fed, steady_state_currents)
 from .scenario import Scenario, parse_scenario
 from .transforms import BETA, park_forward, park_inverse, phase_angles
 
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BETA",
     "ConfigError",
-    "DqVoltageDelta",
     "HarmonicDecomposition",
     "IdentifiabilityError",
     "IdentificationResult",
@@ -69,7 +68,7 @@ __all__ = [
     "resistance_delta",
     "run_current_fed",
     "run_voltage_fed",
-    "steady_state_window",
+    "steady_state_currents",
     "torque_abc",
     "transient_window",
 ]

@@ -30,8 +30,6 @@ from .machine import OperatingPoint, decompose, ideal_dq_nonsalient
 from .refsim import TimeSeries, run_current_fed, run_voltage_fed
 from .scenario import Scenario, parse_scenario
 
-_JOBS = ("coeffs", "simulate", "compare", "identify")
-
 # Sections each job reads; others present in the file draw a warning.
 _RELEVANT = {
     "coeffs": {"machine", "imbalance", "outputs"},

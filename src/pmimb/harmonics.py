@@ -43,7 +43,10 @@ class WaveformComparison:
 
 
 def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
-    """Require at least one full electrical period, adequately sampled."""
+    """Require at least one full electrical period, adequately sampled.
+
+    Only distinct angles count, in any order: repeated samples add none.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 3:
         raise InputError("theta must be a 1-D array of at least 3 samples")
@@ -52,8 +55,9 @@ def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
     span = float(theta.max() - theta.min())
     if span <= 0.0:
         raise InputError("theta samples span zero angle")
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(theta)))
     # One sample spacing of slack: n uniform samples span (n-1) intervals.
-    effective = span * theta.size / (theta.size - 1)
+    effective = span * distinct / (distinct - 1)
     two_pi = 2.0 * np.pi
     if effective < two_pi * (1.0 - 1e-9):
         raise InputError(
@@ -61,9 +65,9 @@ def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
             "electrical period"
         )
     periods = effective / two_pi
-    if theta.size / periods < samples_per_period:
+    if distinct / periods < samples_per_period:
         raise InputError(
-            f"{theta.size / periods:.1f} samples per period; "
+            f"{distinct / periods:.1f} samples per period; "
             f"at least {samples_per_period} required"
         )
     return theta

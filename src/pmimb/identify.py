@@ -82,7 +82,7 @@ def _fit(family, dv_d, dv_q, theta, drive):
     spread = np.array([[0.0], [3.0], [3.0j]])
     unit = _couple(theta, np.array([[1.0], [0.0], [0.0]]), spread, spread,
                    drive)
-    design = np.concatenate([unit.dv_d, unit.dv_q], axis=1).T
+    design = np.concatenate(unit, axis=1).T
     target = np.concatenate([dv_d, dv_q])
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 3:

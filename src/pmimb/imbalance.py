@@ -56,18 +56,6 @@ class SecondHarmonicPhasor:
             raise ValueError("phi must lie in (-pi, pi]")
 
 
-@dataclass(frozen=True)
-class DqVoltageDelta:
-    """Rotor-frame voltage contribution of one imbalance family."""
-
-    dv_d: float
-    dv_q: float
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.dv_d)) and np.all(np.isfinite(self.dv_q))):
-            raise ValueError("voltage deltas must be finite")
-
-
 def _spread(triple):
     """Complex spread C of a deviation triple, so k = |C|/3 and phi = arg C."""
     d_a, d_b, d_c = (float(v) for v in triple)
@@ -84,15 +72,15 @@ def _spread_phasor(triple):
     return k, math.atan2(c.imag, c.real)
 
 
-def _couple(theta, s, c_2theta, c_0, drive) -> DqVoltageDelta:
+def _couple(theta, s, c_2theta, c_0, drive):
     """Apply T(theta) Delta T(theta)^-1 to a drive vector (x_d, x_q, x_0).
 
     Delta is a family's deviation matrix, given by its deviation sum ``s``
     and the complex spreads ``c_2theta`` and ``c_0`` (see ``_spread``).
     With E = (c_2theta/3) e^{j2theta} and F = (2/3) conj(c_0) e^{jtheta}
-    the coupling rows are (s/3 + Re E, Im E, Re F) for the d axis and
-    (Im E, s/3 - Re E, Im F) for the q axis. The 1theta column only acts
-    on a zero-sequence drive, so it is skipped when x_0 is zero.
+    the returned pair (dv_d, dv_q) takes the rows (s/3 + Re E, Im E, Re F)
+    and (Im E, s/3 - Re E, Im F). The 1theta column only acts on a
+    zero-sequence drive, so it is skipped when x_0 is zero.
     """
     x_d, x_q, x_0 = drive
     cos2 = np.cos(2.0 * theta)
@@ -106,7 +94,7 @@ def _couple(theta, s, c_2theta, c_0, drive) -> DqVoltageDelta:
         sin1 = np.sin(theta)
         dv_d = dv_d + (2.0 / 3.0) * (c_0.real * cos1 + c_0.imag * sin1) * x_0
         dv_q = dv_q + (2.0 / 3.0) * (c_0.real * sin1 - c_0.imag * cos1) * x_0
-    return DqVoltageDelta(dv_d, dv_q)
+    return dv_d, dv_q
 
 
 def resistance_coeffs(d_r) -> SecondHarmonicPhasor:
@@ -152,7 +140,7 @@ def _inductance_terms(d_l, d_m, op: OperatingPoint):
             drive)
 
 
-def resistance_delta(d_r, op: OperatingPoint) -> DqVoltageDelta:
+def resistance_delta(d_r, op: OperatingPoint):
     """Rotor-frame voltage contribution of resistance imbalance.
 
     Bilinear in the deviations and the currents (i_d, i_q, i_0): a DC term
@@ -162,7 +150,7 @@ def resistance_delta(d_r, op: OperatingPoint) -> DqVoltageDelta:
     return _couple(op.theta, *_resistance_terms(d_r, op))
 
 
-def flux_delta(d_lam, omega_e, theta) -> DqVoltageDelta:
+def flux_delta(d_lam, omega_e, theta):
     """Rotor-frame voltage contribution of PM flux imbalance.
 
     Every term scales with the electrical speed: the imbalance rides on
@@ -171,7 +159,7 @@ def flux_delta(d_lam, omega_e, theta) -> DqVoltageDelta:
     return _couple(theta, *_flux_terms(d_lam, omega_e))
 
 
-def inductance_delta(d_l, d_m, op: OperatingPoint) -> DqVoltageDelta:
+def inductance_delta(d_l, d_m, op: OperatingPoint):
     """Rotor-frame voltage contribution of inductance imbalance.
 
     Non-salient machine: the deviation inductances are position
@@ -184,11 +172,10 @@ def inductance_delta(d_l, d_m, op: OperatingPoint) -> DqVoltageDelta:
     return _couple(op.theta, *_inductance_terms(d_l, d_m, op))
 
 
-def compose_total(ideal, d_res: DqVoltageDelta, d_flux: DqVoltageDelta,
-                  d_ind: DqVoltageDelta):
-    """Total (v_d, v_q): balanced model plus the three family deltas."""
-    v_d = ideal[0] + d_res.dv_d + d_flux.dv_d + d_ind.dv_d
-    v_q = ideal[1] + d_res.dv_q + d_flux.dv_q + d_ind.dv_q
+def compose_total(ideal, d_res, d_flux, d_ind):
+    """Total (v_d, v_q): balanced model plus three (dv_d, dv_q) deltas."""
+    v_d = ideal[0] + d_res[0] + d_flux[0] + d_ind[0]
+    v_q = ideal[1] + d_res[1] + d_flux[1] + d_ind[1]
     return v_d, v_q
 
 

@@ -4,8 +4,8 @@ Two drive modes. Current-fed evaluates the machine equations exactly at
 prescribed rotor-frame currents (no integration error, the comparison
 basis for the closed-form models). Voltage-fed evaluates the exact
 solution of the winding ODE under constant rotor-frame voltage commands
-and an isolated star point; tests/oracles.py checks it against an
-independent fixed-step RK4 integration.
+and an isolated star point, checked against fixed-step RK4 in
+tests/oracles.py; ``steady_state_currents`` gives its exact dq steady state.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .harmonics import demodulate
 from .imbalance import (_flux_terms, _inductance_terms, _resistance_terms,
                         flux_delta, inductance_delta, resistance_delta)
 from .machine import (MachineParameters, OperatingPoint, decompose,
-                      ideal_dq_nonsalient, phase_voltages, torque_abc,
-                      transient_window)
+                      ideal_dq_nonsalient, phase_voltages, torque_abc)
 from .transforms import park_forward, park_inverse, phase_angles
 
 # Resolution guard: at least this many samples per electrical period.
@@ -104,6 +103,18 @@ def _check_drive(omega_e, **commands):
     for name, values in (("omega_e", (omega_e,)), *commands.items()):
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{name} must be finite")
+
+
+def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
+    # L_red, R_red and X of run_voltage_fed's Notes, where phase x sees
+    # Re(G_x e^{j theta}) = v_d cos th_x + (v_q - omega_e lam_x) sin th_x.
+    reduce_map = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    l_red = reduce_map.T @ params.inductance_matrix() @ reduce_map
+    r_red = reduce_map.T @ (params.resistances()[:, None] * reduce_map)
+    g = ((v_d - 1j * (v_q - omega_e * params.pm_flux()))
+         * np.exp(1j * phase_angles(0.0)))
+    x_ss = np.linalg.solve(r_red + 1j * omega_e * l_red, g[:2] - g[2])
+    return l_red, r_red, x_ss
 
 
 def _assemble(params, t, theta, i_abc, v_abc, extra=None):
@@ -214,19 +225,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
 
-    l_mat = params.inductance_matrix()
-    r_abc = params.resistances()
-    # Constrained inductance and resistance: with i_c = -i_a - i_b and the
-    # star-point voltage eliminated by differencing rows against phase c.
-    reduce_map = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    l_red = reduce_map.T @ l_mat @ reduce_map
-    r_red = reduce_map.T @ (r_abc[:, None] * reduce_map)
-    h = np.linalg.inv(l_red)
-    # Phase x is driven by v_d cos(theta_x) + (v_q - omega_e lam_x)
-    # sin(theta_x) = Re(G_x e^{j theta}).
-    g = ((v_d - 1j * (v_q - omega_e * params.pm_flux()))
-         * np.exp(1j * phase_angles(0.0)))
-    x_ss = np.linalg.solve(r_red + 1j * omega_e * l_red, g[:2] - g[2])
+    l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
     chol = np.linalg.cholesky(l_red)
     rates, q = np.linalg.eigh(
         np.linalg.solve(chol, np.linalg.solve(chol, r_red).T))
@@ -241,22 +240,31 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     # Reconstruct applied voltages, derivatives and the star-point shift.
     applied = np.stack(park_inverse((v_d, v_q, 0.0), theta))
     emf = omega_e * params.pm_flux()[:, None] * np.sin(phase_angles(theta))
-    rhs = applied - r_abc[:, None] * i_abc - emf
-    di_ab = h @ (rhs[:2] - rhs[2])
+    rhs = applied - params.resistances()[:, None] * i_abc - emf
+    di_ab = np.linalg.inv(l_red) @ (rhs[:2] - rhs[2])
     di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
-    v_n = np.mean(rhs - l_mat @ di_abc, axis=0)
+    v_n = np.mean(rhs - params.inductance_matrix() @ di_abc, axis=0)
     winding = applied - v_n
     return _assemble(params, t, theta, i_abc, winding, extra={"v_n": v_n})
 
 
-def steady_state_window(ts: TimeSeries, params: MachineParameters,
-                        omega_e):
-    """Boolean mask of samples past the settling window.
+def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):
+    """Exact steady-state dq currents under ``run_voltage_fed``'s drive.
 
-    The window covers five electrical time constants and, when rotating,
-    two electrical periods.
+    The phase currents settle to Re(X_x e^{j theta}), X_c = -X_a - X_b.
+    With I_p, P_d the means of X_x e^{+-j s_x}, s = (0, beta, 2 beta), it
+    returns the DC (Re I_p, -Im I_p) in A and the only ripple, the 2theta
+    pair (P_d, -j P_d) in the convention of ``predict_current_ripple``.
     """
-    return ts.t >= transient_window(params, omega_e)
+    _check_drive(omega_e, v_dq_cmd=v_dq_cmd)
+    if omega_e == 0.0:
+        raise ConfigError("steady-state ripple requires nonzero speed")
+    _, _, x_ab = _steady_phasor(params, *v_dq_cmd, omega_e)
+    x_abc = np.append(x_ab, -x_ab.sum())
+    shift = np.exp(-1j * phase_angles(0.0))
+    i_p = complex(np.sum(x_abc * shift)) / 3.0
+    p_d = complex(np.sum(x_abc / shift)) / 3.0
+    return (i_p.real, -i_p.imag), (p_d, -1j * p_d)
 
 
 def predict_current_ripple(params: MachineParameters, omega_e, i_d, i_q):

@@ -41,6 +41,8 @@ def park_forward(x_abc, theta):
     d = (2.0 / 3.0) * (a * cos_x[0] + b * cos_x[1] + c * cos_x[2])
     q = (2.0 / 3.0) * (a * sin_x[0] + b * sin_x[1] + c * sin_x[2])
     zero = (a + b + c) / 3.0
+    if np.shape(zero) != np.shape(d):  # scalar components, array theta
+        zero = np.full(np.shape(d), zero)
     return d, q, zero
 
 

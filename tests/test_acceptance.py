@@ -32,8 +32,8 @@ from pmimb import (
     resistance_coeffs,
     resistance_delta,
     run_voltage_fed,
-    steady_state_window,
     torque_abc,
+    transient_window,
     SimConfig,
 )
 from pmimb.cli import main as cli_main
@@ -226,7 +226,7 @@ def test_criterion_4_voltage_fed_simulation():
     balanced = machine()
     v_cmd = balanced_voltage_command(balanced, omega, *i_cmd)
     ts = run_voltage_fed(balanced, v_cmd, omega, cfg)
-    mask = steady_state_window(ts, balanced, omega)
+    mask = ts.t >= transient_window(balanced, omega)
     cmd_scale = math.hypot(*i_cmd)
     dev_d = float(np.max(np.abs(ts.channel("i_d")[mask] - i_cmd[0])))
     dev_q = float(np.max(np.abs(ts.channel("i_q")[mask] - i_cmd[1])))
@@ -235,7 +235,7 @@ def test_criterion_4_voltage_fed_simulation():
     imbalanced = machine(d_r=(0.05 * NOMINAL["r"], 0.0, 0.0))
     v_cmd2 = balanced_voltage_command(imbalanced, omega, *i_cmd)
     ts2 = run_voltage_fed(imbalanced, v_cmd2, omega, cfg)
-    mask2 = steady_state_window(ts2, imbalanced, omega)
+    mask2 = ts2.t >= transient_window(imbalanced, omega)
     rip_d, rip_q = predict_current_ripple(imbalanced, omega, *i_cmd)
     ripple_err = 0.0
     for name, predicted in (("i_d", rip_d), ("i_q", rip_q)):
@@ -309,7 +309,7 @@ def test_criterion_6_identification_roundtrip():
         op = OperatingPoint(theta=theta, omega_e=0.0, i_d=i_d, i_q=i_q)
         delta = resistance_delta(d_r, op)
         ones = np.ones_like(theta)
-        out = fit_resistance(delta.dv_d * ones, delta.dv_q * ones,
+        out = fit_resistance(delta[0] * ones, delta[1] * ones,
                              i_d, i_q, theta)
         worst_clean = max(worst_clean, float(np.max(
             np.abs(np.array(out.per_phase) - np.array(d_r)))))
@@ -317,7 +317,7 @@ def test_criterion_6_identification_roundtrip():
         d_lam = tuple(rng.uniform(0.0, 0.2 * NOMINAL["lam"], 3))
         omega = rng.uniform(50.0, 1000.0)
         delta = flux_delta(d_lam, omega, theta)
-        out = fit_flux(delta.dv_d * ones, delta.dv_q * ones, omega, theta)
+        out = fit_flux(delta[0] * ones, delta[1] * ones, omega, theta)
         worst_clean = max(worst_clean, float(np.max(
             np.abs(np.array(out.per_phase) - np.array(d_lam)))))
 
@@ -327,7 +327,7 @@ def test_criterion_6_identification_roundtrip():
     op = OperatingPoint(theta=theta, omega_e=0.0, i_d=i_d, i_q=i_q)
     delta = resistance_delta(d_r, op)
     ones = np.ones_like(theta)
-    dv_d, dv_q = delta.dv_d * ones, delta.dv_q * ones
+    dv_d, dv_q = delta[0] * ones, delta[1] * ones
     sigma = 0.01 * math.sqrt(float(np.mean(
         np.concatenate([dv_d, dv_q]) ** 2)))
     cos2, sin2 = np.cos(2 * theta), np.sin(2 * theta)

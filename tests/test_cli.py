@@ -512,6 +512,25 @@ d_r = 0.01, 0, 0
         assert rc == 3
         assert "period" in captured.err
 
+    def test_repeated_source_rows_add_no_coverage(self, tmp_path, capsys):
+        # 30 distinct angles over 1.5 periods, each row written 5 times.
+        theta = np.repeat(np.linspace(0.0, 3.0 * np.pi, 30, endpoint=False),
+                          5)
+        out = tmp_path / "out"
+        out.mkdir()
+        rows = "".join(f"{th:.17g},0,0\n" for th in theta)
+        (out / "measured.csv").write_text("theta,v_d,v_q\n" + rows)
+        text = MACHINE + OP_SIM + \
+            "[imbalance]\nfamily = resistance\nd_r = 0.01, 0, 0\n" + \
+            "[identify]\nsource_csv = measured.csv\n"
+        rc = main(["identify", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:")
+        assert "20.0 samples per period" in err_lines[0]
+
 
 class TestExitCodes:
     def test_bad_machine_value_exits_2(self, tmp_path, capsys):

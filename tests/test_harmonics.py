@@ -55,6 +55,17 @@ class TestCoverage:
         with pytest.raises(InputError, match="finite"):
             check_angle_coverage(theta)
 
+    def test_repeated_samples_add_no_coverage(self):
+        distinct = np.linspace(0.0, 3.0 * np.pi, 30, endpoint=False)
+        for theta in (distinct, np.repeat(distinct, 5)):
+            with pytest.raises(InputError, match="20.0 samples per period"):
+                check_angle_coverage(theta)
+
+    def test_sample_order_and_repeats_of_a_covering_grid_pass(self):
+        shuffled = np.random.default_rng(3).permutation(GRID)
+        check_angle_coverage(shuffled)
+        check_angle_coverage(np.repeat(shuffled, 3))
+
 
 class TestDemodulate:
     def test_constant_signal(self):
@@ -122,7 +133,7 @@ class TestDemodulateAgainstClosedForm:
         d_r = (0.03, 0.01, 0.02)
         i_q = 10.0
         op = OperatingPoint(theta=GRID, omega_e=0.0, i_d=0.0, i_q=i_q)
-        signal = resistance_delta(d_r, op).dv_q
+        signal = resistance_delta(d_r, op)[1]
         out = demodulate(signal, GRID)
         ph = resistance_coeffs(d_r)
         assert out.dc == pytest.approx(i_q * sum(d_r) / 3.0, rel=1e-10)
@@ -135,7 +146,7 @@ class TestDemodulateAgainstClosedForm:
             d_r = tuple(rng.uniform(0.0, 0.05, size=3))
             i_d = rng.uniform(0.5, 10.0)
             op = OperatingPoint(theta=GRID, omega_e=0.0, i_d=i_d, i_q=0.0)
-            signal = resistance_delta(d_r, op).dv_d
+            signal = resistance_delta(d_r, op)[0]
             out = demodulate(signal, GRID)
             ph = resistance_coeffs(d_r)
             scale = 1.0 + i_d * ph.k

@@ -53,13 +53,13 @@ def resistance_residuals(d_r, i_d, i_q, theta=GRID):
     op = OperatingPoint(theta=theta, omega_e=0.0, i_d=i_d, i_q=i_q)
     delta = resistance_delta(d_r, op)
     ones = np.ones_like(theta)
-    return delta.dv_d * ones, delta.dv_q * ones
+    return delta[0] * ones, delta[1] * ones
 
 
 def flux_residuals(d_lam, omega_e, theta=GRID):
     delta = flux_delta(d_lam, omega_e, theta)
     ones = np.ones_like(theta)
-    return delta.dv_d * ones, delta.dv_q * ones
+    return delta[0] * ones, delta[1] * ones
 
 
 class TestFitResistance:

@@ -18,11 +18,12 @@ from pmimb import (
     flux_delta,
     ideal_dq_nonsalient,
     inductance_delta,
+    park_forward,
     predict_current_ripple,
     resistance_delta,
     run_current_fed,
     run_voltage_fed,
-    steady_state_window,
+    steady_state_currents,
     transient_window,
 )
 
@@ -244,7 +245,7 @@ class TestVoltageFed:
         v_cmd = balanced_voltage_command(p, omega, *i_cmd)
         cfg = SimConfig(dt=1e-5, duration=0.06, mode="voltage-fed")
         ts = run_voltage_fed(p, v_cmd, omega, cfg)
-        mask = steady_state_window(ts, p, omega)
+        mask = ts.t >= transient_window(p, omega)
         assert mask.sum() > 1000
         assert np.max(np.abs(ts.channel("i_d")[mask] - i_cmd[0])) < 1e-3
         assert np.max(np.abs(ts.channel("i_q")[mask] - i_cmd[1])) < 1e-3
@@ -361,14 +362,10 @@ class TestRipplePrediction:
         omega = 400.0
         i_cmd = (0.0, 8.0)
         v_cmd = balanced_voltage_command(p, omega, *i_cmd)
-        cfg = SimConfig(dt=1e-5, duration=0.06, mode="voltage-fed")
-        ts = run_voltage_fed(p, v_cmd, omega, cfg)
-        mask = steady_state_window(ts, p, omega)
-        rip_d, rip_q = predict_current_ripple(p, omega, *i_cmd)
-        for name, predicted in (("i_d", rip_d), ("i_q", rip_q)):
-            measured = demodulate(ts.channel(name)[mask], ts.theta[mask])
-            got = as_complex(measured.second)
-            assert abs(got - predicted) < 0.05 * abs(predicted)
+        _, exact = steady_state_currents(p, v_cmd, omega)
+        predicted = predict_current_ripple(p, omega, *i_cmd)
+        for got, want in zip(exact, predicted):
+            assert abs(got - want) < 0.05 * abs(want)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_DEVIATIONS))
     def test_matches_demodulated_closed_form(self, nominal, family):
@@ -405,14 +402,51 @@ class TestVoltageFedRippleScript:
         assert "wrote" in capsys.readouterr().out
 
 
-class TestSteadyStateWindow:
-    def test_mask_matches_transient_window(self, nominal):
+class TestSteadyStateCurrents:
+    @pytest.mark.parametrize("omega", [400.0, 1000.0])
+    @pytest.mark.parametrize("family", ["resistance", "flux", "inductance"])
+    def test_matches_rk4_oracle(self, nominal, family, omega):
+        p = make_machine(nominal, **FAMILY_DEVIATIONS[family])
+        v_cmd = balanced_voltage_command(p, omega, -2.0, 8.0)
+        dc, ripple = steady_state_currents(p, v_cmd, omega)
+        dt, steps = 1e-5, 8000
+        i_a, i_b, _ = oracles.voltage_fed_rk4(*phase_values(p), v_cmd,
+                                              omega, dt, steps)
+        t = np.arange(steps + 1) * dt
+        theta = omega * t
+        settled = t >= 0.05
+        currents = park_forward((i_a, i_b, -i_a - i_b), theta)[:2]
+        for got_dc, got_ripple, current in zip(dc, ripple, currents):
+            want = demodulate(current[settled], theta[settled])
+            assert abs(got_dc - want.dc) < 1e-9
+            want_ripple = as_complex(want.second)
+            assert abs(got_ripple - want_ripple) < 1e-7 * abs(want_ripple)
+
+    def test_balanced_machine_settles_to_target(self, nominal):
         p = make_machine(nominal)
-        t = np.linspace(0.0, 0.1, 101)
-        ts = TimeSeries(t, 100.0 * t)
-        mask = steady_state_window(ts, p, 100.0)
-        cut = transient_window(p, 100.0)
-        assert np.array_equal(mask, t >= cut)
+        omega, i_cmd = 400.0, (-2.0, 10.0)
+        dc, ripple = steady_state_currents(
+            p, balanced_voltage_command(p, omega, *i_cmd), omega)
+        # The phasor solve rounds at about 2 ulp of the phase current
+        # amplitude, so the residual ripple is bounded per ampere.
+        assert all(abs(rip) < 1e-15 * np.hypot(*i_cmd) for rip in ripple)
+        for got, want in zip(dc, i_cmd):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_requires_rotation(self, nominal):
+        with pytest.raises(ConfigError, match="nonzero speed"):
+            steady_state_currents(make_machine(nominal), (0.5, 1.0), 0.0)
+
+    @pytest.mark.parametrize("name, drive", [
+        ("v_dq_cmd", dict(v_dq_cmd=(np.nan, 1.0))),
+        ("v_dq_cmd", dict(v_dq_cmd=(0.0, np.inf))),
+        ("omega_e", dict(omega_e=np.nan)),
+        ("omega_e", dict(omega_e=-np.inf)),
+    ])
+    def test_rejects_non_finite_drive(self, nominal, name, drive):
+        args = dict(v_dq_cmd=(0.0, 1.0), omega_e=100.0) | drive
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            steady_state_currents(make_machine(nominal), **args)
 
 
 class TestBalancedVoltageCommand:

@@ -65,8 +65,9 @@ def test_tuple_array_and_scalar_components_agree_bitwise(rng):
     # against theta to the bits of full rows.
     scalars = tuple(float(v) for v in rows[:, 0])
     constant = np.repeat(rows[:, :1], 64, axis=1)
-    assert np.array_equal(np.stack(park_inverse(scalars, theta)),
-                          np.stack(park_inverse(constant, theta)))
+    for transform in (park_forward, park_inverse):
+        assert np.array_equal(np.stack(transform(scalars, theta)),
+                              np.stack(transform(constant, theta)))
 
 
 def test_roundtrip_random_vectors(rng):
