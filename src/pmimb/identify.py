@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, InputError
 from .harmonics import check_angle_coverage
-from .imbalance import SecondHarmonicPhasor, _couple
+from .imbalance import SecondHarmonicPhasor, _couple, _double_angle
 
 _FAMILIES = ("resistance", "flux")
 
@@ -80,8 +80,8 @@ def _fit(family, dv_d, dv_q, theta, drive):
     # evaluates all three along a leading axis; both axes are fitted
     # jointly.
     spread = np.array([[0.0], [3.0], [3.0j]])
-    unit = _couple(theta, np.array([[1.0], [0.0], [0.0]]), spread, spread,
-                   drive)
+    unit = _couple(_double_angle(theta), np.array([[1.0], [0.0], [0.0]]),
+                   spread, spread, drive)
     design = np.concatenate(unit, axis=1).T
     target = np.concatenate([dv_d, dv_q])
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)

@@ -12,7 +12,8 @@ in the rotor frame as T(theta) Delta T(theta)^-1, is a DC term plus a
 2theta phasor (k, phi) obtained from the deviation triple alone, plus a
 1theta coupling to zero-sequence quantities. ``_couple`` states that fact
 once; each family applies it to its own drive vector, and
-``closed_form_dq`` composes the balanced model with the three families.
+``closed_form_dq`` composes the balanced model with the three families,
+taking cos and sin of 2theta once for all three (``_double_angle``).
 
 Conventions. For a triple (d_a, d_b, d_c),
 
@@ -72,9 +73,15 @@ def _spread_phasor(triple):
     return k, math.atan2(c.imag, c.real)
 
 
-def _couple(theta, s, c_2theta, c_0, drive):
+def _double_angle(theta):
+    """The angle with cos and sin of twice it, as ``_couple`` takes them."""
+    return theta, np.cos(2.0 * theta), np.sin(2.0 * theta)
+
+
+def _couple(angle, s, c_2theta, c_0, drive):
     """Apply T(theta) Delta T(theta)^-1 to a drive vector (x_d, x_q, x_0).
 
+    ``angle`` is ``_double_angle(theta)``, built once per sample grid.
     Delta is a family's deviation matrix, given by its deviation sum ``s``
     and the complex spreads ``c_2theta`` and ``c_0`` (see ``_spread``).
     With E = (c_2theta/3) e^{j2theta} and F = (2/3) conj(c_0) e^{jtheta}
@@ -82,9 +89,8 @@ def _couple(theta, s, c_2theta, c_0, drive):
     and (Im E, s/3 - Re E, Im F). The 1theta column only acts on a
     zero-sequence drive, so it is skipped when x_0 is zero.
     """
+    theta, cos2, sin2 = angle
     x_d, x_q, x_0 = drive
-    cos2 = np.cos(2.0 * theta)
-    sin2 = np.sin(2.0 * theta)
     re_e = (c_2theta.real * cos2 - c_2theta.imag * sin2) / 3.0
     im_e = (c_2theta.real * sin2 + c_2theta.imag * cos2) / 3.0
     dv_d = (s / 3.0 + re_e) * x_d + im_e * x_q
@@ -147,16 +153,20 @@ def resistance_delta(d_r, op: OperatingPoint):
     (sum/3) on each axis, 2theta terms through the phasor, and a 1theta
     coupling to the zero-sequence current.
     """
-    return _couple(op.theta, *_resistance_terms(d_r, op))
+    return _couple(_double_angle(op.theta), *_resistance_terms(d_r, op))
 
 
 def flux_delta(d_lam, omega_e, theta):
     """Rotor-frame voltage contribution of PM flux imbalance.
 
     Every term scales with the electrical speed: the imbalance rides on
-    the back emf, whose drive is (0, omega_e, 0).
+    the back emf, whose drive is (0, omega_e, 0). A non-finite
+    ``omega_e`` or ``theta`` raises ``ValueError``.
     """
-    return _couple(theta, *_flux_terms(d_lam, omega_e))
+    for name, value in (("omega_e", omega_e), ("theta", theta)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    return _couple(_double_angle(theta), *_flux_terms(d_lam, omega_e))
 
 
 def inductance_delta(d_l, d_m, op: OperatingPoint):
@@ -169,7 +179,8 @@ def inductance_delta(d_l, d_m, op: OperatingPoint):
     as C_l - 2 C_m' at 2theta and C_l + C_m' at 1theta, with C_m' the
     spread of the pair triple rotated to (bc, ca, ab).
     """
-    return _couple(op.theta, *_inductance_terms(d_l, d_m, op))
+    return _couple(_double_angle(op.theta),
+                   *_inductance_terms(d_l, d_m, op))
 
 
 def compose_total(ideal, d_res, d_flux, d_ind):
@@ -184,12 +195,15 @@ def closed_form_dq(params: MachineParameters, op: OperatingPoint):
 
     Splits the parameters into nominal values plus deviations, evaluates
     the balanced model at the nominal values and adds the resistance,
-    flux and inductance deltas.
+    flux and inductance deltas, bit for bit those of the public delta
+    functions.
     """
     dec = decompose(params)
     ideal = ideal_dq_nonsalient(dec.nominal_r, dec.nominal_l + dec.nominal_m,
                                 dec.nominal_lam, params.pole_pairs, op)
-    return compose_total(ideal,
-                         resistance_delta(dec.d_r, op),
-                         flux_delta(dec.d_lam, op.omega_e, op.theta),
-                         inductance_delta(dec.d_l, dec.d_m, op))
+    angle = _double_angle(op.theta)
+    return compose_total(ideal, *(
+        _couple(angle, *terms) for terms in (
+            _resistance_terms(dec.d_r, op),
+            _flux_terms(dec.d_lam, op.omega_e),
+            _inductance_terms(dec.d_l, dec.d_m, op))))

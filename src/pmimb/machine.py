@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .transforms import BETA
+from .transforms import _as_basis
 
 
 @dataclass(frozen=True)
@@ -174,36 +174,39 @@ def decompose(params: MachineParameters) -> ImbalanceDecomposition:
 
 
 def _phase_frame(theta, *vectors):
-    """Align phase angles and per-phase arrays on a shared layout.
+    """Align the phase-angle sines and per-phase arrays on a shared layout.
 
-    Phase is always axis 0. Sample axes come from theta and/or trailing
-    axes of the vectors; 1-D vectors gain singleton sample axes so a
-    constant (3,) current broadcasts against a theta sweep and a (3, n)
-    current array broadcasts against scalar theta.
+    ``theta`` is the angle or its ``_phase_basis``; the sines are that
+    basis reshaped, not recomputed. Phase is always axis 0. Sample axes
+    come from theta and/or trailing axes of the vectors; 1-D vectors gain
+    singleton sample axes so a constant (3,) current broadcasts against a
+    theta sweep and a (3, n) current array broadcasts against scalar theta.
     """
-    theta = np.asarray(theta, dtype=float)
+    sin_x = _as_basis(theta).sin
     arrays = [np.asarray(v, dtype=float) for v in vectors]
-    sample_ndim = max([theta.ndim] + [a.ndim - 1 for a in arrays])
+    theta_shape = sin_x.shape[1:]
+    sample_ndim = max([len(theta_shape)] + [a.ndim - 1 for a in arrays])
     tail = (1,) * sample_ndim
-    ang = theta - np.array([0.0, BETA, 2.0 * BETA]).reshape((3,) + tail)
+    sin_x = sin_x.reshape((3,) + tail[len(theta_shape):] + theta_shape)
     aligned = [a.reshape((3,) + tail) if a.ndim == 1 else a for a in arrays]
-    return ang, aligned
+    return sin_x, aligned
 
 
-def _per_phase(values, ang):
+def _per_phase(values, sin_x):
     # Reshape a (3,) parameter vector to broadcast against phase angles.
-    return values.reshape((3,) + (1,) * (ang.ndim - 1))
+    return values.reshape((3,) + (1,) * (sin_x.ndim - 1))
 
 
 def phase_voltages(params: MachineParameters, i_abc, di_abc, theta, omega_e):
     """Phase terminal voltages for given currents and current derivatives.
 
     Implements ``v = R i + L di/dt + e`` with the rotational back emf
-    ``e_x = omega_e lam_x sin(theta_x)``.
+    ``e_x = omega_e lam_x sin(theta_x)``. ``theta`` is the angle or its
+    ``_phase_basis``.
     """
-    ang, (i_abc, di_abc) = _phase_frame(theta, i_abc, di_abc)
-    emf = omega_e * _per_phase(params.pm_flux(), ang) * np.sin(ang)
-    resistive = _per_phase(params.resistances(), ang) * i_abc
+    sin_x, (i_abc, di_abc) = _phase_frame(theta, i_abc, di_abc)
+    emf = omega_e * _per_phase(params.pm_flux(), sin_x) * sin_x
+    resistive = _per_phase(params.resistances(), sin_x) * i_abc
     return resistive + params.inductance_matrix() @ di_abc + emf
 
 
@@ -212,10 +215,11 @@ def torque_abc(params: MachineParameters, i_abc, theta):
 
     Each phase contributes ``lam_x i_x sin(theta_x)``; the pole-pair count
     converts the electrical-angle derivative to a mechanical torque.
+    ``theta`` is the angle or its ``_phase_basis``.
     """
-    ang, (i_abc,) = _phase_frame(theta, i_abc)
-    lam = _per_phase(params.pm_flux(), ang)
-    return params.pole_pairs * np.sum(lam * i_abc * np.sin(ang), axis=0)
+    sin_x, (i_abc,) = _phase_frame(theta, i_abc)
+    lam = _per_phase(params.pm_flux(), sin_x)
+    return params.pole_pairs * np.sum(lam * i_abc * sin_x, axis=0)
 
 
 def ideal_dq_nonsalient(r, l_sum, lam_m, pole_pairs, op: OperatingPoint):

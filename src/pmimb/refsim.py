@@ -23,7 +23,7 @@ from .imbalance import (_flux_terms, _inductance_terms, _resistance_terms,
                         flux_delta, inductance_delta, resistance_delta)
 from .machine import (MachineParameters, OperatingPoint, decompose,
                       ideal_dq_nonsalient, phase_voltages, torque_abc)
-from .transforms import park_forward, park_inverse, phase_angles
+from .transforms import _phase_basis, park_forward, park_inverse, phase_angles
 
 # Resolution guard: at least this many samples per electrical period.
 MIN_STEPS_PER_PERIOD = 200
@@ -117,15 +117,15 @@ def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
     return l_red, r_red, x_ss
 
 
-def _assemble(params, t, theta, i_abc, v_abc, extra=None):
-    i_dq0 = park_forward(i_abc, theta)
-    v_dq0 = park_forward(v_abc, theta)
+def _assemble(params, t, theta, basis, i_abc, v_abc, extra=None):
+    i_dq0 = park_forward(i_abc, basis)
+    v_dq0 = park_forward(v_abc, basis)
     channels = {
         "v_a": v_abc[0], "v_b": v_abc[1], "v_c": v_abc[2],
         "i_a": i_abc[0], "i_b": i_abc[1], "i_c": i_abc[2],
         "v_d": v_dq0[0], "v_q": v_dq0[1], "v_0": v_dq0[2],
         "i_d": i_dq0[0], "i_q": i_dq0[1], "i_0": i_dq0[2],
-        "t_e": torque_abc(params, i_abc, theta),
+        "t_e": torque_abc(params, i_abc, basis),
     }
     if extra:
         channels.update(extra)
@@ -163,13 +163,15 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
     _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
-    i_abc = np.stack(park_inverse((i_d, i_q, i_0), theta))
+    basis = _phase_basis(theta)
+    i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
     # Constant rotor-frame currents rotate in the phase frame:
     # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
     di_abc = np.stack(park_inverse(
-        (omega_e * i_q, -omega_e * i_d, 0.0), theta))
-    v_abc = phase_voltages(params, i_abc, di_abc, theta, omega_e)
-    return _assemble(params, t, theta, i_abc, v_abc)
+        (omega_e * i_q, -omega_e * i_d, 0.0), basis))
+    v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
+    del di_abc  # grid-sized; freed before _assemble allocates
+    return _assemble(params, t, theta, basis, i_abc, v_abc)
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
@@ -224,6 +226,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
     _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
+    basis = _phase_basis(theta)
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
     chol = np.linalg.cholesky(l_red)
@@ -232,20 +235,29 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     # e^{A t} = V e^{-rates t} V^-1 with V = C^-T Q and V^-1 = Q^T C^T.
     modes = np.linalg.solve(chol.T, q)
     start = -(q.T @ chol.T @ x_ss.real)
-    i_ab = (x_ss.real[:, None] * np.cos(theta)
-            - x_ss.imag[:, None] * np.sin(theta)
+    # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
+    i_ab = (x_ss.real[:, None] * basis.cos[0]
+            - x_ss.imag[:, None] * basis.sin[0]
             + modes @ (start[:, None] * np.exp(-rates[:, None] * t)))
     i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
+    # Each grid-sized temporary is freed once used, before the next
+    # allocation, so the basis held through _assemble adds no peak memory.
+    del i_ab
 
     # Reconstruct applied voltages, derivatives and the star-point shift.
-    applied = np.stack(park_inverse((v_d, v_q, 0.0), theta))
-    emf = omega_e * params.pm_flux()[:, None] * np.sin(phase_angles(theta))
+    applied = np.stack(park_inverse((v_d, v_q, 0.0), basis))
+    emf = omega_e * params.pm_flux()[:, None] * basis.sin
     rhs = applied - params.resistances()[:, None] * i_abc - emf
+    del emf
     di_ab = np.linalg.inv(l_red) @ (rhs[:2] - rhs[2])
     di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
+    del di_ab
     v_n = np.mean(rhs - params.inductance_matrix() @ di_abc, axis=0)
+    del rhs, di_abc
     winding = applied - v_n
-    return _assemble(params, t, theta, i_abc, winding, extra={"v_n": v_n})
+    del applied
+    return _assemble(params, t, theta, basis, i_abc, winding,
+                     extra={"v_n": v_n})
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

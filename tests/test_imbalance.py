@@ -11,6 +11,7 @@ from pmimb import (
     SecondHarmonicPhasor,
     closed_form_dq,
     compose_total,
+    decompose,
     flux_coeffs,
     flux_delta,
     ideal_dq_nonsalient,
@@ -171,6 +172,16 @@ class TestDeltaExamples:
                   inductance_delta(zero, zero, op)):
             assert d[0] == 0.0 and d[1] == 0.0
 
+    @pytest.mark.parametrize("name, value", [
+        ("omega_e", math.nan), ("omega_e", math.inf),
+        ("theta", -math.inf), ("theta", np.array([0.0, math.nan])),
+    ])
+    def test_flux_rejects_non_finite(self, name, value):
+        args = dict(omega_e=100.0, theta=0.3)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            flux_delta((0.005, 0.0, 0.0), **args)
+
     def test_array_theta(self):
         theta = np.linspace(0, 2 * np.pi, 9)
         op = OperatingPoint(theta=theta, omega_e=100.0, i_d=1.0, i_q=2.0)
@@ -279,6 +290,31 @@ class TestDeltaOracleEquivalence:
             scale = 1.0 + np.max(np.abs(want))
             assert abs(v_d - want[0]) < 1e-11 * scale
             assert abs(v_q - want[1]) < 1e-11 * scale
+
+    @pytest.mark.parametrize("i_0, di_0", [(0.0, 0.0), (1.5, 0.0),
+                                           (1.5, 40.0)])
+    def test_closed_form_is_composed_public_deltas_bitwise(self, rng, i_0,
+                                                           di_0):
+        p = MachineParameters(
+            0.104, 0.1, 0.102,
+            2.1e-4, 2e-4, 2.05e-4,
+            2e-5, 2.2e-5, 2.1e-5,
+            0.0505, 0.05, 0.0502,
+            pole_pairs=3)
+        op = OperatingPoint(theta=rng.uniform(-50.0, 50.0, size=257),
+                            omega_e=400.0, i_d=-2.0, i_q=8.0, i_0=i_0,
+                            di_d=30.0, di_q=-20.0, di_0=di_0)
+        dec = decompose(p)
+        ideal = ideal_dq_nonsalient(dec.nominal_r,
+                                    dec.nominal_l + dec.nominal_m,
+                                    dec.nominal_lam, p.pole_pairs, op)
+        want = compose_total(ideal,
+                             resistance_delta(dec.d_r, op),
+                             flux_delta(dec.d_lam, op.omega_e, op.theta),
+                             inductance_delta(dec.d_l, dec.d_m, op))
+        got = closed_form_dq(p, op)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_composition_consistent_with_decompose(self, nominal, rng):
         p = MachineParameters(

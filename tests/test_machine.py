@@ -14,8 +14,15 @@ from pmimb import (
     torque_abc,
     transient_window,
 )
+from pmimb.transforms import _phase_basis
 
 dev = st.floats(min_value=0.0, max_value=0.02, allow_nan=False)
+
+# (theta shape, current shape): scalar theta with (3, n) currents, (n,)
+# theta with constant (3,) currents, and 2-D theta with (3,) or full-shape
+# currents.
+LAYOUTS = [((), (3, 16)), ((16,), (3,)), ((4, 16), (3,)),
+           ((4, 16), (3, 4, 16))]
 
 
 def make_machine(nominal, d_r=(0, 0, 0), d_l=(0, 0, 0), d_m=(0, 0, 0),
@@ -146,6 +153,20 @@ class TestFluxAndVoltage:
             one = phase_voltages(p, i, di, th, 300.0)
             assert np.allclose(v[:, j], one, atol=0, rtol=0)
 
+    # The inductance product takes (3,) or (3, n) derivatives only, so
+    # phase_voltages has no 2-D theta layout.
+    @pytest.mark.parametrize("theta_shape, current_shape", LAYOUTS[:2])
+    def test_basis_fed_matches_theta_fed_bitwise(self, nominal, rng,
+                                                 theta_shape, current_shape):
+        p = make_machine(nominal, d_r=(0.01, 0, 0.002), d_l=(1e-5, 0, 2e-5),
+                         d_m=(0, 1e-6, 0), d_lam=(0, 0.001, 0.002))
+        theta = rng.uniform(-50.0, 50.0, size=theta_shape)
+        i = rng.uniform(-10.0, 10.0, size=current_shape)
+        di = rng.uniform(-1e4, 1e4, size=current_shape)
+        want = phase_voltages(p, i, di, theta, 300.0)
+        got = phase_voltages(p, i, di, _phase_basis(theta), 300.0)
+        assert np.array_equal(got, want)
+
 
 class TestIdealDq:
     def test_nonsalient_steady_point(self):
@@ -217,6 +238,17 @@ class TestTorque:
         p2 = make_machine(nominal)
         i_abc = np.array([3.0, -1.0, -2.0])
         assert torque_abc(p1, i_abc, 0.7) == torque_abc(p2, i_abc, 0.7)
+
+    @pytest.mark.parametrize("theta_shape, current_shape", LAYOUTS)
+    def test_basis_fed_matches_theta_fed_bitwise(self, nominal, rng,
+                                                 theta_shape, current_shape):
+        p = make_machine(nominal, d_lam=(0.002, 0, 0.001))
+        theta = rng.uniform(-50.0, 50.0, size=theta_shape)
+        i = rng.uniform(-10.0, 10.0, size=current_shape)
+        want = torque_abc(p, i, theta)
+        assert np.shape(want) == np.broadcast_shapes(theta_shape,
+                                                     current_shape[1:])
+        assert np.array_equal(torque_abc(p, i, _phase_basis(theta)), want)
 
 
 class TestTimeConstants:

@@ -1,4 +1,5 @@
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,33 @@ class TestVoltageFed:
         # impedance.
         tol_v = tol * (max(r_abc) + mu * max(l_abc))
         assert np.max(np.abs(ts.channel("v_n") - v_n)) < tol_v
+
+
+class TestPeakMemory:
+    # Peak bytes traced during one run on a 200 001-sample grid, in grid
+    # columns of 8 bytes per sample; the columns the result holds (15 for
+    # current-fed, 16 for voltage-fed) count too. tracemalloc sees numpy's
+    # buffers, so the figure is deterministic.
+    N = 200_001
+
+    @pytest.mark.parametrize("mode, drive, columns", [
+        ("voltage-fed", (1.0, 20.0), 30),
+        ("current-fed", (-1.0, 8.0), 26),
+    ])
+    def test_peak_in_grid_columns(self, nominal, mode, drive, columns):
+        p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
+        run = run_current_fed if mode == "current-fed" else run_voltage_fed
+        # Warm-up: first-call imports and caches are not the grid's.
+        run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3, mode=mode))
+        cfg = SimConfig(dt=1e-6, duration=(self.N - 1) * 1e-6, mode=mode)
+        tracemalloc.start()
+        try:
+            ts = run(p, drive, 300.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ts.t.size == self.N
+        assert peak / (8 * self.N) <= columns
 
 
 class TestRipplePrediction:

@@ -2,12 +2,18 @@
 
 ``perfbench/tracing.py`` patches each ``(module, attribute)`` in its
 ``TARGETS`` table; a name removed from the package would make
-``perfbench/run.py --trace 1`` fail, so the suite checks them here.
+``perfbench/run.py --trace 1`` fail, so the suite checks them here. A
+transform inlined into ``refsim`` would leave its layer's spans empty, so
+the suite also checks that the simulations still call the traced names.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from pmimb import MachineParameters, SimConfig, refsim, transforms
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +33,34 @@ def test_every_traced_name_resolves():
                if not callable(getattr(importlib.import_module(module),
                                        attr, None))]
     assert missing == []
+
+
+def count_calls(monkeypatch, module, attr, counts):
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] = counts.get(attr, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("mode, drive, traced_calls", [
+    ("current-fed", (-1.0, 8.0), {"park_inverse": 2, "park_forward": 2,
+                                  "phase_voltages": 1, "torque_abc": 1}),
+    ("voltage-fed", (1.0, 20.0), {"park_inverse": 1, "park_forward": 2,
+                                  "torque_abc": 1}),
+])
+def test_simulation_builds_one_basis_and_calls_traced_names(
+        monkeypatch, mode, drive, traced_calls):
+    # A basis built inside a transform, from theta, counts as well.
+    counts = {}
+    for module in (refsim, transforms):
+        count_calls(monkeypatch, module, "_phase_basis", counts)
+    for name in ("park_forward", "park_inverse", "phase_voltages",
+                 "torque_abc"):
+        count_calls(monkeypatch, refsim, name, counts)
+    run = (refsim.run_current_fed if mode == "current-fed"
+           else refsim.run_voltage_fed)
+    params = MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3)
+    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3, mode=mode))
+    assert counts == {"_phase_basis": 1, **traced_calls}

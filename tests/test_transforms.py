@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from pmimb import BETA, park_forward, park_inverse, phase_angles
+from pmimb.transforms import _phase_basis
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -68,6 +70,27 @@ def test_tuple_array_and_scalar_components_agree_bitwise(rng):
     for transform in (park_forward, park_inverse):
         assert np.array_equal(np.stack(transform(scalars, theta)),
                               np.stack(transform(constant, theta)))
+
+
+# (theta shape, component shape): scalar theta with (3, n) components, (n,)
+# theta with constant (3,) components, and 2-D theta with (3,) or full-shape
+# components.
+LAYOUTS = [((), (3, 16)), ((16,), (3,)), ((4, 16), (3,)),
+           ((4, 16), (3, 4, 16))]
+
+
+@pytest.mark.parametrize("theta_shape, component_shape", LAYOUTS)
+def test_basis_fed_transforms_match_theta_fed_bitwise(rng, theta_shape,
+                                                      component_shape):
+    theta = rng.uniform(-50.0, 50.0, size=theta_shape)
+    rows = rng.uniform(-10.0, 10.0, size=component_shape)
+    basis = _phase_basis(theta)
+    assert basis.cos.shape == basis.sin.shape == (3,) + theta_shape
+    for transform in (park_forward, park_inverse):
+        want = np.stack(transform(rows, theta))
+        assert want.shape == (3,) + np.broadcast_shapes(theta_shape,
+                                                        component_shape[1:])
+        assert np.array_equal(np.stack(transform(rows, basis)), want)
 
 
 def test_roundtrip_random_vectors(rng):
