@@ -158,7 +158,7 @@ def _coefficient_entries(scenario: Scenario):
 
 
 def _simulate(scenario: Scenario):
-    if scenario.sim.mode == "voltage-fed":
+    if scenario.mode == "voltage-fed":
         return run_voltage_fed(scenario.machine,
                                (scenario.v_d, scenario.v_q),
                                scenario.omega_e, scenario.sim)
@@ -181,7 +181,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     write_csv(ts, csv_path, scenario.channels, scenario.stride)
     entries = [
         ("job", "simulate"),
-        ("simulate.mode", scenario.sim.mode),
+        ("simulate.mode", scenario.mode),
         ("simulate.samples", str(ts.t.size)),
         ("simulate.t_end", _fmt(ts.t[-1])),
         ("simulate.csv", csv_path.name),
@@ -195,7 +195,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
-    if scenario.sim.mode != "current-fed":
+    if scenario.mode != "current-fed":
         raise ConfigError(
             "compare requires sim.mode = current-fed: the closed forms "
             "take prescribed currents"
@@ -253,7 +253,7 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         v_q_meas = data["v_q"]
         source_label = str(source)
     else:
-        if scenario.sim.mode != "current-fed":
+        if scenario.mode != "current-fed":
             raise ConfigError(
                 "identify without source_csv requires sim.mode = current-fed"
             )

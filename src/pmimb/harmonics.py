@@ -42,7 +42,7 @@ class WaveformComparison:
     relative_rms: float | None
 
 
-def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
+def check_angle_coverage(theta):
     """Require at least one full electrical period, adequately sampled.
 
     Only distinct angles count, in any order: repeated samples add none.
@@ -65,10 +65,10 @@ def check_angle_coverage(theta, samples_per_period=MIN_SAMPLES_PER_PERIOD):
             "electrical period"
         )
     periods = effective / two_pi
-    if distinct / periods < samples_per_period:
+    if distinct / periods < MIN_SAMPLES_PER_PERIOD:
         raise InputError(
             f"{distinct / periods:.1f} samples per period; "
-            f"at least {samples_per_period} required"
+            f"at least {MIN_SAMPLES_PER_PERIOD} required"
         )
     return theta
 

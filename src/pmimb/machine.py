@@ -174,27 +174,17 @@ def decompose(params: MachineParameters) -> ImbalanceDecomposition:
 
 
 def _phase_frame(theta, *vectors):
-    """Align the phase-angle sines and per-phase arrays on a shared layout.
+    """The phase-angle sines, then each per-phase array, on one layout.
 
-    ``theta`` is the angle or its ``_phase_basis``; the sines are that
-    basis reshaped, not recomputed. Phase is always axis 0. Sample axes
-    come from theta and/or trailing axes of the vectors; 1-D vectors gain
-    singleton sample axes so a constant (3,) current broadcasts against a
-    theta sweep and a (3, n) current array broadcasts against scalar theta.
+    ``theta`` is the angle or its ``_phase_basis``, whose sines are reused.
+    Phase is axis 0 and sample axes are right-aligned, so a (3,) vector
+    broadcasts against any theta and a (3, n) one against (m, n) theta.
     """
-    sin_x = _as_basis(theta).sin
-    arrays = [np.asarray(v, dtype=float) for v in vectors]
-    theta_shape = sin_x.shape[1:]
-    sample_ndim = max([len(theta_shape)] + [a.ndim - 1 for a in arrays])
-    tail = (1,) * sample_ndim
-    sin_x = sin_x.reshape((3,) + tail[len(theta_shape):] + theta_shape)
-    aligned = [a.reshape((3,) + tail) if a.ndim == 1 else a for a in arrays]
-    return sin_x, aligned
-
-
-def _per_phase(values, sin_x):
-    # Reshape a (3,) parameter vector to broadcast against phase angles.
-    return values.reshape((3,) + (1,) * (sin_x.ndim - 1))
+    arrays = [_as_basis(theta).sin] + [np.asarray(v, dtype=float)
+                                       for v in vectors]
+    ndim = max(a.ndim for a in arrays)
+    return [a.reshape((3,) + (1,) * (ndim - a.ndim) + a.shape[1:])
+            for a in arrays]
 
 
 def phase_voltages(params: MachineParameters, i_abc, di_abc, theta, omega_e):
@@ -204,10 +194,12 @@ def phase_voltages(params: MachineParameters, i_abc, di_abc, theta, omega_e):
     ``e_x = omega_e lam_x sin(theta_x)``. ``theta`` is the angle or its
     ``_phase_basis``.
     """
-    sin_x, (i_abc, di_abc) = _phase_frame(theta, i_abc, di_abc)
-    emf = omega_e * _per_phase(params.pm_flux(), sin_x) * sin_x
-    resistive = _per_phase(params.resistances(), sin_x) * i_abc
-    return resistive + params.inductance_matrix() @ di_abc + emf
+    sin_x, lam, r, i_abc, di_abc = _phase_frame(
+        theta, params.pm_flux(), params.resistances(), i_abc, di_abc)
+    # (R i + L di/dt) + e. tensordot returns a view, which numpy cannot sum
+    # into in place, so it comes first and R i takes the sum instead.
+    return (np.tensordot(params.inductance_matrix(), di_abc, 1)
+            + r * i_abc + omega_e * lam * sin_x)
 
 
 def torque_abc(params: MachineParameters, i_abc, theta):
@@ -217,8 +209,7 @@ def torque_abc(params: MachineParameters, i_abc, theta):
     converts the electrical-angle derivative to a mechanical torque.
     ``theta`` is the angle or its ``_phase_basis``.
     """
-    sin_x, (i_abc,) = _phase_frame(theta, i_abc)
-    lam = _per_phase(params.pm_flux(), sin_x)
+    sin_x, lam, i_abc = _phase_frame(theta, params.pm_flux(), i_abc)
     return params.pole_pairs * np.sum(lam * i_abc * sin_x, axis=0)
 
 

@@ -28,8 +28,6 @@ from .transforms import _phase_basis, park_forward, park_inverse, phase_angles
 # Resolution guard: at least this many samples per electrical period.
 MIN_STEPS_PER_PERIOD = 200
 
-_MODES = ("current-fed", "voltage-fed")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -37,15 +35,12 @@ class SimConfig:
 
     dt: float = 1e-6
     duration: float = 0.05
-    mode: str = "current-fed"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError("dt must be positive")
         if not (np.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError("duration must be at least one step")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}")
 
 
 @dataclass
@@ -82,7 +77,8 @@ class TimeSeries:
         return self.channels[name]
 
 
-def _check_resolution(cfg: SimConfig, omega_e):
+def _sample_grid(cfg: SimConfig, omega_e):
+    """Sample times and angles, refusing a step too coarse for the speed."""
     if omega_e != 0.0:
         period = 2.0 * math.pi / abs(omega_e)
         if cfg.dt > period / MIN_STEPS_PER_PERIOD:
@@ -90,9 +86,6 @@ def _check_resolution(cfg: SimConfig, omega_e):
                 f"dt = {cfg.dt:g} s exceeds 1/{MIN_STEPS_PER_PERIOD} of the "
                 f"electrical period {period:g} s"
             )
-
-
-def _sample_grid(cfg: SimConfig, omega_e):
     n_steps = int(round(cfg.duration / cfg.dt))
     t = np.arange(n_steps + 1) * cfg.dt
     return t, omega_e * t
@@ -145,7 +138,7 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     omega_e : float
         Electrical speed (rad/s), constant.
     cfg : SimConfig
-        Must have mode "current-fed".
+        Sampling grid.
     i_0 : float, optional
         Constant zero-sequence current; physical star connections keep
         this at zero, the knob exists to exercise zero-sequence coupling.
@@ -157,11 +150,8 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         currents are imposed, so no integration is involved.
 
     """
-    if cfg.mode != "current-fed":
-        raise ConfigError(f"config mode is {cfg.mode!r}, not 'current-fed'")
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
-    _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
     basis = _phase_basis(theta)
     i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
@@ -189,7 +179,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     omega_e : float
         Electrical speed (rad/s), constant.
     cfg : SimConfig
-        Must have mode "voltage-fed".
+        Sampling grid.
 
     Returns
     -------
@@ -220,11 +210,8 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     is invertible at every speed. dt only sets the sampling grid.
 
     """
-    if cfg.mode != "voltage-fed":
-        raise ConfigError(f"config mode is {cfg.mode!r}, not 'voltage-fed'")
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
-    _check_resolution(cfg, omega_e)
     t, theta = _sample_grid(cfg, omega_e)
     basis = _phase_basis(theta)
 

@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ConfigError
 from .machine import MachineParameters
 from .refsim import SimConfig
-
-FAMILIES = ("none", "resistance", "flux", "inductance", "combined")
 
 # Deviation keys each family may declare.
 _FAMILY_KEYS = {
@@ -59,6 +58,9 @@ _FAMILY_KEYS = {
     "inductance": ("d_l", "d_m"),
     "combined": ("d_r", "d_l", "d_m", "d_lam"),
 }
+FAMILIES = tuple(_FAMILY_KEYS)
+
+MODES = ("current-fed", "voltage-fed")
 
 _PHASE_KEYS = {
     "r": ("r_a", "r_b", "r_c"),
@@ -84,6 +86,7 @@ class Scenario:
     v_d: float | None
     v_q: float | None
     sim: SimConfig
+    mode: str
     csv_name: str
     summary_name: str
     channels: tuple[str, ...] | None
@@ -110,6 +113,88 @@ def _int(raw, key):
         raise ConfigError(f"{key}: {raw!r} is not an integer") from None
 
 
+def _stride(raw, key):
+    stride = _int(raw, key)
+    if stride < 1:
+        raise ConfigError(f"{key}: must be at least 1")
+    return stride
+
+
+def _text(raw, key):
+    return raw.strip()
+
+
+def _family(raw, key):
+    family = raw.strip()
+    if family not in FAMILIES:
+        raise ConfigError(f"{key}: {family!r} is not one of {FAMILIES}")
+    return family
+
+
+def _mode(raw, key):
+    mode = raw.strip()
+    if mode not in MODES:
+        raise ConfigError(f"sim: mode must be one of {MODES}")
+    return mode
+
+
+class _Required(str):
+    """Default of a key its section must set; the text stands in only when
+    the whole section is absent."""
+
+
+# section -> key -> (converter, default). The default is the text an
+# unset key reads as, None for an optional key with no value, or
+# _Required. Sections after [imbalance] are echoed as read, in this order.
+_SCHEMA = {
+    "machine": {
+        "pole_pairs": (_int, _Required()),
+        **dict.fromkeys(_PHASE_KEYS, (_float, None)),
+        **{key: (_float, None)
+           for phase_keys in _PHASE_KEYS.values() for key in phase_keys},
+    },
+    "imbalance": {
+        "family": (_family, "none"),
+        **{f"d_{key}": (_text, None) for key in _PHASE_KEYS},
+    },
+    "operating_point": {
+        "omega_e": (_float, _Required("0")),
+        **dict.fromkeys(("i_d", "i_q", "i_0"), (_float, "0")),
+        **dict.fromkeys(("v_d", "v_q"), (_float, None)),
+    },
+    "sim": {
+        "dt": (_float, "1e-6"),
+        "duration": (_float, "0.05"),
+        "mode": (_mode, "current-fed"),
+    },
+    "outputs": {
+        "csv": (_text, "timeseries.csv"),
+        "summary": (_text, "summary.txt"),
+        "channels": (_text, "all"),
+        "stride": (_stride, "1"),
+    },
+    "identify": {
+        "source_csv": (_text, None),
+    },
+}
+
+
+def _read(parser, section):
+    """Convert one section's keys by the schema, defaults resolved."""
+    present = parser.has_section(section)
+    raw = dict(parser[section]) if present else {}
+    values = {}
+    for key, (convert, default) in _SCHEMA[section].items():
+        text = raw.pop(key, default)
+        if present and isinstance(text, _Required):
+            raise ConfigError(f"{section}.{key}: required key is missing")
+        values[key] = None if text is None else convert(
+            text, f"{section}.{key}")
+    if raw:
+        raise ConfigError(f"{section}.{next(iter(raw))}: unknown key")
+    return values
+
+
 def _deviation_triple(raw, key, nominal, nominal_key):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
@@ -129,18 +214,17 @@ def _deviation_triple(raw, key, nominal, nominal_key):
     return tuple(values)
 
 
-def _section(parser, name):
-    return dict(parser[name]) if parser.has_section(name) else {}
-
-
-def _take(section, key, default=None):
-    return section.pop(key, default)
-
-
-def _reject_unknown(section, sect_name):
-    if section:
-        key = next(iter(section))
-        raise ConfigError(f"{sect_name}.{key}: unknown key")
+def _channel_list(text):
+    if text == "all":
+        return None
+    channels = tuple(p.strip() for p in text.split(","))
+    for idx, name in enumerate(channels):
+        if name not in KNOWN_CHANNELS:
+            raise ConfigError(f"outputs.channels: unknown channel {name!r}")
+        if name in channels[:idx]:
+            raise ConfigError(
+                f"outputs.channels: channel {name!r} is listed twice")
+    return channels
 
 
 def parse_scenario(path) -> Scenario:
@@ -161,197 +245,91 @@ def parse_scenario(path) -> Scenario:
         detail = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigError(f"malformed scenario file: {detail}") from None
 
-    known_sections = ("machine", "imbalance", "operating_point", "sim",
-                      "outputs", "identify")
     for name in parser.sections():
-        if name not in known_sections:
+        if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
     if not parser.has_section("machine"):
         raise ConfigError("missing required section [machine]")
+    read = {section: _read(parser, section) for section in _SCHEMA}
 
-    resolved: list[tuple[str, str]] = []
-
-    def note(key, value):
-        resolved.append((key, str(value)))
-
-    # --- machine -----------------------------------------------------
-    machine = _section(parser, "machine")
-    raw_pp = _take(machine, "pole_pairs")
-    if raw_pp is None:
-        raise ConfigError("machine.pole_pairs: required key is missing")
-    pole_pairs = _int(raw_pp, "machine.pole_pairs")
-
-    nominal = {}
-    for key in _PHASE_KEYS:
-        raw = _take(machine, key)
-        nominal[key] = None if raw is None else _float(raw, f"machine.{key}")
-
-    values = {}
+    # Per-phase values, with per-key sign checks before matrix-level
+    # validation so diagnostics name what the user wrote.
+    machine = read["machine"]
+    phase = {}
     for family_key, phase_keys in _PHASE_KEYS.items():
-        triple = []
         for phase_key in phase_keys:
-            raw = _take(machine, phase_key)
-            if raw is not None:
-                triple.append(_float(raw, f"machine.{phase_key}"))
-            elif nominal[family_key] is not None:
-                triple.append(nominal[family_key])
-            else:
+            value = machine[family_key] if machine[phase_key] is None \
+                else machine[phase_key]
+            if value is None:
                 raise ConfigError(
                     f"machine.{phase_key}: missing (set machine.{family_key} "
                     "or all three per-phase values)"
                 )
-        values[family_key] = triple
-    _reject_unknown(machine, "machine")
-
-    # Per-key sign checks before matrix-level validation, so diagnostics
-    # name what the user wrote.
-    for family_key, phase_keys in _PHASE_KEYS.items():
-        for phase_key, value in zip(phase_keys, values[family_key]):
             if family_key in ("r", "l") and value <= 0.0:
                 raise ConfigError(f"machine.{phase_key}: must be positive")
             if family_key == "lam" and value < 0.0:
                 raise ConfigError(f"machine.{phase_key}: must be nonnegative")
+            phase[phase_key] = value
 
-    # --- imbalance ---------------------------------------------------
-    imbalance = _section(parser, "imbalance")
-    family = _take(imbalance, "family", "none").strip()
-    if family not in FAMILIES:
-        raise ConfigError(
-            f"imbalance.family: {family!r} is not one of {FAMILIES}"
-        )
-    allowed = _FAMILY_KEYS[family]
+    family = read["imbalance"]["family"]
     deviations = {}
-    for dev_key, family_key in (("d_r", "r"), ("d_l", "l"),
-                                ("d_m", "m"), ("d_lam", "lam")):
-        raw = _take(imbalance, dev_key)
+    for family_key in _PHASE_KEYS:
+        dev_key = f"d_{family_key}"
+        raw = read["imbalance"][dev_key]
         if raw is None:
             deviations[dev_key] = (0.0, 0.0, 0.0)
-            continue
-        if dev_key not in allowed:
+        elif dev_key not in _FAMILY_KEYS[family]:
             raise ConfigError(
                 f"imbalance.{dev_key}: not allowed for family {family!r}"
             )
-        deviations[dev_key] = _deviation_triple(
-            raw, f"imbalance.{dev_key}", nominal[family_key], family_key)
-    _reject_unknown(imbalance, "imbalance")
+        else:
+            deviations[dev_key] = _deviation_triple(
+                raw, f"imbalance.{dev_key}", machine[family_key], family_key)
 
     try:
         params = MachineParameters(
-            *(v + d for v, d in zip(values["r"], deviations["d_r"])),
-            *(v + d for v, d in zip(values["l"], deviations["d_l"])),
-            *(v + d for v, d in zip(values["m"], deviations["d_m"])),
-            *(v + d for v, d in zip(values["lam"], deviations["d_lam"])),
-            pole_pairs,
+            *(v + d for v, d in zip(phase.values(),
+                                    chain(*deviations.values()))),
+            machine["pole_pairs"],
         )
     except ValueError as exc:
         raise ConfigError(f"machine: {exc}") from None
 
-    for family_key, phase_keys in _PHASE_KEYS.items():
-        for phase_key, value in zip(phase_keys, values[family_key]):
-            note(f"machine.{phase_key}", repr(value))
-    note("machine.pole_pairs", pole_pairs)
-    note("imbalance.family", family)
-    for dev_key in ("d_r", "d_l", "d_m", "d_lam"):
-        note(f"imbalance.{dev_key}",
-             ", ".join(repr(v) for v in deviations[dev_key]))
-
-    # --- operating point ---------------------------------------------
-    has_op = parser.has_section("operating_point")
-    op = _section(parser, "operating_point")
-    omega_e = i_d = i_q = i_0 = 0.0
-    v_d = v_q = None
-    if has_op:
-        raw = _take(op, "omega_e")
-        if raw is None:
-            raise ConfigError("operating_point.omega_e: required key is missing")
-        omega_e = _float(raw, "operating_point.omega_e")
-        i_d = _float(_take(op, "i_d", "0"),
-                     "operating_point.i_d")
-        i_q = _float(_take(op, "i_q", "0"),
-                     "operating_point.i_q")
-        i_0 = _float(_take(op, "i_0", "0"),
-                     "operating_point.i_0")
-        raw_vd = _take(op, "v_d")
-        raw_vq = _take(op, "v_q")
-        v_d = None if raw_vd is None else _float(raw_vd, "operating_point.v_d")
-        v_q = None if raw_vq is None else _float(raw_vq, "operating_point.v_q")
-        _reject_unknown(op, "operating_point")
-    note("operating_point.omega_e", repr(omega_e))
-    note("operating_point.i_d", repr(i_d))
-    note("operating_point.i_q", repr(i_q))
-    note("operating_point.i_0", repr(i_0))
-    if v_d is not None:
-        note("operating_point.v_d", repr(v_d))
-    if v_q is not None:
-        note("operating_point.v_q", repr(v_q))
-
-    # --- sim ----------------------------------------------------------
-    sim_section = _section(parser, "sim")
-    dt = _float(_take(sim_section, "dt", "1e-6"), "sim.dt")
-    duration = _float(_take(sim_section, "duration", "0.05"),
-                      "sim.duration")
-    mode = _take(sim_section, "mode", "current-fed").strip()
-    _reject_unknown(sim_section, "sim")
+    op, sim, outputs = (read["operating_point"], read["sim"],
+                        read["outputs"])
     try:
-        sim = SimConfig(dt=dt, duration=duration, mode=mode)
+        sim_config = SimConfig(dt=sim["dt"], duration=sim["duration"])
     except ConfigError as exc:
         raise ConfigError(f"sim: {exc}") from None
-    if sim.mode == "voltage-fed" and (v_d is None or v_q is None):
+    if sim["mode"] == "voltage-fed" and (op["v_d"] is None
+                                         or op["v_q"] is None):
         raise ConfigError(
             "operating_point.v_d and operating_point.v_q are required "
             "for voltage-fed mode"
         )
-    note("sim.dt", repr(sim.dt))
-    note("sim.duration", repr(sim.duration))
-    note("sim.mode", sim.mode)
+    channels = _channel_list(outputs["channels"])
 
-    # --- outputs -------------------------------------------------------
-    outputs = _section(parser, "outputs")
-    csv_name = _take(outputs, "csv", "timeseries.csv").strip()
-    summary_name = _take(outputs, "summary", "summary.txt").strip()
-    raw_channels = _take(outputs, "channels", "all").strip()
-    stride = _int(_take(outputs, "stride", "1"), "outputs.stride")
-    _reject_unknown(outputs, "outputs")
-    if stride < 1:
-        raise ConfigError("outputs.stride: must be at least 1")
-    if raw_channels == "all":
-        channels = None
-    else:
-        channels = tuple(p.strip() for p in raw_channels.split(","))
-        for idx, name in enumerate(channels):
-            if name not in KNOWN_CHANNELS:
-                raise ConfigError(f"outputs.channels: unknown channel {name!r}")
-            if name in channels[:idx]:
-                raise ConfigError(
-                    f"outputs.channels: channel {name!r} is listed twice")
-    note("outputs.csv", csv_name)
-    note("outputs.summary", summary_name)
-    note("outputs.channels", raw_channels)
-    note("outputs.stride", stride)
-
-    # --- identify -------------------------------------------------------
-    identify = _section(parser, "identify")
-    identify_source = _take(identify, "source_csv")
-    if identify_source is not None:
-        identify_source = identify_source.strip()
-        note("identify.source_csv", identify_source)
-    _reject_unknown(identify, "identify")
+    resolved = [(f"machine.{key}", repr(value)) for key, value in phase.items()]
+    resolved += [("machine.pole_pairs", str(machine["pole_pairs"])),
+                 ("imbalance.family", family)]
+    resolved += [(f"imbalance.{key}", ", ".join(repr(v) for v in triple))
+                 for key, triple in deviations.items()]
+    resolved += [(f"{section}.{key}", str(value))
+                 for section, keys in read.items()
+                 if section not in ("machine", "imbalance")
+                 for key, value in keys.items() if value is not None]
 
     return Scenario(
         machine=params,
         family=family,
-        omega_e=omega_e,
-        i_d=i_d,
-        i_q=i_q,
-        i_0=i_0,
-        v_d=v_d,
-        v_q=v_q,
-        sim=sim,
-        csv_name=csv_name,
-        summary_name=summary_name,
+        **op,
+        sim=sim_config,
+        mode=sim["mode"],
+        csv_name=outputs["csv"],
+        summary_name=outputs["summary"],
         channels=channels,
-        stride=stride,
-        identify_source=identify_source,
+        stride=outputs["stride"],
+        identify_source=read["identify"]["source_csv"],
         sections=tuple(parser.sections()),
         resolved=tuple(resolved),
     )

@@ -221,7 +221,7 @@ def test_criterion_4_voltage_fed_simulation():
     start = time.perf_counter()
     omega = 200.0
     i_cmd = (-2.0, 10.0)
-    cfg = SimConfig(dt=1e-6, duration=0.2, mode="voltage-fed")
+    cfg = SimConfig(dt=1e-6, duration=0.2)
 
     balanced = machine()
     v_cmd = balanced_voltage_command(balanced, omega, *i_cmd)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from pmimb import ConfigError, InputError, TimeSeries
-from pmimb.cli import _BLOCK_ROWS, main, read_csv, write_csv
+from pmimb import ConfigError, InputError, TimeSeries, parse_scenario
+from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
+                       write_csv)
 
 MACHINE = """\
 [machine]
@@ -411,6 +412,30 @@ class TestIdentifyJob:
         assert rc == 2
         assert "i_0" in capsys.readouterr().err
 
+    def test_voltage_fed_without_source_is_config_error(self, tmp_path,
+                                                        capsys):
+        text = MACHINE + """\
+[operating_point]
+omega_e = 300
+v_d = 0.5
+v_q = 11.0
+
+[sim]
+mode = voltage-fed
+dt = 1e-5
+duration = 0.03
+
+[imbalance]
+family = resistance
+d_r = 0.01, 0, 0
+"""
+        rc = main(["identify", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err_lines == ["error: identify without source_csv requires "
+                             "sim.mode = current-fed"]
+
     def test_missing_source_file_is_input_error(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + \
             "[imbalance]\nfamily = resistance\nd_r = 0.01, 0, 0\n" + \
@@ -543,6 +568,12 @@ class TestExitCodes:
         assert "machine.l_a" in captured.err
         assert "\n" not in captured.err.strip()
 
+    def test_unknown_job_rejected(self, tmp_path):
+        scenario = parse_scenario(write_scenario(tmp_path, MACHINE))
+        with pytest.raises(ConfigError, match="unknown job 'fit'"):
+            run_scenario(scenario, "fit", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main(["coeffs", "--scenario", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "out")])
@@ -660,11 +691,13 @@ class TestCorruptedIdentifySource:
             assert err_lines == []
 
 
-COMBINED_SCENARIO = (Path(__file__).resolve().parent.parent / "scenarios"
-                     / "combined_compare.ini").read_text()
+SCENARIOS = {path.name: path.read_text() for path in sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.ini"))}
 
-# Replacement values for one scenario entry. With the file's dt = 1e-5 s
-# the largest run they allow is duration = 1: 100k samples.
+# Replacement values for one scenario entry. Every file that sets a
+# current-fed duration has dt = 1e-5 s, so the largest run they allow is
+# duration = 1: 100k samples. compare refuses voltage_fed_sim.ini's
+# voltage-fed mode before it simulates.
 SCENARIO_TOKENS = ("", "x", "nan", "inf", "-1", "0", "1", "1e", "5%")
 
 
@@ -694,20 +727,26 @@ def scenario_dir(tmp_path_factory):
 
 class TestCorruptedScenarioText:
     # Keyed lines of combined_compare.ini: 13 is sim.dt, 14 sim.duration,
-    # 5 imbalance.family, 6 imbalance.d_r.
-    @given(kind=st.sampled_from(("token", "delete", "repeat")),
+    # 5 imbalance.family, 6 imbalance.d_r. Of voltage_fed_sim.ini: keyed
+    # 8 is v_d and 10 sim.mode; lines 18 and 21 hold v_q and sim.mode.
+    @given(base=st.sampled_from(sorted(SCENARIOS)),
+           kind=st.sampled_from(("token", "delete", "repeat")),
            a=st.integers(0, 10**6), b=st.integers(0, 10**6),
            token=st.sampled_from(SCENARIO_TOKENS))
-    @example(kind="token", a=14, b=0, token="1")
-    @example(kind="token", a=13, b=0, token="1")
-    @example(kind="token", a=6, b=2, token="5%")
-    @example(kind="repeat", a=5, b=0, token="")
-    @example(kind="delete", a=3, b=0, token="")
-    def test_exit_0_2_or_3_with_one_error_line(self, scenario_dir, kind, a,
-                                               b, token):
+    @example(base="combined_compare.ini", kind="token", a=14, b=0, token="1")
+    @example(base="combined_compare.ini", kind="token", a=13, b=0, token="1")
+    @example(base="combined_compare.ini", kind="token", a=6, b=2, token="5%")
+    @example(base="combined_compare.ini", kind="repeat", a=5, b=0, token="")
+    @example(base="combined_compare.ini", kind="delete", a=3, b=0, token="")
+    @example(base="voltage_fed_sim.ini", kind="token", a=8, b=0, token="nan")
+    @example(base="voltage_fed_sim.ini", kind="token", a=10, b=0, token="x")
+    @example(base="voltage_fed_sim.ini", kind="delete", a=18, b=0, token="")
+    @example(base="voltage_fed_sim.ini", kind="delete", a=21, b=0, token="")
+    def test_exit_0_2_or_3_with_one_error_line(self, scenario_dir, base,
+                                               kind, a, b, token):
         scenario = scenario_dir / "scenario.ini"
         scenario.write_text(
-            mutate_scenario(COMBINED_SCENARIO, kind, a, b, token))
+            mutate_scenario(SCENARIOS[base], kind, a, b, token))
         for job in ("coeffs", "compare"):
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \

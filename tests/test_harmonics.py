@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmimb import (
+    HarmonicDecomposition,
     InputError,
     OperatingPoint,
+    SecondHarmonicPhasor,
     compare_waveforms,
     check_angle_coverage,
     demodulate,
@@ -101,6 +103,11 @@ class TestDemodulate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             demodulate(np.zeros(100), GRID)
+
+    def test_decomposition_rejects_negative_residual(self):
+        with pytest.raises(ValueError, match="residual_rms"):
+            HarmonicDecomposition(0.0, SecondHarmonicPhasor(0.0, 0.0),
+                                  residual_rms=-1.0)
 
     def test_tiny_second_harmonic_floors_phase(self):
         signal = 5.0 + 1e-15 * np.cos(2.0 * GRID + 1.0)

@@ -48,6 +48,12 @@ class TestResultValidation:
                                  SecondHarmonicPhasor(0.0, 0.0),
                                  (0.0, 0.0, 0.0), -1.0)
 
+    def test_rejects_non_finite_per_phase(self):
+        with pytest.raises(ValueError, match="per_phase must be finite"):
+            IdentificationResult("flux", 0.0,
+                                 SecondHarmonicPhasor(0.0, 0.0),
+                                 (0.0, np.nan, 0.0), 0.0)
+
 
 def resistance_residuals(d_r, i_d, i_q, theta=GRID):
     op = OperatingPoint(theta=theta, omega_e=0.0, i_d=i_d, i_q=i_q)
@@ -97,6 +103,13 @@ class TestFitResistance:
         with pytest.raises(IdentifiabilityError, match="zero current"):
             fit_resistance(np.zeros_like(GRID), np.zeros_like(GRID),
                            0.0, 0.0, GRID)
+
+    def test_subnormal_current_is_rank_deficient(self):
+        # Nonzero, so the zero-current guard passes; the columns it scales
+        # fall below lstsq's rank tolerance.
+        zeros = np.zeros_like(GRID)
+        with pytest.raises(IdentifiabilityError, match=r"rank 2 of 3"):
+            fit_resistance(zeros, zeros, 5e-324, 0.0, GRID)
 
     def test_insufficient_coverage_rejected(self):
         short = np.linspace(0.0, 2.0, 256)
@@ -150,6 +163,11 @@ class TestFitFlux:
     def test_zero_speed_is_unidentifiable(self):
         with pytest.raises(IdentifiabilityError, match="zero speed"):
             fit_flux(np.zeros_like(GRID), np.zeros_like(GRID), 0.0, GRID)
+
+    def test_subnormal_speed_is_rank_deficient(self):
+        zeros = np.zeros_like(GRID)
+        with pytest.raises(IdentifiabilityError, match=r"rank 2 of 3"):
+            fit_flux(zeros, zeros, 5e-324, GRID)
 
     def test_recovery_independent_of_speed_magnitude(self):
         d_lam = (0.002, 0.0005, 0.0)

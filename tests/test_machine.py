@@ -19,10 +19,20 @@ from pmimb.transforms import _phase_basis
 dev = st.floats(min_value=0.0, max_value=0.02, allow_nan=False)
 
 # (theta shape, current shape): scalar theta with (3, n) currents, (n,)
-# theta with constant (3,) currents, and 2-D theta with (3,) or full-shape
-# currents.
+# theta with constant (3,) currents, and 2-D theta with (3,), full-shape
+# or per-sample (3, n) currents.
 LAYOUTS = [((), (3, 16)), ((16,), (3,)), ((4, 16), (3,)),
-           ((4, 16), (3, 4, 16))]
+           ((4, 16), (3, 4, 16)), ((4, 16), (3, 16))]
+
+
+def rows(theta_shape):
+    """Row indices of a 2-D theta layout; none otherwise."""
+    return range(theta_shape[0]) if len(theta_shape) == 2 else ()
+
+
+def row_of(i, j):
+    """The currents that go with row j of a 2-D theta."""
+    return i[:, j] if i.ndim == 3 else i
 
 
 def make_machine(nominal, d_r=(0, 0, 0), d_l=(0, 0, 0), d_m=(0, 0, 0),
@@ -153,9 +163,7 @@ class TestFluxAndVoltage:
             one = phase_voltages(p, i, di, th, 300.0)
             assert np.allclose(v[:, j], one, atol=0, rtol=0)
 
-    # The inductance product takes (3,) or (3, n) derivatives only, so
-    # phase_voltages has no 2-D theta layout.
-    @pytest.mark.parametrize("theta_shape, current_shape", LAYOUTS[:2])
+    @pytest.mark.parametrize("theta_shape, current_shape", LAYOUTS)
     def test_basis_fed_matches_theta_fed_bitwise(self, nominal, rng,
                                                  theta_shape, current_shape):
         p = make_machine(nominal, d_r=(0.01, 0, 0.002), d_l=(1e-5, 0, 2e-5),
@@ -164,8 +172,13 @@ class TestFluxAndVoltage:
         i = rng.uniform(-10.0, 10.0, size=current_shape)
         di = rng.uniform(-1e4, 1e4, size=current_shape)
         want = phase_voltages(p, i, di, theta, 300.0)
+        assert want.shape == (3,) + np.broadcast_shapes(theta_shape,
+                                                        current_shape[1:])
         got = phase_voltages(p, i, di, _phase_basis(theta), 300.0)
         assert np.array_equal(got, want)
+        for j in rows(theta_shape):
+            assert np.array_equal(want[:, j], phase_voltages(
+                p, row_of(i, j), row_of(di, j), theta[j], 300.0))
 
 
 class TestIdealDq:
@@ -249,6 +262,9 @@ class TestTorque:
         assert np.shape(want) == np.broadcast_shapes(theta_shape,
                                                      current_shape[1:])
         assert np.array_equal(torque_abc(p, i, _phase_basis(theta)), want)
+        for j in rows(theta_shape):
+            assert np.array_equal(want[j],
+                                  torque_abc(p, row_of(i, j), theta[j]))
 
 
 class TestTimeConstants:

@@ -82,24 +82,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-3, duration=1e-4)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            SimConfig(mode="torque-fed")
-
     def test_resolution_guard(self, nominal):
         p = make_machine(nominal)
         cfg = SimConfig(dt=1e-4, duration=0.01)
         with pytest.raises(ConfigError, match="dt"):
             run_current_fed(p, (0.0, 1.0), omega_e=1000.0, cfg=cfg)
-
-    def test_mode_mismatch_raises(self, nominal):
-        p = make_machine(nominal)
-        with pytest.raises(ConfigError, match="mode"):
-            run_current_fed(p, (0.0, 1.0), 100.0,
-                            SimConfig(mode="voltage-fed"))
-        with pytest.raises(ConfigError, match="mode"):
-            run_voltage_fed(p, (0.0, 1.0), 100.0,
-                            SimConfig(mode="current-fed"))
 
     @pytest.mark.parametrize("name, drive", [
         ("i_dq_cmd", dict(i_dq_cmd=(np.nan, 1.0))),
@@ -128,7 +115,7 @@ class TestConfigValidation:
         args = dict(v_dq_cmd=(0.0, 1.0), omega_e=100.0) | drive
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             run_voltage_fed(make_machine(nominal),
-                            cfg=SimConfig(mode="voltage-fed"), **args)
+                            cfg=SimConfig(), **args)
 
 
 class TestTimeSeries:
@@ -140,6 +127,14 @@ class TestTimeSeries:
     def test_rejects_decreasing_time(self):
         with pytest.raises(ValueError, match="increasing"):
             TimeSeries(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+
+    def test_rejects_two_dimensional_time(self):
+        with pytest.raises(ValueError, match="t must be 1-D"):
+            TimeSeries(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_rejects_theta_of_another_shape(self):
+        with pytest.raises(ValueError, match="theta must match t"):
+            TimeSeries(np.linspace(0, 1, 5), np.zeros(4))
 
     def test_rejects_mismatched_channel(self):
         t = np.linspace(0, 1, 5)
@@ -154,7 +149,7 @@ class TestTimeSeries:
 
 
 class TestCurrentFed:
-    CFG = SimConfig(dt=1e-5, duration=0.01, mode="current-fed")
+    CFG = SimConfig(dt=1e-5, duration=0.01)
 
     def test_balanced_machine_matches_ideal_model(self, nominal):
         p = make_machine(nominal)
@@ -225,14 +220,14 @@ class TestCurrentFed:
 class TestVoltageFed:
     def test_rest_stays_at_rest(self, nominal):
         p = make_machine(nominal, d_lam=(0.0, 0.001, 0.0))
-        cfg = SimConfig(dt=1e-5, duration=0.005, mode="voltage-fed")
+        cfg = SimConfig(dt=1e-5, duration=0.005)
         ts = run_voltage_fed(p, (0.0, 0.0), 0.0, cfg)
         assert np.max(np.abs(ts.channel("i_a"))) == 0.0
         assert np.max(np.abs(ts.channel("i_q"))) == 0.0
 
     def test_dc_settles_to_resistive_current(self, nominal):
         p = make_machine(nominal)
-        cfg = SimConfig(dt=1e-6, duration=0.04, mode="voltage-fed")
+        cfg = SimConfig(dt=1e-6, duration=0.04)
         v_d = 0.5
         ts = run_voltage_fed(p, (v_d, 0.0), 0.0, cfg)
         want = v_d / nominal["r"]
@@ -244,7 +239,7 @@ class TestVoltageFed:
         omega = 400.0
         i_cmd = (-2.0, 10.0)
         v_cmd = balanced_voltage_command(p, omega, *i_cmd)
-        cfg = SimConfig(dt=1e-5, duration=0.06, mode="voltage-fed")
+        cfg = SimConfig(dt=1e-5, duration=0.06)
         ts = run_voltage_fed(p, v_cmd, omega, cfg)
         mask = ts.t >= transient_window(p, omega)
         assert mask.sum() > 1000
@@ -257,7 +252,7 @@ class TestVoltageFed:
     def test_zero_sequence_identically_zero(self, nominal):
         p = make_machine(nominal, d_r=(0.02, 0.0, 0.0),
                          d_l=(2e-5, 0.0, 0.0))
-        cfg = SimConfig(dt=2e-5, duration=0.03, mode="voltage-fed")
+        cfg = SimConfig(dt=2e-5, duration=0.03)
         ts = run_voltage_fed(p, (1.0, 5.0), 300.0, cfg)
         assert np.max(np.abs(ts.channel("i_0"))) < 1e-12
         phase_sum = (ts.channel("i_a") + ts.channel("i_b")
@@ -266,7 +261,7 @@ class TestVoltageFed:
 
     def test_star_point_channel(self, nominal):
         p = make_machine(nominal, d_lam=(0.002, 0.0, 0.0))
-        cfg = SimConfig(dt=2e-5, duration=0.02, mode="voltage-fed")
+        cfg = SimConfig(dt=2e-5, duration=0.02)
         ts = run_voltage_fed(p, (0.5, 2.0), 300.0, cfg)
         assert "v_n" in ts.names
         assert np.max(np.abs(ts.channel("v_0") + ts.channel("v_n"))) < 1e-12
@@ -275,13 +270,13 @@ class TestVoltageFed:
 
     def test_balanced_machine_keeps_star_point_quiet(self, nominal):
         p = make_machine(nominal)
-        cfg = SimConfig(dt=2e-5, duration=0.02, mode="voltage-fed")
+        cfg = SimConfig(dt=2e-5, duration=0.02)
         ts = run_voltage_fed(p, (0.5, 2.0), 300.0, cfg)
         assert np.max(np.abs(ts.channel("v_n"))) < 1e-12
 
     def test_bit_reproducible(self, nominal):
         p = make_machine(nominal, d_r=(0.005, 0.0, 0.0))
-        cfg = SimConfig(dt=2e-5, duration=0.01, mode="voltage-fed")
+        cfg = SimConfig(dt=2e-5, duration=0.01)
         a = run_voltage_fed(p, (0.4, 1.0), 400.0, cfg)
         b = run_voltage_fed(p, (0.4, 1.0), 400.0, cfg)
         for name in a.names:
@@ -321,7 +316,7 @@ class TestVoltageFed:
         v_cmd = balanced_voltage_command(p, omega, -2.0, 10.0)
         dt, steps = 1e-5, 2000
         ts = run_voltage_fed(p, v_cmd, omega, SimConfig(
-            dt=dt, duration=steps * dt, mode="voltage-fed"))
+            dt=dt, duration=steps * dt))
         r_abc, l_abc, m_pairs, lam_abc = phase_values(p)
         i_a, i_b, v_n = oracles.voltage_fed_rk4(
             r_abc, l_abc, m_pairs, lam_abc, v_cmd, omega, dt, steps)
@@ -360,8 +355,8 @@ class TestPeakMemory:
         p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
         run = run_current_fed if mode == "current-fed" else run_voltage_fed
         # Warm-up: first-call imports and caches are not the grid's.
-        run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3, mode=mode))
-        cfg = SimConfig(dt=1e-6, duration=(self.N - 1) * 1e-6, mode=mode)
+        run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3))
+        cfg = SimConfig(dt=1e-6, duration=(self.N - 1) * 1e-6)
         tracemalloc.start()
         try:
             ts = run(p, drive, 300.0, cfg)

@@ -1,6 +1,6 @@
 import pytest
 
-from pmimb import ConfigError, parse_scenario
+from pmimb import ConfigError, parse_scenario, scenario
 
 MACHINE = """\
 [machine]
@@ -35,7 +35,7 @@ class TestMachineSection:
         assert sc.v_d is None and sc.v_q is None
         assert sc.sim.dt == 1e-6
         assert sc.sim.duration == 0.05
-        assert sc.sim.mode == "current-fed"
+        assert sc.mode == "current-fed"
         assert sc.csv_name == "timeseries.csv"
         assert sc.summary_name == "summary.txt"
         assert sc.channels is None
@@ -204,6 +204,12 @@ i_q = 10
         with pytest.raises(ConfigError, match="sim"):
             parse_scenario(write(tmp_path, text))
 
+    def test_rejects_unknown_mode(self, tmp_path):
+        text = MACHINE + "[sim]\nmode = torque-fed\n"
+        with pytest.raises(ConfigError, match=r"^sim: mode must be one of "
+                           r"\('current-fed', 'voltage-fed'\)$"):
+            parse_scenario(write(tmp_path, text))
+
     def test_voltage_fed_requires_voltage_command(self, tmp_path):
         text = MACHINE + """\
 [operating_point]
@@ -227,7 +233,7 @@ mode = voltage-fed
 """
         sc = parse_scenario(write(tmp_path, text))
         assert sc.v_d == 0.5 and sc.v_q == 11.0
-        assert sc.sim.mode == "voltage-fed"
+        assert sc.mode == "voltage-fed"
 
 
 class TestOutputsAndIdentify:
@@ -295,3 +301,111 @@ class TestFileLevelErrors:
         text = MACHINE.replace("r = 0.1", "r = 0.1  # nominal winding")
         sc = parse_scenario(write(tmp_path, text))
         assert sc.machine.r_a == 0.1
+
+
+EVERY_KEY = """\
+[machine]
+pole_pairs = 3
+r = 0.1
+l = 2e-4
+m = 2e-5
+lam = 0.05
+r_a = 0.12
+r_b = 0.11
+r_c = 0.1
+l_a = 2.1e-4
+l_b = 2e-4
+l_c = 2.2e-4
+m_ab = 2e-5
+m_bc = 2.5e-5
+m_ca = 2e-5
+lam_a = 0.05
+lam_b = 0.051
+lam_c = 0.05
+
+[imbalance]
+family = combined
+d_r = 1%, 0, 0.002
+d_l = 0, 1e-5, 0
+d_m = 0, 0, 1e-6
+d_lam = 2%, 0, 0
+
+[operating_point]
+omega_e = 300
+i_d = -2
+i_q = 10
+i_0 = 0.5
+v_d = 0.5
+v_q = 11
+
+[sim]
+dt = 1e-5
+duration = 0.03
+mode = voltage-fed
+
+[outputs]
+csv = run.csv
+summary = run.txt
+channels = i_d, i_q,t_e
+stride = 4
+
+[identify]
+source_csv = measured.csv
+"""
+
+
+class TestResolvedEcho:
+    # The echo is the tail of every summary.txt, so its order is part of
+    # the artifact bytes.
+    def test_every_key_echoed_in_fixed_order(self, tmp_path):
+        sc = parse_scenario(write(tmp_path, EVERY_KEY))
+        assert sc.resolved == (
+            ("machine.r_a", "0.12"),
+            ("machine.r_b", "0.11"),
+            ("machine.r_c", "0.1"),
+            ("machine.l_a", "0.00021"),
+            ("machine.l_b", "0.0002"),
+            ("machine.l_c", "0.00022"),
+            ("machine.m_ab", "2e-05"),
+            ("machine.m_bc", "2.5e-05"),
+            ("machine.m_ca", "2e-05"),
+            ("machine.lam_a", "0.05"),
+            ("machine.lam_b", "0.051"),
+            ("machine.lam_c", "0.05"),
+            ("machine.pole_pairs", "3"),
+            ("imbalance.family", "combined"),
+            ("imbalance.d_r", "0.001, 0.0, 0.002"),
+            ("imbalance.d_l", "0.0, 1e-05, 0.0"),
+            ("imbalance.d_m", "0.0, 0.0, 1e-06"),
+            ("imbalance.d_lam", "0.001, 0.0, 0.0"),
+            ("operating_point.omega_e", "300.0"),
+            ("operating_point.i_d", "-2.0"),
+            ("operating_point.i_q", "10.0"),
+            ("operating_point.i_0", "0.5"),
+            ("operating_point.v_d", "0.5"),
+            ("operating_point.v_q", "11.0"),
+            ("sim.dt", "1e-05"),
+            ("sim.duration", "0.03"),
+            ("sim.mode", "voltage-fed"),
+            ("outputs.csv", "run.csv"),
+            ("outputs.summary", "run.txt"),
+            ("outputs.channels", "i_d, i_q,t_e"),
+            ("outputs.stride", "4"),
+            ("identify.source_csv", "measured.csv"),
+        )
+
+    def test_documented_keys_are_the_schema(self):
+        # The module docstring lists each section, then one row per key
+        # group: the keys before the first run of two spaces, comma
+        # separated. Continuation rows start further right.
+        documented = {}
+        for line in scenario.__doc__.splitlines():
+            if not line.startswith("    ") or line[4:5] in ("", " "):
+                continue
+            head = line[4:].split("  ")[0]
+            if head.startswith("["):
+                section = documented.setdefault(head.strip("[]"), [])
+            else:
+                section += [key.strip() for key in head.split(",")]
+        assert {name: sorted(keys) for name, keys in documented.items()} \
+            == {name: sorted(keys) for name, keys in scenario._SCHEMA.items()}

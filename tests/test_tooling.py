@@ -62,5 +62,5 @@ def test_simulation_builds_one_basis_and_calls_traced_names(
     run = (refsim.run_current_fed if mode == "current-fed"
            else refsim.run_voltage_fed)
     params = MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3)
-    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3, mode=mode))
+    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3))
     assert counts == {"_phase_basis": 1, **traced_calls}
