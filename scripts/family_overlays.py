@@ -53,7 +53,8 @@ def main(argv=None):
         params = MachineParameters.from_nominal(
             NOMINAL["r"], NOMINAL["l"], NOMINAL["m"], NOMINAL["lam"],
             POLE_PAIRS, **deviations)
-        ts = run_current_fed(params, I_CMD, OMEGA_E, CFG)
+        ts = run_current_fed(params, I_CMD, OMEGA_E, CFG,
+                             channels=("v_d", "v_q"))
         op = OperatingPoint(theta=ts.theta, omega_e=OMEGA_E, i_d=I_CMD[0],
                             i_q=I_CMD[1])
         v_d_model, v_q_model = closed_form_dq(params, op)

@@ -157,15 +157,23 @@ def _coefficient_entries(scenario: Scenario):
     return entries
 
 
-def _simulate(scenario: Scenario):
+# Channels whose late-half means the simulate summary reports.
+_SUMMARY_CHANNELS = ("i_d", "i_q", "t_e")
+# The only simulated channels compare and identify read.
+_VOLTAGES_DQ = ("v_d", "v_q")
+
+
+def _simulate(scenario: Scenario, channels):
+    """Run the scenario's simulation, computing only ``channels``."""
     if scenario.mode == "voltage-fed":
         return run_voltage_fed(scenario.machine,
                                (scenario.v_d, scenario.v_q),
-                               scenario.omega_e, scenario.sim)
+                               scenario.omega_e, scenario.sim,
+                               channels=channels)
     return run_current_fed(scenario.machine,
                            (scenario.i_d, scenario.i_q),
                            scenario.omega_e, scenario.sim,
-                           i_0=scenario.i_0)
+                           i_0=scenario.i_0, channels=channels)
 
 
 def _job_coeffs(scenario: Scenario, out_dir: Path):
@@ -176,7 +184,8 @@ def _job_coeffs(scenario: Scenario, out_dir: Path):
 
 
 def _job_simulate(scenario: Scenario, out_dir: Path):
-    ts = _simulate(scenario)
+    ts = _simulate(scenario, None if scenario.channels is None
+                   else {*scenario.channels, *_SUMMARY_CHANNELS})
     csv_path = out_dir / scenario.csv_name
     write_csv(ts, csv_path, scenario.channels, scenario.stride)
     entries = [
@@ -186,7 +195,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
         ("simulate.t_end", _fmt(ts.t[-1])),
         ("simulate.csv", csv_path.name),
     ]
-    for name in ("i_d", "i_q", "t_e"):
+    for name in _SUMMARY_CHANNELS:
         half = ts.channels[name][ts.t.size // 2:]
         entries.append((f"simulate.mean_{name}", _fmt(np.mean(half))))
     _write_summary(out_dir / scenario.summary_name,
@@ -200,7 +209,7 @@ def _job_compare(scenario: Scenario, out_dir: Path):
             "compare requires sim.mode = current-fed: the closed forms "
             "take prescribed currents"
         )
-    ts = _simulate(scenario)
+    ts = _simulate(scenario, _VOLTAGES_DQ)
     op = OperatingPoint(theta=ts.theta, omega_e=scenario.omega_e,
                         i_d=scenario.i_d, i_q=scenario.i_q, i_0=scenario.i_0)
     v_d_model, v_q_model = closed_form_dq(scenario.machine, op)
@@ -257,7 +266,7 @@ def _job_identify(scenario: Scenario, out_dir: Path):
             raise ConfigError(
                 "identify without source_csv requires sim.mode = current-fed"
             )
-        ts = _simulate(scenario)
+        ts = _simulate(scenario, _VOLTAGES_DQ)
         theta = ts.theta
         v_d_meas = ts.channels["v_d"]
         v_q_meas = ts.channels["v_q"]

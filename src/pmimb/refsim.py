@@ -110,23 +110,49 @@ def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
     return l_red, r_red, x_ss
 
 
-def _assemble(params, t, theta, basis, i_abc, v_abc, extra=None):
-    i_dq0 = park_forward(i_abc, basis)
-    v_dq0 = park_forward(v_abc, basis)
-    channels = {
-        "v_a": v_abc[0], "v_b": v_abc[1], "v_c": v_abc[2],
-        "i_a": i_abc[0], "i_b": i_abc[1], "i_c": i_abc[2],
-        "v_d": v_dq0[0], "v_q": v_dq0[1], "v_0": v_dq0[2],
-        "i_d": i_dq0[0], "i_q": i_dq0[1], "i_0": i_dq0[2],
-        "t_e": torque_abc(params, i_abc, basis),
-    }
-    if extra:
-        channels.update(extra)
-    return TimeSeries(t, theta, channels)
+_PHASE_V, _PHASE_I = ("v_a", "v_b", "v_c"), ("i_a", "i_b", "i_c")
+_DQ0_V, _DQ0_I = ("v_d", "v_q", "v_0"), ("i_d", "i_q", "i_0")
+# Channels of a current-fed run in TimeSeries order; voltage-fed adds v_n.
+CURRENT_FED_CHANNELS = _PHASE_V + _PHASE_I + _DQ0_V + _DQ0_I + ("t_e",)
+VOLTAGE_FED_CHANNELS = CURRENT_FED_CHANNELS + ("v_n",)
+
+
+def _select(channels, available):
+    """The names to build, in ``available`` order; all of them for None.
+
+    Refuses a name outside ``available`` before any sample array exists.
+    """
+    if channels is None:
+        return available
+    for name in channels:
+        if name not in available:
+            raise ConfigError(f"channel {name!r} is not in this time series "
+                              f"(available: {', '.join(available)})")
+    return tuple(name for name in available if name in channels)
+
+
+def _needs(names, *groups):
+    return any(name in names for group in groups for name in group)
+
+
+def _assemble(params, t, theta, basis, names, i_abc, v_abc, v_n=None):
+    # Each projection and the torque run only for the channels they feed.
+    channels = dict(zip(_PHASE_I, i_abc))
+    if v_abc is not None:
+        channels.update(zip(_PHASE_V, v_abc))
+    if _needs(names, _DQ0_I):
+        channels.update(zip(_DQ0_I, park_forward(i_abc, basis)))
+    if _needs(names, _DQ0_V):
+        channels.update(zip(_DQ0_V, park_forward(v_abc, basis)))
+    if "t_e" in names:
+        channels["t_e"] = torque_abc(params, i_abc, basis)
+    if v_n is not None:
+        channels["v_n"] = v_n
+    return TimeSeries(t, theta, {name: channels[name] for name in names})
 
 
 def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
-                    cfg: SimConfig, i_0=0.0) -> TimeSeries:
+                    cfg: SimConfig, i_0=0.0, channels=None) -> TimeSeries:
     """Evaluate the machine exactly under prescribed rotor-frame currents.
 
     Parameters
@@ -142,30 +168,39 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     i_0 : float, optional
         Constant zero-sequence current; physical star connections keep
         this at zero, the knob exists to exercise zero-sequence coupling.
+    channels : collection of str, optional
+        Names to return, as ``write_csv`` takes them; None, the default,
+        gives all of ``CURRENT_FED_CHANNELS``. Only what they need is
+        computed, bit for bit as in the full run. A name outside that
+        tuple raises ``ConfigError`` before any sample array exists.
 
     Returns
     -------
     TimeSeries
-        Phase and rotor-frame voltages and currents plus torque. Exact:
-        currents are imposed, so no integration is involved.
+        Phase and rotor-frame voltages and currents plus torque, or the
+        selected ones, in ``CURRENT_FED_CHANNELS`` order. Exact: currents
+        are imposed, so no integration is involved.
 
     """
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
+    names = _select(channels, CURRENT_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
     basis = _phase_basis(theta)
     i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
-    # Constant rotor-frame currents rotate in the phase frame:
-    # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
-    di_abc = np.stack(park_inverse(
-        (omega_e * i_q, -omega_e * i_d, 0.0), basis))
-    v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
-    del di_abc  # grid-sized; freed before _assemble allocates
-    return _assemble(params, t, theta, basis, i_abc, v_abc)
+    v_abc = None
+    if _needs(names, _PHASE_V, _DQ0_V):
+        # Constant rotor-frame currents rotate in the phase frame:
+        # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
+        di_abc = np.stack(park_inverse(
+            (omega_e * i_q, -omega_e * i_d, 0.0), basis))
+        v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
+        del di_abc  # grid-sized; freed before _assemble allocates
+    return _assemble(params, t, theta, basis, names, i_abc, v_abc)
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
-                    cfg: SimConfig) -> TimeSeries:
+                    cfg: SimConfig, channels=None) -> TimeSeries:
     """Solve the voltage-fed machine with an isolated star point.
 
     Parameters
@@ -180,13 +215,18 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         Electrical speed (rad/s), constant.
     cfg : SimConfig
         Sampling grid.
+    channels : collection of str, optional
+        As for ``run_current_fed``, over ``VOLTAGE_FED_CHANNELS``. Without
+        a voltage channel or "v_n" the winding voltages are not
+        reconstructed.
 
     Returns
     -------
     TimeSeries
         All standard channels plus "v_n", the star-point displacement
-        voltage. Voltage channels are winding voltages (terminal minus
-        star point), so v_0 = -v_n. Initial currents are zero.
+        voltage, or the selected ones, in ``VOLTAGE_FED_CHANNELS`` order.
+        Voltage channels are winding voltages (terminal minus star
+        point), so v_0 = -v_n. Initial currents are zero.
 
     Notes
     -----
@@ -212,6 +252,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     """
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
+    names = _select(channels, VOLTAGE_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
     basis = _phase_basis(theta)
 
@@ -230,6 +271,8 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     # Each grid-sized temporary is freed once used, before the next
     # allocation, so the basis held through _assemble adds no peak memory.
     del i_ab
+    if not _needs(names, _PHASE_V, _DQ0_V, ("v_n",)):
+        return _assemble(params, t, theta, basis, names, i_abc, None)
 
     # Reconstruct applied voltages, derivatives and the star-point shift.
     applied = np.stack(park_inverse((v_d, v_q, 0.0), basis))
@@ -243,8 +286,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     del rhs, di_abc
     winding = applied - v_n
     del applied
-    return _assemble(params, t, theta, basis, i_abc, winding,
-                     extra={"v_n": v_n})
+    return _assemble(params, t, theta, basis, names, i_abc, winding, v_n)
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

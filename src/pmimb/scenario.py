@@ -16,7 +16,7 @@ with their section in diagnostics (``machine.l_a``). Schema:
     d_r, d_lam           triples "x, y, z"; entries may end in % of the
     d_l, d_m             nominal value of their family
 
-    [operating_point]    required for simulate/compare/identify
+    [operating_point]    optional; absent means standstill at zero current
     omega_e              electrical speed (rad/s)
     i_d, i_q, i_0        commanded currents (A), default 0
     v_d, v_q             commanded voltages (V), voltage-fed mode only
@@ -48,7 +48,7 @@ from itertools import chain
 
 from .errors import ConfigError
 from .machine import MachineParameters
-from .refsim import SimConfig
+from .refsim import VOLTAGE_FED_CHANNELS, SimConfig
 
 # Deviation keys each family may declare.
 _FAMILY_KEYS = {
@@ -68,9 +68,6 @@ _PHASE_KEYS = {
     "m": ("m_ab", "m_bc", "m_ca"),
     "lam": ("lam_a", "lam_b", "lam_c"),
 }
-
-KNOWN_CHANNELS = ("v_a", "v_b", "v_c", "i_a", "i_b", "i_c",
-                  "v_d", "v_q", "v_0", "i_d", "i_q", "i_0", "t_e", "v_n")
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def _channel_list(text):
         return None
     channels = tuple(p.strip() for p in text.split(","))
     for idx, name in enumerate(channels):
-        if name not in KNOWN_CHANNELS:
+        if name not in VOLTAGE_FED_CHANNELS:
             raise ConfigError(f"outputs.channels: unknown channel {name!r}")
         if name in channels[:idx]:
             raise ConfigError(
@@ -229,10 +226,13 @@ def _channel_list(text):
 
 def parse_scenario(path) -> Scenario:
     """Read, validate and default-resolve a scenario file."""
+    # No section header can name the empty string, so a [DEFAULT] header
+    # reads as an ordinary section and is refused as unknown below.
     parser = configparser.ConfigParser(
         interpolation=None,
         inline_comment_prefixes=("#", ";"),
         delimiters=("=",),
+        default_section="",
     )
     parser.optionxform = str
     try:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from pmimb import ConfigError, InputError, TimeSeries, parse_scenario
+from pmimb import ConfigError, InputError, TimeSeries, cli, parse_scenario
 from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
                        write_csv)
 
@@ -245,6 +245,20 @@ class TestSimulateJob:
         assert rc == 2
         assert len(err_lines) == 1
         assert "'v_d' is listed twice" in err_lines[0]
+        assert not (out / "timeseries.csv").exists()
+
+    def test_unavailable_channel_exits_2(self, tmp_path, capsys):
+        # v_n exists only in voltage-fed runs; the message lists what a
+        # current-fed run can give, whatever the scenario selected.
+        text = MACHINE + OP_SIM + "[outputs]\nchannels = i_d, v_n\n"
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: channel 'v_n' is not in this time series (available: "
+            "v_a, v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, "
+            "t_e)\n")
         assert not (out / "timeseries.csv").exists()
 
     def test_voltage_fed_summary(self, tmp_path):
@@ -580,6 +594,17 @@ class TestExitCodes:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("default", ["[DEFAULT]\nbogus = 1\n",
+                                         "[DEFAULT]\n"],
+                             ids=["with-key", "empty"])
+    def test_default_section_exits_2(self, tmp_path, capsys, default):
+        # configparser would spread [DEFAULT] keys into every section.
+        rc = main(["coeffs", "--scenario",
+                   write_scenario(tmp_path, default + MACHINE),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown section [DEFAULT]\n"
+
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text(MACHINE)
@@ -590,6 +615,43 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
         assert (tmp_path / "out" / "summary.txt").exists()
+
+
+SCENARIOS = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.ini"))
+
+
+def run_every_job(scenario, workdir, monkeypatch, capsys):
+    """Exit code, stdout, stderr and artifact bytes of each job in turn.
+
+    The jobs share one output directory, as a user running them in a
+    row would; artifacts are read after each job, before the next
+    overwrites them.
+    """
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    seen = {}
+    for job in ("coeffs", "simulate", "compare", "identify"):
+        rc = main([job, "--scenario", str(scenario), "--out", "out"])
+        captured = capsys.readouterr()
+        seen[job] = (rc, captured.out, captured.err, {
+            path.name: path.read_bytes()
+            for path in sorted(Path("out").glob("*"))})
+    return seen
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+def test_channel_selection_leaves_every_artifact_unchanged(
+        tmp_path, monkeypatch, capsys, scenario):
+    # Jobs simulate only the channels they read; forcing every channel
+    # must give the same bytes, messages and exit codes.
+    shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
+                            capsys)
+    simulate = cli._simulate
+    monkeypatch.setattr(cli, "_simulate",
+                        lambda scenario, channels: simulate(scenario, None))
+    assert run_every_job(scenario, tmp_path / "full", monkeypatch,
+                         capsys) == shipped
 
 
 CORRUPT_CELLS = ("", "x", "nan", "inf", "1e", "--1")

@@ -27,6 +27,7 @@ from pmimb import (
     steady_state_currents,
     transient_window,
 )
+from pmimb.refsim import CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -340,6 +341,66 @@ class TestVoltageFed:
         assert np.max(np.abs(ts.channel("v_n") - v_n)) < tol_v
 
 
+# One selection per channel group, single names, every name in reverse
+# order, and the sets the CLI jobs ask for.
+SELECTIONS = {
+    "i_a": ("i_a",),
+    "v_b": ("v_b",),
+    "i_q": ("i_q",),
+    "v_0": ("v_0",),
+    "t_e": ("t_e",),
+    "v_n": ("v_n",),
+    "phase-v": ("v_a", "v_b", "v_c"),
+    "phase-i": ("i_a", "i_b", "i_c"),
+    "dq0-v": ("v_d", "v_q", "v_0"),
+    "dq0-i": ("i_d", "i_q", "i_0"),
+    "ripple-study": ("i_a", "i_b", "i_0", "i_d", "i_q", "t_e"),
+    "compare": ("v_d", "v_q"),
+    "all-reversed": tuple(reversed(VOLTAGE_FED_CHANNELS)),
+}
+SELECTION_CASES = [
+    pytest.param(mode, channels, id=f"{mode}-{name}")
+    for mode in ("current-fed", "voltage-fed")
+    for name, channels in SELECTIONS.items()
+    if mode == "voltage-fed" or "v_n" not in channels
+]
+
+
+def simulate(nominal, mode, channels):
+    p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
+    cfg = SimConfig(dt=1e-5, duration=3e-3)
+    if mode == "current-fed":
+        return run_current_fed(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
+                               channels=channels)
+    return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg, channels=channels)
+
+
+class TestChannelSelection:
+    @pytest.mark.parametrize("mode, channels", SELECTION_CASES)
+    def test_each_channel_equals_the_full_run(self, nominal, mode, channels):
+        full = simulate(nominal, mode, None)
+        selected = simulate(nominal, mode, channels)
+        assert selected.names == [n for n in full.names if n in channels]
+        assert np.array_equal(selected.t, full.t)
+        assert np.array_equal(selected.theta, full.theta)
+        for name in selected.names:
+            assert np.array_equal(selected.channel(name), full.channel(name))
+
+    @pytest.mark.parametrize("mode, channels, available", [
+        ("current-fed", ("i_d", "v_n"), CURRENT_FED_CHANNELS),
+        ("voltage-fed", ("v_n", "t_m"), VOLTAGE_FED_CHANNELS),
+    ])
+    def test_unavailable_channel_refused_before_the_grid(
+            self, nominal, monkeypatch, mode, channels, available):
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        with pytest.raises(ConfigError) as excinfo:
+            simulate(nominal, mode, channels)
+        bad = channels[-1]
+        assert str(excinfo.value) == (
+            f"channel {bad!r} is not in this time series "
+            f"(available: {', '.join(available)})")
+
+
 class TestPeakMemory:
     # Peak bytes traced during one run on a 200 001-sample grid, in grid
     # columns of 8 bytes per sample; the columns the result holds (15 for
@@ -352,19 +413,30 @@ class TestPeakMemory:
         ("current-fed", (-1.0, 8.0), 26),
     ])
     def test_peak_in_grid_columns(self, nominal, mode, drive, columns):
+        assert self.peak_columns(nominal, mode, drive) <= columns
+
+    def test_current_only_selection_skips_the_voltages(self, nominal):
+        # The ripple-study channels need no winding voltages: 18 columns
+        # measured, against 26 for the full voltage-fed run.
+        channels = ("i_a", "i_b", "i_0", "i_d", "i_q", "t_e")
+        assert self.peak_columns(nominal, "voltage-fed", (1.0, 20.0),
+                                 channels) <= 20
+
+    def peak_columns(self, nominal, mode, drive, channels=None):
         p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
         run = run_current_fed if mode == "current-fed" else run_voltage_fed
         # Warm-up: first-call imports and caches are not the grid's.
-        run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3))
+        run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3),
+            channels=channels)
         cfg = SimConfig(dt=1e-6, duration=(self.N - 1) * 1e-6)
         tracemalloc.start()
         try:
-            ts = run(p, drive, 300.0, cfg)
+            ts = run(p, drive, 300.0, cfg, channels=channels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ts.t.size == self.N
-        assert peak / (8 * self.N) <= columns
+        return peak / (8 * self.N)
 
 
 class TestRipplePrediction:

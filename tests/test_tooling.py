@@ -44,14 +44,7 @@ def count_calls(monkeypatch, module, attr, counts):
     monkeypatch.setattr(module, attr, counted)
 
 
-@pytest.mark.parametrize("mode, drive, traced_calls", [
-    ("current-fed", (-1.0, 8.0), {"park_inverse": 2, "park_forward": 2,
-                                  "phase_voltages": 1, "torque_abc": 1}),
-    ("voltage-fed", (1.0, 20.0), {"park_inverse": 1, "park_forward": 2,
-                                  "torque_abc": 1}),
-])
-def test_simulation_builds_one_basis_and_calls_traced_names(
-        monkeypatch, mode, drive, traced_calls):
+def traced_counts(monkeypatch, mode, drive, channels=None):
     # A basis built inside a transform, from theta, counts as well.
     counts = {}
     for module in (refsim, transforms):
@@ -62,5 +55,31 @@ def test_simulation_builds_one_basis_and_calls_traced_names(
     run = (refsim.run_current_fed if mode == "current-fed"
            else refsim.run_voltage_fed)
     params = MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3)
-    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3))
-    assert counts == {"_phase_basis": 1, **traced_calls}
+    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3),
+        channels=channels)
+    return counts
+
+
+@pytest.mark.parametrize("mode, drive, traced_calls", [
+    ("current-fed", (-1.0, 8.0), {"park_inverse": 2, "park_forward": 2,
+                                  "phase_voltages": 1, "torque_abc": 1}),
+    ("voltage-fed", (1.0, 20.0), {"park_inverse": 1, "park_forward": 2,
+                                  "torque_abc": 1}),
+])
+def test_simulation_builds_one_basis_and_calls_traced_names(
+        monkeypatch, mode, drive, traced_calls):
+    assert traced_counts(monkeypatch, mode, drive) \
+        == {"_phase_basis": 1, **traced_calls}
+
+
+# A name absent from traced_calls is not called at all.
+@pytest.mark.parametrize("mode, drive, channels, traced_calls", [
+    ("voltage-fed", (1.0, 20.0), {"i_d", "i_q", "t_e"},
+     {"park_forward": 1, "torque_abc": 1}),
+    ("current-fed", (-1.0, 8.0), {"v_d", "v_q"},
+     {"park_inverse": 2, "park_forward": 1, "phase_voltages": 1}),
+], ids=["voltage-fed-summary", "current-fed-compare"])
+def test_selection_calls_only_the_traced_names_it_needs(
+        monkeypatch, mode, drive, channels, traced_calls):
+    assert traced_counts(monkeypatch, mode, drive, channels) \
+        == {"_phase_basis": 1, **traced_calls}
