@@ -193,6 +193,34 @@ class TestCoeffsJob:
         assert float(summary["flux.k"]) == 0.0
         assert float(summary["inductance.k_l"]) == 0.0
 
+    def test_summary_keys_in_order(self, tmp_path):
+        main(["coeffs", "--scenario", write_scenario(tmp_path, MACHINE),
+              "--out", str(tmp_path / "out")])
+        assert list(read_summary(tmp_path / "out" / "summary.txt")) == [
+            "job",
+            "nominal.r", "nominal.l", "nominal.m", "nominal.lam",
+            "deviation.d_r", "deviation.d_l", "deviation.d_m",
+            "deviation.d_lam",
+            "resistance.s", "resistance.k", "resistance.phi",
+            "flux.s", "flux.k", "flux.phi",
+            "inductance.s", "inductance.k_l", "inductance.phi_l",
+            "inductance.k_m", "inductance.phi_m",
+            "config.machine.r_a", "config.machine.r_b", "config.machine.r_c",
+            "config.machine.l_a", "config.machine.l_b", "config.machine.l_c",
+            "config.machine.m_ab", "config.machine.m_bc",
+            "config.machine.m_ca",
+            "config.machine.lam_a", "config.machine.lam_b",
+            "config.machine.lam_c",
+            "config.machine.pole_pairs", "config.imbalance.family",
+            "config.imbalance.d_r", "config.imbalance.d_l",
+            "config.imbalance.d_m", "config.imbalance.d_lam",
+            "config.operating_point.omega_e", "config.operating_point.i_d",
+            "config.operating_point.i_q", "config.operating_point.i_0",
+            "config.sim.dt", "config.sim.duration", "config.sim.mode",
+            "config.outputs.csv", "config.outputs.summary",
+            "config.outputs.channels", "config.outputs.stride",
+        ]
+
     def test_config_echo_present(self, tmp_path):
         text = MACHINE
         main(["coeffs", "--scenario", write_scenario(tmp_path, text),
@@ -416,7 +444,8 @@ class TestIdentifyJob:
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 2
-        assert "resistance and flux" in captured.err
+        assert captured.err == ("error: identify supports families "
+                                "resistance and flux, not 'inductance'\n")
 
     def test_nonzero_zero_sequence_rejected(self, tmp_path, capsys):
         text = MACHINE + OP_SIM.replace("i_q = 10", "i_q = 10\ni_0 = 1") + \
