@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import ConfigError, IdentifiabilityError, InputError
 from .harmonics import compare_waveforms
-from .identify import fit_flux, fit_resistance
+from .identify import _INVERTIBLE, fit_flux, fit_resistance
 # The delta functions and compose_total stay bound here, though only
 # closed_form_dq calls them: perfbench/tracing.py looks them up by name.
-from .imbalance import (closed_form_dq, compose_total, flux_coeffs,
-                        flux_delta, inductance_coeffs, inductance_delta,
-                        resistance_coeffs, resistance_delta)
-from .machine import OperatingPoint, decompose, ideal_dq_nonsalient
+from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
+                        compose_total, flux_delta, inductance_delta,
+                        resistance_delta)
+from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
+                      ideal_dq_nonsalient)
 from .refsim import TimeSeries, run_current_fed, run_voltage_fed
 from .scenario import Scenario, parse_scenario
 
@@ -127,33 +128,17 @@ def _fmt(value):
 
 
 def _coefficient_entries(scenario: Scenario):
-    dec = decompose(scenario.machine)
-    res = resistance_coeffs(dec.d_r)
-    flx = flux_coeffs(dec.d_lam)
-    ind_l, ind_m = inductance_coeffs(dec.d_l, dec.d_m)
-    entries = [
-        ("nominal.r", _fmt(dec.nominal_r)),
-        ("nominal.l", _fmt(dec.nominal_l)),
-        ("nominal.m", _fmt(dec.nominal_m)),
-        ("nominal.lam", _fmt(dec.nominal_lam)),
-    ]
-    for name, triple in (("d_r", dec.d_r), ("d_l", dec.d_l),
-                         ("d_m", dec.d_m), ("d_lam", dec.d_lam)):
-        entries.append((f"deviation.{name}",
-                        ", ".join(_fmt(v) for v in triple)))
-    entries += [
-        ("resistance.s", _fmt(sum(dec.d_r))),
-        ("resistance.k", _fmt(res.k)),
-        ("resistance.phi", _fmt(res.phi)),
-        ("flux.s", _fmt(sum(dec.d_lam))),
-        ("flux.k", _fmt(flx.k)),
-        ("flux.phi", _fmt(flx.phi)),
-        ("inductance.s", _fmt(sum(dec.d_l) + sum(dec.d_m))),
-        ("inductance.k_l", _fmt(ind_l.k)),
-        ("inductance.phi_l", _fmt(ind_l.phi)),
-        ("inductance.k_m", _fmt(ind_m.k)),
-        ("inductance.phi_m", _fmt(ind_m.phi)),
-    ]
+    dec = vars(decompose(scenario.machine))
+    entries = [(f"nominal.{key}", _fmt(dec[f"nominal_{key}"]))
+               for key in _PHASE_KEYS]
+    entries += [(f"deviation.d_{key}",
+                 ", ".join(_fmt(v) for v in dec[f"d_{key}"]))
+                for key in _PHASE_KEYS]
+    for family in _FAMILIES:
+        entries.append((f"{family}.s", _fmt(_terms(family, dec)[0])))
+        for suffix, phasor in _phasors(family, dec).items():
+            entries += [(f"{family}.k{suffix}", _fmt(phasor.k)),
+                        (f"{family}.phi{suffix}", _fmt(phasor.phi))]
     return entries
 
 
@@ -240,11 +225,10 @@ def _job_compare(scenario: Scenario, out_dir: Path):
 
 
 def _job_identify(scenario: Scenario, out_dir: Path):
-    if scenario.family not in ("resistance", "flux"):
-        raise ConfigError(
-            f"identify supports families resistance and flux, "
-            f"not {scenario.family!r}"
-        )
+    if scenario.family not in _INVERTIBLE:
+        raise ConfigError(f"identify supports families "
+                          f"{' and '.join(_INVERTIBLE)}, "
+                          f"not {scenario.family!r}")
     if scenario.i_0 != 0.0:
         raise ConfigError("identify assumes operating_point.i_0 = 0")
     if scenario.identify_source is not None:
@@ -257,9 +241,6 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                 raise InputError(
                     f"{source}: column {needed!r} is required for identify"
                 )
-        theta = data["theta"]
-        v_d_meas = data["v_d"]
-        v_q_meas = data["v_q"]
         source_label = str(source)
     else:
         if scenario.mode != "current-fed":
@@ -267,10 +248,9 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                 "identify without source_csv requires sim.mode = current-fed"
             )
         ts = _simulate(scenario, _VOLTAGES_DQ)
-        theta = ts.theta
-        v_d_meas = ts.channels["v_d"]
-        v_q_meas = ts.channels["v_q"]
+        data = {"theta": ts.theta, **ts.channels}
         source_label = "simulated"
+    theta, v_d_meas, v_q_meas = data["theta"], data["v_d"], data["v_q"]
 
     dec = decompose(scenario.machine)
     op = OperatingPoint(theta=theta, omega_e=scenario.omega_e,
@@ -281,12 +261,10 @@ def _job_identify(scenario: Scenario, out_dir: Path):
     dv_d = v_d_meas - ideal_d
     dv_q = v_q_meas - ideal_q
 
-    if scenario.family == "resistance":
-        result = fit_resistance(dv_d, dv_q, scenario.i_d, scenario.i_q, theta)
-        injected = dec.d_r
-    else:
-        result = fit_flux(dv_d, dv_q, scenario.omega_e, theta)
-        injected = dec.d_lam
+    result = (fit_resistance(dv_d, dv_q, scenario.i_d, scenario.i_q, theta)
+              if scenario.family == "resistance"
+              else fit_flux(dv_d, dv_q, scenario.omega_e, theta))
+    injected = vars(dec)[_FAMILIES[scenario.family][0][0]]
 
     recovered = np.array(result.per_phase)
     error = float(np.max(np.abs(recovered - np.array(injected))))
@@ -299,10 +277,10 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         ("identify.phi", _fmt(result.phasor.phi)),
         ("identify.fit_residual_rms", _fmt(result.fit_residual_rms)),
     ]
-    for phase, value in zip("abc", result.per_phase):
-        entries.append((f"identify.recovered_{phase}", _fmt(value)))
-    for phase, value in zip("abc", injected):
-        entries.append((f"identify.injected_{phase}", _fmt(value)))
+    for label, triple in (("recovered", result.per_phase),
+                          ("injected", injected)):
+        entries += [(f"identify.{label}_{phase}", _fmt(value))
+                    for phase, value in zip("abc", triple)]
     entries.append(("identify.max_abs_error", _fmt(error)))
     summary = out_dir / scenario.summary_name
     _write_summary(summary, entries + _config_echo(scenario))

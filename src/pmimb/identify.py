@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import IdentifiabilityError, InputError
 from .harmonics import check_angle_coverage
-from .imbalance import SecondHarmonicPhasor, _couple, _double_angle
+from .imbalance import (_FAMILIES, SecondHarmonicPhasor, _couple,
+                        _double_angle)
 
-_FAMILIES = ("resistance", "flux")
+# Families a fit can invert: a single triple, fixed by its sum and phasor.
+_INVERTIBLE = tuple(name for name, (fields, _) in _FAMILIES.items()
+                    if len(fields) == 1)
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,8 @@ class IdentificationResult:
     fit_residual_rms: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
+        if self.family not in _INVERTIBLE:
+            raise ValueError(f"family must be one of {_INVERTIBLE}")
         if not all(np.isfinite(v) for v in self.per_phase):
             raise ValueError("per_phase must be finite")
         if not (np.isfinite(self.fit_residual_rms)
@@ -71,7 +74,8 @@ def _stack_inputs(dv_d, dv_q, theta):
     return dv_d, dv_q, theta
 
 
-def _fit(family, dv_d, dv_q, theta, drive):
+def _fit(family, dv_d, dv_q, theta, op):
+    drive = _FAMILIES[family][1](**op)
     if not np.all(np.isfinite(drive)):
         raise InputError(f"{family} fit needs a finite operating point")
     # The residual model is linear in (s, k cos phi, k sin phi) =
@@ -129,7 +133,8 @@ def fit_resistance(dv_d, dv_q, i_d, i_q, theta) -> IdentificationResult:
         raise IdentifiabilityError(
             "resistance imbalance is invisible at zero current"
         )
-    return _fit("resistance", dv_d, dv_q, theta, (i_d, i_q, 0.0))
+    return _fit("resistance", dv_d, dv_q, theta,
+                {"i_d": i_d, "i_q": i_q, "i_0": 0.0})
 
 
 def fit_flux(dv_d, dv_q, omega_e, theta) -> IdentificationResult:
@@ -144,4 +149,4 @@ def fit_flux(dv_d, dv_q, omega_e, theta) -> IdentificationResult:
         raise IdentifiabilityError(
             "flux imbalance is invisible at zero speed"
         )
-    return _fit("flux", dv_d, dv_q, theta, (0.0, omega_e, 0.0))
+    return _fit("flux", dv_d, dv_q, theta, {"omega_e": omega_e})

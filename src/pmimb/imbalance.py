@@ -1,19 +1,14 @@
 """Closed-form rotor-frame voltage signatures of per-phase imbalance.
 
-A deviation triple (one value per phase, or per phase pair for mutual
-inductances) maps to a DC shift plus a second-harmonic (2theta) component
-in the dq frame. Each family contributes additively on top of the balanced
-model:
-
-    v_d = v_d_ideal + dv_d(resistance) + dv_d(flux) + dv_d(inductance)
-
-and likewise for the q axis. Every family's deviation matrix Delta, seen
-in the rotor frame as T(theta) Delta T(theta)^-1, is a DC term plus a
-2theta phasor (k, phi) obtained from the deviation triple alone, plus a
-1theta coupling to zero-sequence quantities. ``_couple`` states that fact
-once; each family applies it to its own drive vector, and
-``closed_form_dq`` composes the balanced model with the three families,
-taking cos and sin of 2theta once for all three (``_double_angle``).
+The paper's one fact: every family's deviation matrix Delta, seen in the
+rotor frame as T(theta) Delta T(theta)^-1, is a DC term plus a 2theta
+phasor (k, phi) of its deviation triple, plus a 1theta coupling to
+zero-sequence quantities. ``_couple`` states it once. ``_FAMILIES`` lists
+each family's deviation triples and the drive vector Delta multiplies;
+``_terms`` and ``_phasors`` read it for the deltas, the closed form, the
+ripple prediction, the fits and the reported coefficients.
+``closed_form_dq`` adds every family to the balanced model, taking cos
+and sin of 2theta once for all of them (``_double_angle``).
 
 Conventions. For a triple (d_a, d_b, d_c),
 
@@ -63,16 +58,6 @@ def _spread(triple):
     return complex(d_a - 0.5 * (d_b + d_c), 0.5 * math.sqrt(3.0) * (d_b - d_c))
 
 
-def _spread_phasor(triple):
-    """(k, phi) of a deviation triple; phi = 0 when the spread vanishes."""
-    c = _spread(triple)
-    k = math.hypot(c.real, c.imag) / 3.0
-    scale = max(abs(float(v)) for v in triple)
-    if k <= _DEGENERATE_REL * scale:
-        return k, 0.0
-    return k, math.atan2(c.imag, c.real)
-
-
 def _double_angle(theta):
     """The angle with cos and sin of twice it, as ``_couple`` takes them."""
     return theta, np.cos(2.0 * theta), np.sin(2.0 * theta)
@@ -103,47 +88,71 @@ def _couple(angle, s, c_2theta, c_0, drive):
     return dv_d, dv_q
 
 
+# Each family: the ImbalanceDecomposition fields of its deviation triples,
+# the second one mutual, per pair (ab, bc, ca), and the drive (x_d, x_q,
+# x_0) its deviation matrix multiplies, from operating-point values by name.
+_FAMILIES = {
+    "resistance": (("d_r",), lambda i_d, i_q, i_0, **_: (i_d, i_q, i_0)),
+    "flux": (("d_lam",), lambda omega_e, **_: (0.0, omega_e, 0.0)),
+    "inductance": (("d_l", "d_m"), lambda omega_e, i_d, i_q, di_d, di_q,
+                   di_0, **_: (di_d + omega_e * i_q, di_q - omega_e * i_d,
+                               di_0)),
+}
+
+
+def _terms(family, deviations, op=None):
+    """``_couple``'s (s, c_2theta, c_0, drive) for one family; no drive
+    without ``op``. ``deviations`` and ``op`` map names to values, as
+    ``vars`` of an ``ImbalanceDecomposition`` and ``OperatingPoint`` do.
+    The spread C_m of a mutual triple's opposite pairs (bc, ca, ab) enters
+    as -2 C_m at 2theta and C_m at 1theta."""
+    (own, *mutual), drive = _FAMILIES[family]
+    s = float(sum(deviations[own]))
+    c_2theta = c_0 = _spread(deviations[own])
+    for d_m in (deviations[field] for field in mutual):
+        s += float(sum(d_m))
+        c_m = _spread((d_m[1], d_m[2], d_m[0]))
+        c_2theta, c_0 = c_2theta - 2.0 * c_m, c_0 + c_m
+    return s, c_2theta, c_0, None if op is None else drive(**op)
+
+
+def _phasors(family, deviations):
+    """Reported 2theta phasors by key suffix: "" for a one-triple family,
+    "_l" and "_m" for inductance, the mutual one over the opposite pairs
+    with k doubled, since each mutual couples two phases. phi = 0 where
+    the spread vanishes against the triple."""
+    own, *mutual = _FAMILIES[family][0]
+    phasors = {}
+    for field in (own, *mutual):
+        d = deviations[field]
+        triple = (d[1], d[2], d[0]) if field in mutual else d
+        c = _spread(triple)
+        k = math.hypot(c.real, c.imag) / 3.0
+        phi = (0.0 if k <= _DEGENERATE_REL * max(abs(float(v)) for v in d)
+               else math.atan2(c.imag, c.real))
+        phasors[field[1:] if mutual else ""] = SecondHarmonicPhasor(
+            2.0 * k if field in mutual else k, phi)
+    return phasors
+
+
 def resistance_coeffs(d_r) -> SecondHarmonicPhasor:
     """Second-harmonic phasor of a resistance deviation triple (Ohm)."""
-    return SecondHarmonicPhasor(*_spread_phasor(d_r))
+    return _phasors("resistance", {"d_r": d_r})[""]
 
 
 def flux_coeffs(d_lam) -> SecondHarmonicPhasor:
     """Second-harmonic phasor of a PM flux deviation triple (Wb)."""
-    return SecondHarmonicPhasor(*_spread_phasor(d_lam))
+    return _phasors("flux", {"d_lam": d_lam})[""]
 
 
 def inductance_coeffs(d_l, d_m):
     """Second-harmonic phasors of self and mutual inductance deviations.
 
     ``d_l`` is per phase (a, b, c); ``d_m`` is per pair (ab, bc, ca). The
-    mutual phasor uses the pair opposite each phase, so the triple is
-    rotated to (bc, ca, ab) before the common algebra, and its magnitude
-    carries a factor 2 because each mutual couples two phases.
+    mutual phasor is that of the pair opposite each phase, (bc, ca, ab),
+    with its magnitude doubled because each mutual couples two phases.
     """
-    k_l, phi_l = _spread_phasor(d_l)
-    k_m, phi_m = _spread_phasor((d_m[1], d_m[2], d_m[0]))
-    return (SecondHarmonicPhasor(k_l, phi_l),
-            SecondHarmonicPhasor(2.0 * k_m, phi_m))
-
-
-def _resistance_terms(d_r, op: OperatingPoint):
-    c = _spread(d_r)
-    return float(sum(d_r)), c, c, (op.i_d, op.i_q, op.i_0)
-
-
-def _flux_terms(d_lam, omega_e):
-    c = _spread(d_lam)
-    return float(sum(d_lam)), c, c, (0.0, omega_e, 0.0)
-
-
-def _inductance_terms(d_l, d_m, op: OperatingPoint):
-    c_l = _spread(d_l)
-    c_m = _spread((d_m[1], d_m[2], d_m[0]))
-    drive = (op.di_d + op.omega_e * op.i_q, op.di_q - op.omega_e * op.i_d,
-             op.di_0)
-    return (float(sum(d_l)) + float(sum(d_m)), c_l - 2.0 * c_m, c_l + c_m,
-            drive)
+    return tuple(_phasors("inductance", {"d_l": d_l, "d_m": d_m}).values())
 
 
 def resistance_delta(d_r, op: OperatingPoint):
@@ -153,7 +162,8 @@ def resistance_delta(d_r, op: OperatingPoint):
     (sum/3) on each axis, 2theta terms through the phasor, and a 1theta
     coupling to the zero-sequence current.
     """
-    return _couple(_double_angle(op.theta), *_resistance_terms(d_r, op))
+    return _couple(_double_angle(op.theta),
+                   *_terms("resistance", {"d_r": d_r}, vars(op)))
 
 
 def flux_delta(d_lam, omega_e, theta):
@@ -166,7 +176,8 @@ def flux_delta(d_lam, omega_e, theta):
     for name, value in (("omega_e", omega_e), ("theta", theta)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    return _couple(_double_angle(theta), *_flux_terms(d_lam, omega_e))
+    return _couple(_double_angle(theta),
+                   *_terms("flux", {"d_lam": d_lam}, {"omega_e": omega_e}))
 
 
 def inductance_delta(d_l, d_m, op: OperatingPoint):
@@ -180,7 +191,7 @@ def inductance_delta(d_l, d_m, op: OperatingPoint):
     spread of the pair triple rotated to (bc, ca, ab).
     """
     return _couple(_double_angle(op.theta),
-                   *_inductance_terms(d_l, d_m, op))
+                   *_terms("inductance", {"d_l": d_l, "d_m": d_m}, vars(op)))
 
 
 def compose_total(ideal, d_res, d_flux, d_ind):
@@ -203,7 +214,5 @@ def closed_form_dq(params: MachineParameters, op: OperatingPoint):
                                 dec.nominal_lam, params.pole_pairs, op)
     angle = _double_angle(op.theta)
     return compose_total(ideal, *(
-        _couple(angle, *terms) for terms in (
-            _resistance_terms(dec.d_r, op),
-            _flux_terms(dec.d_lam, op.omega_e),
-            _inductance_terms(dec.d_l, dec.d_m, op))))
+        _couple(angle, *_terms(family, vars(dec), vars(op)))
+        for family in _FAMILIES))

@@ -9,11 +9,21 @@ rotor-frame models are provided for reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .transforms import _as_basis
+
+
+# Per-phase MachineParameters fields of each parameter family, in order.
+_PHASE_KEYS = {
+    "r": ("r_a", "r_b", "r_c"),
+    "l": ("l_a", "l_b", "l_c"),
+    "m": ("m_ab", "m_bc", "m_ca"),
+    "lam": ("lam_a", "lam_b", "lam_c"),
+}
 
 
 @dataclass(frozen=True)
@@ -54,10 +64,9 @@ class MachineParameters:
     pole_pairs: int
 
     def __post_init__(self):
-        for field in fields(self):
-            if field.name != "pole_pairs" and not math.isfinite(
-                    getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite")
+        for name in chain(*_PHASE_KEYS.values()):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("r_a", "r_b", "r_c", "l_a", "l_b", "l_c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -88,13 +97,9 @@ class MachineParameters:
         Deviation triples follow phase order (a, b, c); the mutual triple
         follows pair order (ab, bc, ca).
         """
-        return cls(
-            r + d_r[0], r + d_r[1], r + d_r[2],
-            l + d_l[0], l + d_l[1], l + d_l[2],
-            m + d_m[0], m + d_m[1], m + d_m[2],
-            lam + d_lam[0], lam + d_lam[1], lam + d_lam[2],
-            pole_pairs,
-        )
+        return cls(*(nominal + d for nominal, triple in zip(
+            (r, l, m, lam), (d_r, d_l, d_m, d_lam)) for d in triple),
+            pole_pairs)
 
     def resistances(self):
         return np.array([self.r_a, self.r_b, self.r_c])
@@ -161,16 +166,12 @@ class OperatingPoint:
 
 def decompose(params: MachineParameters) -> ImbalanceDecomposition:
     """Split parameters into nominal values plus nonnegative deviations."""
-    def split(values):
-        nominal = min(values)
-        return nominal, tuple(v - nominal for v in values)
-
-    nom_r, d_r = split((params.r_a, params.r_b, params.r_c))
-    nom_l, d_l = split((params.l_a, params.l_b, params.l_c))
-    nom_m, d_m = split((params.m_ab, params.m_bc, params.m_ca))
-    nom_lam, d_lam = split((params.lam_a, params.lam_b, params.lam_c))
-    return ImbalanceDecomposition(nom_r, nom_l, nom_m, nom_lam,
-                                  d_r, d_l, d_m, d_lam)
+    triples = [[getattr(params, key) for key in keys]
+               for keys in _PHASE_KEYS.values()]
+    nominal = [min(values) for values in triples]
+    return ImbalanceDecomposition(*nominal, *(
+        tuple(v - nom for v in values)
+        for nom, values in zip(nominal, triples)))
 
 
 def _phase_frame(theta, *vectors):

@@ -19,8 +19,8 @@ from .errors import ConfigError
 # demodulate and the delta functions are not called here; they stay bound
 # because perfbench/tracing.py looks them up under this module's names.
 from .harmonics import demodulate
-from .imbalance import (_flux_terms, _inductance_terms, _resistance_terms,
-                        flux_delta, inductance_delta, resistance_delta)
+from .imbalance import (_FAMILIES, _terms, flux_delta, inductance_delta,
+                        resistance_delta)
 from .machine import (MachineParameters, OperatingPoint, decompose,
                       ideal_dq_nonsalient, phase_voltages, torque_abc)
 from .transforms import _phase_basis, park_forward, park_inverse, phase_angles
@@ -329,12 +329,10 @@ def predict_current_ripple(params: MachineParameters, omega_e, i_d, i_q):
 
     # Each family adds Re(P e^{j2theta}) to v_d and Re(-j P e^{j2theta})
     # to v_q, with P = (C_2theta/3)(x_d - j x_q) from its spread and drive.
-    op = OperatingPoint(theta=0.0, omega_e=omega_e, i_d=i_d, i_q=i_q)
+    op = vars(OperatingPoint(theta=0.0, omega_e=omega_e, i_d=i_d, i_q=i_q))
     p_d = sum(c_2theta / 3.0 * (x_d - 1j * x_q)
               for _, c_2theta, _, (x_d, x_q, _) in (
-                  _resistance_terms(dec.d_r, op),
-                  _flux_terms(dec.d_lam, omega_e),
-                  _inductance_terms(dec.d_l, dec.d_m, op)))
+                  _terms(family, vars(dec), op) for family in _FAMILIES))
     v_tilde = np.array([p_d, -1j * p_d])
     # Rotor-frame impedance seen by a 2theta perturbation.
     z = np.array([

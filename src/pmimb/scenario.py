@@ -47,27 +47,17 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ConfigError
-from .machine import MachineParameters
+from .imbalance import _FAMILIES
+from .machine import _PHASE_KEYS, MachineParameters
 from .refsim import VOLTAGE_FED_CHANNELS, SimConfig
 
 # Deviation keys each family may declare.
-_FAMILY_KEYS = {
-    "none": (),
-    "resistance": ("d_r",),
-    "flux": ("d_lam",),
-    "inductance": ("d_l", "d_m"),
-    "combined": ("d_r", "d_l", "d_m", "d_lam"),
-}
+_FAMILY_KEYS = {"none": (),
+                **{name: fields for name, (fields, _) in _FAMILIES.items()},
+                "combined": tuple(f"d_{key}" for key in _PHASE_KEYS)}
 FAMILIES = tuple(_FAMILY_KEYS)
 
 MODES = ("current-fed", "voltage-fed")
-
-_PHASE_KEYS = {
-    "r": ("r_a", "r_b", "r_c"),
-    "l": ("l_a", "l_b", "l_c"),
-    "m": ("m_ab", "m_bc", "m_ca"),
-    "lam": ("lam_a", "lam_b", "lam_c"),
-}
 
 
 @dataclass(frozen=True)
