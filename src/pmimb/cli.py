@@ -28,7 +28,7 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import TimeSeries, run_current_fed, run_voltage_fed
+from .refsim import TimeSeries, _names, run_current_fed, run_voltage_fed
 from .scenario import Scenario, parse_scenario
 
 # Sections each job reads; others present in the file draw a warning.
@@ -55,13 +55,10 @@ def write_csv(ts: TimeSeries, path, channels=None, stride=1):
     with one ``%`` operation per block; the bytes are those of formatting
     each value on its own. A channel that is missing from the series or
     listed twice raises ``ConfigError``, since ``read_csv`` would refuse
-    the file.
+    the file; so does a bare string, as ``run_current_fed`` does.
     """
-    names = ts.names if channels is None else list(channels)
+    names = _names(channels, ts.names)
     for idx, name in enumerate(names):
-        if name not in ts.channels:
-            raise ConfigError(f"channel {name!r} is not in this time series "
-                              f"(available: {', '.join(ts.names)})")
         if name in names[:idx]:
             raise ConfigError(f"channel {name!r} is listed twice")
     columns = [col[::stride] for col in

@@ -94,18 +94,23 @@ def _fit(family, dv_d, dv_q, theta, op):
             f"{family} fit is rank deficient (rank {rank} of 3); "
             "the operating point does not excite all coefficients"
         )
+    residual = target - design @ coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = float(np.sqrt(np.mean(residual ** 2)))
+    if not np.isfinite([*coeffs, rms]).all():
+        raise InputError(f"{family} fit overflows: the voltages or the "
+                         "operating point are too large")
     s_fit, a, b = (float(v) for v in coeffs)
     k = float(np.hypot(a, b))
     phi = float(np.arctan2(b, a)) if k > 0.0 else 0.0
     phasor = SecondHarmonicPhasor(k, phi)
     per_phase = _raw_inverse(s_fit, phasor)
-    residual = target - design @ coeffs
     return IdentificationResult(
         family=family,
         s=float(per_phase.sum()),
         phasor=phasor,
         per_phase=tuple(float(v) for v in per_phase),
-        fit_residual_rms=float(np.sqrt(np.mean(residual ** 2))),
+        fit_residual_rms=rms,
     )
 
 

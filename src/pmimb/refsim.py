@@ -41,6 +41,10 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if not (np.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError("duration must be at least one step")
+        # The sample times are one float array; numpy caps its bytes.
+        if not self.duration / self.dt < np.iinfo(np.intp).max // 8 - 1:
+            raise ConfigError("duration / dt gives more samples than an "
+                              "array can hold")
 
 
 @dataclass
@@ -117,18 +121,27 @@ CURRENT_FED_CHANNELS = _PHASE_V + _PHASE_I + _DQ0_V + _DQ0_I + ("t_e",)
 VOLTAGE_FED_CHANNELS = CURRENT_FED_CHANNELS + ("v_n",)
 
 
-def _select(channels, available):
-    """The names to build, in ``available`` order; all of them for None.
-
-    Refuses a name outside ``available`` before any sample array exists.
-    """
+def _names(channels, available):
+    """``channels`` as a list, all of ``available`` for None; a bare string
+    (read one character at a time) or a name not available is refused."""
     if channels is None:
-        return available
-    for name in channels:
+        return list(available)
+    if isinstance(channels, str):
+        raise ConfigError(f"channels must be a collection of names, "
+                          f"not the string {channels!r}")
+    names = list(channels)
+    for name in names:
         if name not in available:
             raise ConfigError(f"channel {name!r} is not in this time series "
                               f"(available: {', '.join(available)})")
-    return tuple(name for name in available if name in channels)
+    return names
+
+
+def _select(channels, available):
+    """The names to build, in ``available`` order, checked by ``_names``
+    before any sample array exists."""
+    names = _names(channels, available)
+    return tuple(name for name in available if name in names)
 
 
 def _needs(names, *groups):

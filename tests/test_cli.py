@@ -116,6 +116,12 @@ class TestCsvInputOutput:
         with pytest.raises(ConfigError, match="channel"):
             write_csv(small_series(), tmp_path / "out.csv", channels=("i_x",))
 
+    def test_bare_string_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="collection of names"):
+            write_csv(small_series(), path, "i_a")
+        assert not path.exists()
+
     def test_repeated_channel_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(ConfigError, match="'v_a' is listed twice"):
@@ -789,7 +795,8 @@ SCENARIOS = {path.name: path.read_text() for path in sorted(
 # current-fed duration has dt = 1e-5 s, so the largest run they allow is
 # duration = 1: 100k samples. compare refuses voltage_fed_sim.ini's
 # voltage-fed mode before it simulates.
-SCENARIO_TOKENS = ("", "x", "nan", "inf", "-1", "0", "1", "1e", "5%")
+SCENARIO_TOKENS = ("", "x", "nan", "inf", "-1", "0", "1", "1e", "5%",
+                   "5e-324")
 
 
 def mutate_scenario(text, kind, a, b, token):
@@ -856,3 +863,44 @@ class TestCorruptedScenarioText:
             assert all(line.startswith("warning: section [")
                        for line in err_lines if line not in errors)
             assert len(errors) == (0 if rc == 0 else 1)
+
+
+def set_key(text, key, value):
+    """The scenario text with the value of ``key`` replaced."""
+    lines = text.splitlines(keepends=True)
+    row = next(idx for idx, line in enumerate(lines)
+               if line.partition("=")[0].strip() == key)
+    lines[row] = f"{key} = {value}\n"
+    return "".join(lines)
+
+
+# Single-value edits that once ended in a traceback: a sample grid numpy
+# cannot build (exit 2 from every job that simulates) and an identify fit
+# whose residuals overflow (exit 3).
+@pytest.mark.parametrize("base, key, value, job, rc", [
+    *(("identify_flux.ini", key, value, job, 2)
+      for key, value in (("dt", "5e-324"), ("dt", "1e-300"),
+                         ("duration", "1e300"))
+      for job in ("simulate", "compare", "identify")),
+    *(("identify_flux.ini", key, value, "identify", 3)
+      for key, value in (("r", "1e300"), ("l", "1e300"), ("lam", "1e300"),
+                         ("d_lam", "1e300, 0, 1.5%"), ("i_d", "1e300"),
+                         ("i_q", "1e300"))),
+    ("resistance_compare.ini", "r", "1e300", "identify", 3),
+    ("resistance_compare.ini", "i_q", "1e300", "identify", 3),
+])
+def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
+                                                job, rc):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(set_key(SCENARIOS[base], key, value))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main([job, "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == rc
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")

@@ -83,6 +83,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-3, duration=1e-4)
 
+    # Each duration / dt is refused before np.arange is asked for the grid.
+    @pytest.mark.parametrize("dt, duration", [
+        (5e-324, 0.05),   # duration / dt overflows to inf
+        (1e-300, 0.05),
+        (1e-6, 1e300),
+        (1.0, 2.0 ** 61),  # finite, but 8-byte samples overflow the size
+    ])
+    def test_rejects_a_grid_numpy_cannot_build(self, dt, duration):
+        with pytest.raises(ConfigError, match=r"^duration / dt gives more "
+                                              "samples than an array can hold$"):
+            SimConfig(dt=dt, duration=duration)
+
     def test_resolution_guard(self, nominal):
         p = make_machine(nominal)
         cfg = SimConfig(dt=1e-4, duration=0.01)
@@ -399,6 +411,17 @@ class TestChannelSelection:
         assert str(excinfo.value) == (
             f"channel {bad!r} is not in this time series "
             f"(available: {', '.join(available)})")
+
+
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_bare_string_refused_before_the_grid(self, nominal, monkeypatch,
+                                                 mode):
+        # Read one character at a time, 't_e' would ask for channel 't'.
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        with pytest.raises(ConfigError, match=r"^channels must be a "
+                                              "collection of names, not the "
+                                              "string 't_e'$"):
+            simulate(nominal, mode, "t_e")
 
 
 class TestPeakMemory:
