@@ -274,10 +274,10 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         ("identify.phi", _fmt(result.phasor.phi)),
         ("identify.fit_residual_rms", _fmt(result.fit_residual_rms)),
     ]
-    for label, triple in (("recovered", result.per_phase),
-                          ("injected", injected)):
-        entries += [(f"identify.{label}_{phase}", _fmt(value))
-                    for phase, value in zip("abc", triple)]
+    for phase, value in zip("abc", result.per_phase):
+        entries.append((f"identify.recovered_{phase}", _fmt(value)))
+    for phase, value in zip("abc", injected):
+        entries.append((f"identify.injected_{phase}", _fmt(value)))
     entries.append(("identify.max_abs_error", _fmt(error)))
     summary = out_dir / scenario.summary_name
     _write_summary(summary, entries + _config_echo(scenario))
