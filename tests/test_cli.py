@@ -177,6 +177,40 @@ class TestCsvInputOutput:
             read_csv(path)
 
 
+# The coefficient block of the coeffs and compare summaries, and the
+# config echo that closes every summary, in file order.
+COEFFICIENT_KEYS = (
+    "nominal.r", "nominal.l", "nominal.m", "nominal.lam",
+    "deviation.d_r", "deviation.d_l", "deviation.d_m", "deviation.d_lam",
+    "resistance.s", "resistance.k", "resistance.phi",
+    "flux.s", "flux.k", "flux.phi",
+    "inductance.s", "inductance.k_l", "inductance.phi_l",
+    "inductance.k_m", "inductance.phi_m",
+)
+CONFIG_KEYS = (
+    "config.machine.r_a", "config.machine.r_b", "config.machine.r_c",
+    "config.machine.l_a", "config.machine.l_b", "config.machine.l_c",
+    "config.machine.m_ab", "config.machine.m_bc", "config.machine.m_ca",
+    "config.machine.lam_a", "config.machine.lam_b", "config.machine.lam_c",
+    "config.machine.pole_pairs", "config.imbalance.family",
+    "config.imbalance.d_r", "config.imbalance.d_l",
+    "config.imbalance.d_m", "config.imbalance.d_lam",
+    "config.operating_point.omega_e", "config.operating_point.i_d",
+    "config.operating_point.i_q", "config.operating_point.i_0",
+    "config.sim.dt", "config.sim.duration", "config.sim.mode",
+    "config.outputs.csv", "config.outputs.summary",
+    "config.outputs.channels", "config.outputs.stride",
+)
+
+
+def run_job(tmp_path, capsys, job, text):
+    """Run one job; return its summary keys in order and its stdout."""
+    out = tmp_path / "out"
+    assert main([job, "--scenario", write_scenario(tmp_path, text),
+                 "--out", str(out)]) == 0
+    return list(read_summary(out / "summary.txt")), capsys.readouterr().out
+
+
 class TestCoeffsJob:
     def test_reference_coefficients(self, tmp_path, capsys):
         text = MACHINE + "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n"
@@ -203,29 +237,7 @@ class TestCoeffsJob:
         main(["coeffs", "--scenario", write_scenario(tmp_path, MACHINE),
               "--out", str(tmp_path / "out")])
         assert list(read_summary(tmp_path / "out" / "summary.txt")) == [
-            "job",
-            "nominal.r", "nominal.l", "nominal.m", "nominal.lam",
-            "deviation.d_r", "deviation.d_l", "deviation.d_m",
-            "deviation.d_lam",
-            "resistance.s", "resistance.k", "resistance.phi",
-            "flux.s", "flux.k", "flux.phi",
-            "inductance.s", "inductance.k_l", "inductance.phi_l",
-            "inductance.k_m", "inductance.phi_m",
-            "config.machine.r_a", "config.machine.r_b", "config.machine.r_c",
-            "config.machine.l_a", "config.machine.l_b", "config.machine.l_c",
-            "config.machine.m_ab", "config.machine.m_bc",
-            "config.machine.m_ca",
-            "config.machine.lam_a", "config.machine.lam_b",
-            "config.machine.lam_c",
-            "config.machine.pole_pairs", "config.imbalance.family",
-            "config.imbalance.d_r", "config.imbalance.d_l",
-            "config.imbalance.d_m", "config.imbalance.d_lam",
-            "config.operating_point.omega_e", "config.operating_point.i_d",
-            "config.operating_point.i_q", "config.operating_point.i_0",
-            "config.sim.dt", "config.sim.duration", "config.sim.mode",
-            "config.outputs.csv", "config.outputs.summary",
-            "config.outputs.channels", "config.outputs.stride",
-        ]
+            "job", *COEFFICIENT_KEYS, *CONFIG_KEYS]
 
     def test_config_echo_present(self, tmp_path):
         text = MACHINE
@@ -259,6 +271,16 @@ class TestSimulateJob:
         data = read_csv(out / "timeseries.csv")
         assert "v_d" in data and "t_e" in data
         assert data["t"].size == int(summary["simulate.samples"])
+
+    def test_summary_keys_and_wrote_lines_in_order(self, tmp_path, capsys):
+        keys, stdout = run_job(tmp_path, capsys, "simulate", MACHINE + OP_SIM)
+        assert keys == [
+            "job", "simulate.mode", "simulate.samples", "simulate.t_end",
+            "simulate.csv", "simulate.mean_i_d", "simulate.mean_i_q",
+            "simulate.mean_t_e", *CONFIG_KEYS]
+        out = tmp_path / "out"
+        assert stdout == (f"wrote {out / 'timeseries.csv'}\n"
+                          f"wrote {out / 'summary.txt'}\n")
 
     def test_channel_selection_and_stride(self, tmp_path):
         text = MACHINE + OP_SIM + "[outputs]\nchannels = i_d, i_q\nstride = 5\n"
@@ -331,6 +353,19 @@ class TestCompareJob:
         data = read_csv(out / "timeseries.csv")
         for column in ("v_d_sim", "v_q_sim", "v_d_model", "v_q_model"):
             assert column in data
+
+    def test_summary_keys_and_wrote_lines_in_order(self, tmp_path, capsys):
+        keys, stdout = run_job(tmp_path, capsys, "compare", MACHINE + OP_SIM)
+        assert keys == [
+            "job",
+            "compare.v_d.max_abs_error", "compare.v_d.rms_error",
+            "compare.v_d.relative_rms",
+            "compare.v_q.max_abs_error", "compare.v_q.rms_error",
+            "compare.v_q.relative_rms",
+            *COEFFICIENT_KEYS, *CONFIG_KEYS]
+        out = tmp_path / "out"
+        assert stdout == (f"wrote {out / 'timeseries.csv'}\n"
+                          f"wrote {out / 'summary.txt'}\n")
 
     def test_imbalanced_model_still_agrees(self, tmp_path):
         text = MACHINE + OP_SIM + """\
@@ -411,6 +446,19 @@ class TestIdentifyJob:
             0.02, abs=1e-9)
         assert float(summary["identify.injected_c"]) == pytest.approx(
             0.01, abs=1e-12)
+
+    def test_summary_keys_and_wrote_lines_in_order(self, tmp_path, capsys):
+        keys, stdout = run_job(
+            tmp_path, capsys, "identify", MACHINE + OP_SIM
+            + "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n")
+        assert keys == [
+            "job", "identify.family", "identify.source", "identify.s",
+            "identify.k", "identify.phi", "identify.fit_residual_rms",
+            "identify.recovered_a", "identify.recovered_b",
+            "identify.recovered_c", "identify.injected_a",
+            "identify.injected_b", "identify.injected_c",
+            "identify.max_abs_error", *CONFIG_KEYS]
+        assert stdout == f"wrote {tmp_path / 'out' / 'summary.txt'}\n"
 
     def test_flux_roundtrip(self, tmp_path):
         text = MACHINE + OP_SIM + \
