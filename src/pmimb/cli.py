@@ -31,16 +31,6 @@ from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
 from .refsim import TimeSeries, _names, run_current_fed, run_voltage_fed
 from .scenario import Scenario, parse_scenario
 
-# Sections each job reads; others present in the file draw a warning.
-_RELEVANT = {
-    "coeffs": {"machine", "imbalance", "outputs"},
-    "simulate": {"machine", "imbalance", "operating_point", "sim", "outputs"},
-    "compare": {"machine", "imbalance", "operating_point", "sim", "outputs"},
-    "identify": {"machine", "imbalance", "operating_point", "sim", "outputs",
-                 "identify"},
-}
-
-
 # Rows formatted per write: large enough that the per-block Python calls
 # vanish against the per-value formatting, small enough that the block's
 # float list and text stay well under a megabyte.
@@ -110,16 +100,6 @@ def read_csv(path):
     return {name: data[:, idx] for idx, name in enumerate(names)}
 
 
-def _write_summary(path, entries):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for key, value in entries:
-            handle.write(f"{key}: {value}\n")
-
-
-def _config_echo(scenario: Scenario):
-    return [(f"config.{key}", value) for key, value in scenario.resolved]
-
-
 def _fmt(value):
     return repr(float(value))
 
@@ -159,10 +139,7 @@ def _simulate(scenario: Scenario, channels):
 
 
 def _job_coeffs(scenario: Scenario, out_dir: Path):
-    summary = out_dir / scenario.summary_name
-    _write_summary(summary, [("job", "coeffs")] + _coefficient_entries(scenario)
-                   + _config_echo(scenario))
-    return [summary]
+    return _coefficient_entries(scenario), []
 
 
 def _job_simulate(scenario: Scenario, out_dir: Path):
@@ -171,7 +148,6 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     csv_path = out_dir / scenario.csv_name
     write_csv(ts, csv_path, scenario.channels, scenario.stride)
     entries = [
-        ("job", "simulate"),
         ("simulate.mode", scenario.mode),
         ("simulate.samples", str(ts.t.size)),
         ("simulate.t_end", _fmt(ts.t[-1])),
@@ -180,9 +156,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     for name in _SUMMARY_CHANNELS:
         half = ts.channels[name][ts.t.size // 2:]
         entries.append((f"simulate.mean_{name}", _fmt(np.mean(half))))
-    _write_summary(out_dir / scenario.summary_name,
-                   entries + _config_echo(scenario))
-    return [csv_path, out_dir / scenario.summary_name]
+    return entries, [csv_path]
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
@@ -207,18 +181,11 @@ def _job_compare(scenario: Scenario, out_dir: Path):
     })
     write_csv(out, csv_path, stride=scenario.stride)
 
-    entries = [("job", "compare")]
-    for axis, metrics in (("v_d", metrics_d), ("v_q", metrics_q)):
-        entries.append((f"compare.{axis}.max_abs_error",
-                        _fmt(metrics.max_abs_error)))
-        entries.append((f"compare.{axis}.rms_error", _fmt(metrics.rms_error)))
-        entries.append((f"compare.{axis}.relative_rms",
-                        "n/a" if metrics.relative_rms is None
-                        else _fmt(metrics.relative_rms)))
-    entries += _coefficient_entries(scenario)
-    _write_summary(out_dir / scenario.summary_name,
-                   entries + _config_echo(scenario))
-    return [csv_path, out_dir / scenario.summary_name]
+    entries = [(f"compare.{axis}.{key}",
+                "n/a" if value is None else _fmt(value))
+               for axis, metrics in (("v_d", metrics_d), ("v_q", metrics_q))
+               for key, value in vars(metrics).items()]
+    return entries + _coefficient_entries(scenario), [csv_path]
 
 
 def _job_identify(scenario: Scenario, out_dir: Path):
@@ -249,24 +216,20 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         source_label = "simulated"
     theta, v_d_meas, v_q_meas = data["theta"], data["v_d"], data["v_q"]
 
-    dec = decompose(scenario.machine)
     op = OperatingPoint(theta=theta, omega_e=scenario.omega_e,
                         i_d=scenario.i_d, i_q=scenario.i_q)
-    ideal_d, ideal_q, _ = ideal_dq_nonsalient(
-        dec.nominal_r, dec.nominal_l + dec.nominal_m, dec.nominal_lam,
-        scenario.machine.pole_pairs, op)
-    dv_d = v_d_meas - ideal_d
-    dv_q = v_q_meas - ideal_q
+    ideal_d, ideal_q, _ = ideal_dq_nonsalient(scenario.machine, op)
+    dv_d, dv_q = v_d_meas - ideal_d, v_q_meas - ideal_q
 
     result = (fit_resistance(dv_d, dv_q, scenario.i_d, scenario.i_q, theta)
               if scenario.family == "resistance"
               else fit_flux(dv_d, dv_q, scenario.omega_e, theta))
-    injected = vars(dec)[_FAMILIES[scenario.family][0][0]]
+    injected = vars(decompose(scenario.machine))[
+        _FAMILIES[scenario.family][0][0]]
 
     recovered = np.array(result.per_phase)
     error = float(np.max(np.abs(recovered - np.array(injected))))
     entries = [
-        ("job", "identify"),
         ("identify.family", result.family),
         ("identify.source", source_label),
         ("identify.s", _fmt(result.s)),
@@ -279,30 +242,46 @@ def _job_identify(scenario: Scenario, out_dir: Path):
     for phase, value in zip("abc", injected):
         entries.append((f"identify.injected_{phase}", _fmt(value)))
     entries.append(("identify.max_abs_error", _fmt(error)))
-    summary = out_dir / scenario.summary_name
-    _write_summary(summary, entries + _config_echo(scenario))
-    return [summary]
+    return entries, []
 
 
-_RUNNERS = {
-    "coeffs": _job_coeffs,
-    "simulate": _job_simulate,
-    "compare": _job_compare,
-    "identify": _job_identify,
+# Each job's runner, help text and the sections it reads; other sections
+# in the file draw a warning. A runner returns its summary entries and
+# the files it wrote; run_scenario writes summary.txt.
+_SECTIONS = ("machine", "imbalance", "outputs")
+_SIM_SECTIONS = _SECTIONS + ("operating_point", "sim")
+_JOBS = {
+    "coeffs": (_job_coeffs, "closed-form imbalance coefficients", _SECTIONS),
+    "simulate": (_job_simulate, "reference simulation to CSV", _SIM_SECTIONS),
+    "compare": (_job_compare, "closed-form model vs reference simulation",
+                _SIM_SECTIONS),
+    "identify": (_job_identify, "recover deviations from waveforms",
+                 _SIM_SECTIONS + ("identify",)),
 }
 
 
 def run_scenario(scenario: Scenario, job, out_dir):
-    """Execute one job and write its artifacts under out_dir."""
-    if job not in _RUNNERS:
+    """Execute one job and write its artifacts under out_dir.
+
+    Returns the job's files, then summary.txt: ``job: <name>``, the job's
+    entries and the ``config.*`` echo of the resolved scenario.
+    """
+    if job not in _JOBS:
         raise ConfigError(f"unknown job {job!r}")
+    runner, _, sections = _JOBS[job]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for section in scenario.sections:
-        if section not in _RELEVANT[job]:
+        if section not in sections:
             print(f"warning: section [{section}] is ignored by the "
                   f"{job} job", file=sys.stderr)
-    return _RUNNERS[job](scenario, out_dir)
+    entries, written = runner(scenario, out_dir)
+    entries = [("job", job), *entries, *((f"config.{key}", value)
+                                         for key, value in scenario.resolved)]
+    summary = out_dir / scenario.summary_name
+    with open(summary, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(f"{key}: {value}\n" for key, value in entries)
+    return [*written, summary]
 
 
 def main(argv=None) -> int:
@@ -311,12 +290,7 @@ def main(argv=None) -> int:
         description="Per-phase imbalance models for PM synchronous machines",
     )
     sub = parser.add_subparsers(dest="job", required=True)
-    for job, text in (
-        ("coeffs", "closed-form imbalance coefficients"),
-        ("simulate", "reference simulation to CSV"),
-        ("compare", "closed-form model vs reference simulation"),
-        ("identify", "recover deviations from waveforms"),
-    ):
+    for job, (_, text, _) in _JOBS.items():
         p = sub.add_parser(job, help=text)
         p.add_argument("--scenario", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")

@@ -209,10 +209,9 @@ def closed_form_dq(params: MachineParameters, op: OperatingPoint):
     flux and inductance deltas, bit for bit those of the public delta
     functions.
     """
-    dec = decompose(params)
-    ideal = ideal_dq_nonsalient(dec.nominal_r, dec.nominal_l + dec.nominal_m,
-                                dec.nominal_lam, params.pole_pairs, op)
+    ideal = ideal_dq_nonsalient(params, op)
+    dec = vars(decompose(params))
     angle = _double_angle(op.theta)
     return compose_total(ideal, *(
-        _couple(angle, *_terms(family, vars(dec), vars(op)))
+        _couple(angle, *_terms(family, dec, vars(op)))
         for family in _FAMILIES))

@@ -2,8 +2,10 @@
 
 The machine is star-connected with one resistance, one self-inductance,
 one permanent-magnet flux linkage per phase and one mutual inductance per
-phase pair, so unbalanced windings are representable directly. Balanced
-rotor-frame models are provided for reference.
+phase pair, so unbalanced windings are representable directly.
+``decompose`` splits them into nominal values plus deviations, and
+``ideal_dq_nonsalient`` is the balanced rotor-frame model of the nominal
+values, the base each closed form adds its deviation terms to.
 """
 
 from __future__ import annotations
@@ -214,19 +216,14 @@ def torque_abc(params: MachineParameters, i_abc, theta):
     return params.pole_pairs * np.sum(lam * i_abc * sin_x, axis=0)
 
 
-def ideal_dq_nonsalient(r, l_sum, lam_m, pole_pairs, op: OperatingPoint):
-    """Balanced nonsalient rotor-frame model.
+def ideal_dq_nonsalient(params: MachineParameters, op: OperatingPoint):
+    """Balanced nonsalient rotor-frame model of the machine's nominal part.
 
     Parameters
     ----------
-    r : float
-        Phase resistance (Ohm).
-    l_sum : float
-        Synchronous inductance, self plus mutual (H).
-    lam_m : float
-        Magnet flux linkage (Wb).
-    pole_pairs : int
-        Number of pole pairs.
+    params : MachineParameters
+        Machine whose ``decompose`` nominal values give the model: phase
+        resistance r, synchronous inductance l + m and magnet flux lam.
     op : OperatingPoint
         Currents, derivatives and speed.
 
@@ -236,10 +233,13 @@ def ideal_dq_nonsalient(r, l_sum, lam_m, pole_pairs, op: OperatingPoint):
         Rotor-frame voltages and torque.
 
     """
+    dec = decompose(params)
+    r, lam = dec.nominal_r, dec.nominal_lam
+    l_sum = dec.nominal_l + dec.nominal_m
     v_d = r * op.i_d + l_sum * (op.di_d + op.omega_e * op.i_q)
     v_q = r * op.i_q + l_sum * (op.di_q - op.omega_e * op.i_d) \
-        + op.omega_e * lam_m
-    t_e = 1.5 * pole_pairs * lam_m * op.i_q
+        + op.omega_e * lam
+    t_e = 1.5 * params.pole_pairs * lam * op.i_q
     return v_d, v_q, t_e
 
 

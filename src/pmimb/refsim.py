@@ -358,9 +358,6 @@ def predict_current_ripple(params: MachineParameters, omega_e, i_d, i_q):
 
 def balanced_voltage_command(params: MachineParameters, omega_e, i_d, i_q):
     """Steady-state (v_d, v_q) that drives the balanced part to (i_d, i_q)."""
-    dec = decompose(params)
     op = OperatingPoint(theta=0.0, omega_e=omega_e, i_d=i_d, i_q=i_q)
-    v_d, v_q, _ = ideal_dq_nonsalient(dec.nominal_r,
-                                      dec.nominal_l + dec.nominal_m,
-                                      dec.nominal_lam, params.pole_pairs, op)
+    v_d, v_q, _ = ideal_dq_nonsalient(params, op)
     return float(v_d), float(v_q)

@@ -117,9 +117,7 @@ def test_criterion_2_oracle_equivalence():
             i_q = rng.uniform(-RATED_CURRENT, RATED_CURRENT)
 
             op = OperatingPoint(theta=theta, omega_e=omega, i_d=i_d, i_q=i_q)
-            ideal = ideal_dq_nonsalient(
-                NOMINAL["r"], NOMINAL["l"] + NOMINAL["m"], NOMINAL["lam"],
-                POLE_PAIRS, op)
+            ideal = ideal_dq_nonsalient(machine(), op)
             v_d, v_q = compose_total(
                 ideal,
                 resistance_delta(draw["d_r"], op),

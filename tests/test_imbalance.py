@@ -274,8 +274,7 @@ class TestDeltaOracleEquivalence:
                                 i_0=c["i_dq0"][2], di_d=c["di_dq0"][0],
                                 di_q=c["di_dq0"][1], di_0=c["di_dq0"][2])
             ideal = ideal_dq_nonsalient(
-                nominal["r"], nominal["l"] + nominal["m"], nominal["lam"],
-                3, op)
+                MachineParameters.balanced(**nominal, pole_pairs=3), op)
             v_d, v_q = compose_total(
                 ideal,
                 resistance_delta(d_r, op),
@@ -305,9 +304,7 @@ class TestDeltaOracleEquivalence:
                             omega_e=400.0, i_d=-2.0, i_q=8.0, i_0=i_0,
                             di_d=30.0, di_q=-20.0, di_0=di_0)
         dec = decompose(p)
-        ideal = ideal_dq_nonsalient(dec.nominal_r,
-                                    dec.nominal_l + dec.nominal_m,
-                                    dec.nominal_lam, p.pole_pairs, op)
+        ideal = ideal_dq_nonsalient(p, op)
         want = compose_total(ideal,
                              resistance_delta(dec.d_r, op),
                              flux_delta(dec.d_lam, op.omega_e, op.theta),

@@ -185,14 +185,14 @@ class TestIdealDq:
     def test_nonsalient_steady_point(self):
         op = OperatingPoint(theta=0.3, omega_e=100.0, i_d=0.0, i_q=2.0)
         v_d, v_q, t_e = ideal_dq_nonsalient(
-            r=0.1, l_sum=2.2e-4, lam_m=0.05, pole_pairs=3, op=op)
+            MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3),
+            op)
         assert v_d == pytest.approx(2.2e-4 * 100.0 * 2.0, abs=1e-15)
         assert v_q == pytest.approx(0.1 * 2.0 + 100.0 * 0.05, abs=1e-15)
         assert t_e == pytest.approx(1.5 * 3 * 0.05 * 2.0, abs=1e-15)
 
     def test_nonsalient_matches_phase_frame_oracle(self, nominal, rng):
         p = MachineParameters.balanced(**nominal, pole_pairs=3)
-        l_sync = nominal["l"] + nominal["m"]
         for _ in range(100):
             theta = rng.uniform(-10, 10)
             omega = rng.uniform(-800, 800)
@@ -200,8 +200,7 @@ class TestIdealDq:
             di_d, di_q = rng.uniform(-5e3, 5e3, size=2)
             op = OperatingPoint(theta=theta, omega_e=omega, i_d=i_d, i_q=i_q,
                                 di_d=di_d, di_q=di_q)
-            v_d, v_q, _ = ideal_dq_nonsalient(
-                nominal["r"], l_sync, nominal["lam"], 3, op)
+            v_d, v_q, _ = ideal_dq_nonsalient(p, op)
             brute = oracles.dq_voltages_brute(
                 [nominal["r"]] * 3, [nominal["l"]] * 3, [nominal["m"]] * 3,
                 [nominal["lam"]] * 3, theta, omega,

@@ -169,8 +169,7 @@ class TestCurrentFed:
         omega = 400.0
         ts = run_current_fed(p, (-2.0, 5.0), omega, self.CFG)
         op = OperatingPoint(theta=0.0, omega_e=omega, i_d=-2.0, i_q=5.0)
-        v_d, v_q, t_e = ideal_dq_nonsalient(
-            nominal["r"], nominal["l"] + nominal["m"], nominal["lam"], 3, op)
+        v_d, v_q, t_e = ideal_dq_nonsalient(p, op)
         assert np.max(np.abs(ts.channel("v_d") - v_d)) < 1e-12 * (1 + abs(v_d))
         assert np.max(np.abs(ts.channel("v_q") - v_q)) < 1e-12 * (1 + abs(v_q))
         assert np.max(np.abs(ts.channel("v_0"))) < 1e-14
@@ -188,8 +187,7 @@ class TestCurrentFed:
         i_d, i_q = 3.0, -7.0
         ts = run_current_fed(p, (i_d, i_q), omega, self.CFG)
         op = OperatingPoint(theta=ts.theta, omega_e=omega, i_d=i_d, i_q=i_q)
-        ideal = ideal_dq_nonsalient(
-            nominal["r"], nominal["l"] + nominal["m"], nominal["lam"], 3, op)
+        ideal = ideal_dq_nonsalient(p, op)
         v_d, v_q = compose_total(
             ideal,
             resistance_delta(d_r, op),

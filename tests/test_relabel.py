@@ -126,9 +126,7 @@ def fitted_triple(family, p):
     ts = run_current_fed(p, DRIVE, OMEGA, CFG, channels=("v_d", "v_q"))
     op = OperatingPoint(theta=ts.theta, omega_e=OMEGA, i_d=DRIVE[0],
                         i_q=DRIVE[1])
-    dec = decompose(p)
-    ideal = ideal_dq_nonsalient(dec.nominal_r, dec.nominal_l + dec.nominal_m,
-                                dec.nominal_lam, p.pole_pairs, op)
+    ideal = ideal_dq_nonsalient(p, op)
     dv = (ts.channels["v_d"] - ideal[0], ts.channels["v_q"] - ideal[1])
     if family == "resistance":
         return fit_resistance(*dv, *DRIVE, ts.theta).per_phase
