@@ -2,11 +2,13 @@
 
     pmimb <subcommand> --scenario <path> [--out <dir>]
 
-Subcommands: ``coeffs`` (closed-form imbalance coefficients), ``simulate``
-(reference simulation to CSV), ``compare`` (closed-form model against the
-reference simulation), ``identify`` (recover deviations from waveforms).
-Exit codes: 0 success, 2 configuration error, 3 runtime error. Every
-failure prints a single ``error: ...`` line to stderr.
+Subcommands, one ``_JOBS`` entry each: ``coeffs`` (closed-form imbalance
+coefficients), ``simulate`` (reference simulation to CSV), ``compare``
+(closed-form model against the reference simulation), ``identify``
+(recover deviations from waveforms). Each writes summary.txt through
+``run_scenario``. Exit codes: 0 success, 2 configuration error, 3 runtime
+error, a numeric overflow or invalid operation included. Every failure
+prints a single ``error: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -297,13 +299,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scenario = parse_scenario(args.scenario)
-        artifacts = run_scenario(scenario, args.job, args.out)
+        # A numpy overflow ends the job here, not in non-finite results.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scenario = parse_scenario(args.scenario)
+            artifacts = run_scenario(scenario, args.job, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InputError, IdentifiabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"error: numeric fault: {exc}", file=sys.stderr)
         return 3
     for path in artifacts:
         print(f"wrote {path}")

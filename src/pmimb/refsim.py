@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 # demodulate and the delta functions are not called here; they stay bound
 # because perfbench/tracing.py looks them up under this module's names.
 from .harmonics import demodulate
@@ -110,7 +110,11 @@ def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
     r_red = reduce_map.T @ (params.resistances()[:, None] * reduce_map)
     g = ((v_d - 1j * (v_q - omega_e * params.pm_flux()))
          * np.exp(1j * phase_angles(0.0)))
-    x_ss = np.linalg.solve(r_red + 1j * omega_e * l_red, g[:2] - g[2])
+    try:
+        x_ss = np.linalg.solve(r_red + 1j * omega_e * l_red, g[:2] - g[2])
+    except np.linalg.LinAlgError as exc:
+        raise InputError(f"the voltage-fed winding equations cannot be "
+                         f"solved: {exc}") from exc
     return l_red, r_red, x_ss
 
 
@@ -260,7 +264,9 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     With L_red = C C^T, A is similar to the symmetric negative-definite
     -C^-1 R_red C^-T, so its eigenvalues are real and negative: e^{A t}
     comes from a real symmetric eigendecomposition, and j omega_e I - A
-    is invertible at every speed. dt only sets the sampling grid.
+    is invertible at every speed. dt only sets the sampling grid. Where
+    floating point makes it singular all the same (a phase resistance of
+    1e300 beside 0.1), ``InputError`` is raised.
 
     """
     v_d, v_q = (float(v) for v in v_dq_cmd)
@@ -309,6 +315,8 @@ def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):
     With I_p, P_d the means of X_x e^{+-j s_x}, s = (0, beta, 2 beta), it
     returns the DC (Re I_p, -Im I_p) in A and the only ripple, the 2theta
     pair (P_d, -j P_d) in the convention of ``predict_current_ripple``.
+    Raises ``InputError`` where ``run_voltage_fed`` does: when the
+    winding equations are numerically singular.
     """
     _check_drive(omega_e, v_dq_cmd=v_dq_cmd)
     if omega_e == 0.0:

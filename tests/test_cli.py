@@ -844,7 +844,7 @@ SCENARIOS = {path.name: path.read_text() for path in sorted(
 # duration = 1: 100k samples. compare refuses voltage_fed_sim.ini's
 # voltage-fed mode before it simulates.
 SCENARIO_TOKENS = ("", "x", "nan", "inf", "-1", "0", "1", "1e", "5%",
-                   "5e-324")
+                   "5e-324", "1e300")
 
 
 def mutate_scenario(text, kind, a, b, token):
@@ -922,9 +922,11 @@ def set_key(text, key, value):
     return "".join(lines)
 
 
-# Single-value edits that once ended in a traceback: a sample grid numpy
-# cannot build (exit 2 from every job that simulates) and an identify fit
-# whose residuals overflow (exit 3).
+# Single-value edits that once ended in a traceback or in non-finite
+# results after numpy warnings: a sample grid numpy cannot build (exit 2
+# from every job that simulates), an identify fit whose residuals
+# overflow, a voltage-fed winding system that is singular in floating
+# point, and simulations or comparisons that overflow (exit 3).
 @pytest.mark.parametrize("base, key, value, job, rc", [
     *(("identify_flux.ini", key, value, job, 2)
       for key, value in (("dt", "5e-324"), ("dt", "1e-300"),
@@ -936,6 +938,11 @@ def set_key(text, key, value):
                          ("i_q", "1e300"))),
     ("resistance_compare.ini", "r", "1e300", "identify", 3),
     ("resistance_compare.ini", "i_q", "1e300", "identify", 3),
+    *(("voltage_fed_sim.ini", key, value, "simulate", 3)
+      for key, value in (("d_r", "5%, 0, 1e300"), ("d_r", "1e300, 0, 0"),
+                         ("lam", "1e300"))),
+    ("resistance_compare.ini", "r", "1e300", "compare", 3),
+    ("resistance_compare.ini", "i_q", "1e300", "compare", 3),
 ])
 def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
                                                 job, rc):
@@ -952,3 +959,20 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")
+
+
+@pytest.mark.parametrize("base, key, job, csv", [
+    ("resistance_compare.ini", "r", "compare", "timeseries.csv"),
+    ("voltage_fed_sim.ini", "lam", "simulate", "timeseries.csv"),
+])
+def test_numeric_overflow_names_the_fault_and_writes_nothing(
+        tmp_path, capsys, base, key, job, csv):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(set_key(SCENARIOS[base], key, "1e300"))
+    assert main([job, "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numeric fault: overflow ")
+    assert captured.err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from pmimb import (
     ConfigError,
+    InputError,
     MachineParameters,
     OperatingPoint,
     SimConfig,
@@ -563,6 +564,18 @@ class TestSteadyStateCurrents:
         args = dict(v_dq_cmd=(0.0, 1.0), omega_e=100.0) | drive
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             steady_state_currents(make_machine(nominal), **args)
+
+    def test_numerically_singular_windings_are_input_error(self, nominal):
+        # r_c = 1e300 beside r_a = 0.105 makes R_red + j omega_e L_red
+        # singular in floating point, though it is not in exact arithmetic.
+        p = make_machine(nominal, d_r=(0.005, 0.0, 1e300))
+        message = ("^the voltage-fed winding equations cannot be solved: "
+                   "Singular matrix$")
+        with pytest.raises(InputError, match=message):
+            steady_state_currents(p, (0.46, 16.132), 300.0)
+        with pytest.raises(InputError, match=message):
+            run_voltage_fed(p, (0.46, 16.132), 300.0,
+                            SimConfig(dt=2e-6, duration=1e-4))
 
 
 class TestBalancedVoltageCommand:

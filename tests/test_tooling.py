@@ -5,17 +5,23 @@
 ``perfbench/run.py --trace 1`` fail, so the suite checks them here. A
 transform inlined into ``refsim`` would leave its layer's spans empty, so
 the suite also checks that the simulations still call the traced names.
+The README's library tour runs here too, so an API change cannot leave it
+stale.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
 
 from pmimb import MachineParameters, SimConfig, refsim, transforms
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -83,3 +89,14 @@ def test_selection_calls_only_the_traced_names_it_needs(
         monkeypatch, mode, drive, channels, traced_calls):
     assert traced_counts(monkeypatch, mode, drive, channels) \
         == {"_phase_basis": 1, **traced_calls}
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Library tour\n+```python\n(.*?)```", readme,
+                     re.DOTALL).group(1)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(tour, "README.md library tour", "exec"), namespace)
+    assert namespace["result"].per_phase == pytest.approx(
+        (0.005, 0.0, 0.002), abs=1e-9)
