@@ -30,7 +30,8 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import TimeSeries, _names, run_current_fed, run_voltage_fed
+from .refsim import (TimeSeries, _blocked, _names, run_current_fed,
+                     run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
 # Rows formatted per write: large enough that the per-block Python calls
@@ -130,14 +131,12 @@ _VOLTAGES_DQ = ("v_d", "v_q")
 def _simulate(scenario: Scenario, channels):
     """Run the scenario's simulation, computing only ``channels``."""
     if scenario.mode == "voltage-fed":
-        return run_voltage_fed(scenario.machine,
-                               (scenario.v_d, scenario.v_q),
+        return run_voltage_fed(scenario.machine, (scenario.v_d, scenario.v_q),
                                scenario.omega_e, scenario.sim,
                                channels=channels)
-    return run_current_fed(scenario.machine,
-                           (scenario.i_d, scenario.i_q),
-                           scenario.omega_e, scenario.sim,
-                           i_0=scenario.i_0, channels=channels)
+    return run_current_fed(scenario.machine, (scenario.i_d, scenario.i_q),
+                           scenario.omega_e, scenario.sim, i_0=scenario.i_0,
+                           channels=channels)
 
 
 def _job_coeffs(scenario: Scenario, out_dir: Path):
@@ -168,19 +167,16 @@ def _job_compare(scenario: Scenario, out_dir: Path):
             "take prescribed currents"
         )
     ts = _simulate(scenario, _VOLTAGES_DQ)
-    op = OperatingPoint(theta=ts.theta, omega_e=scenario.omega_e,
-                        i_d=scenario.i_d, i_q=scenario.i_q, i_0=scenario.i_0)
-    v_d_model, v_q_model = closed_form_dq(scenario.machine, op)
-    metrics_d = compare_waveforms(ts.channels["v_d"], v_d_model)
-    metrics_q = compare_waveforms(ts.channels["v_q"], v_q_model)
+    drive = (scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0)
+    model = _blocked(ts.t.size, ("v_d_model", "v_q_model"), lambda part: (
+        closed_form_dq(scenario.machine,
+                       OperatingPoint(ts.theta[part], *drive))))
+    metrics_d = compare_waveforms(ts.channels["v_d"], model["v_d_model"])
+    metrics_q = compare_waveforms(ts.channels["v_q"], model["v_q_model"])
 
     csv_path = out_dir / scenario.csv_name
-    out = TimeSeries(ts.t, ts.theta, {
-        "v_d_sim": ts.channels["v_d"],
-        "v_q_sim": ts.channels["v_q"],
-        "v_d_model": np.broadcast_to(v_d_model, ts.t.shape),
-        "v_q_model": np.broadcast_to(v_q_model, ts.t.shape),
-    })
+    out = TimeSeries(ts.t, ts.theta, {"v_d_sim": ts.channels["v_d"],
+                                      "v_q_sim": ts.channels["v_q"], **model})
     write_csv(out, csv_path, stride=scenario.stride)
 
     entries = [(f"compare.{axis}.{key}",

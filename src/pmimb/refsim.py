@@ -6,6 +6,8 @@ basis for the closed-form models). Voltage-fed evaluates the exact
 solution of the winding ODE under constant rotor-frame voltage commands
 and an isolated star point, checked against fixed-step RK4 in
 tests/oracles.py; ``steady_state_currents`` gives its exact dq steady state.
+Both run a block of samples at a time: memory is the kept channels plus a
+fixed block working set.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ def _needs(names, *groups):
     return any(name in names for group in groups for name in group)
 
 
-def _assemble(params, t, theta, basis, names, i_abc, v_abc, v_n=None):
+def _assemble(params, basis, names, i_abc, v_abc, **more):
     # Each projection and the torque run only for the channels they feed.
-    channels = dict(zip(_PHASE_I, i_abc))
+    channels = dict(zip(_PHASE_I, i_abc), **more)
     if v_abc is not None:
         channels.update(zip(_PHASE_V, v_abc))
     if _needs(names, _DQ0_I):
@@ -163,9 +165,24 @@ def _assemble(params, t, theta, basis, names, i_abc, v_abc, v_n=None):
         channels.update(zip(_DQ0_V, park_forward(v_abc, basis)))
     if "t_e" in names:
         channels["t_e"] = torque_abc(params, i_abc, basis)
-    if v_n is not None:
-        channels["v_n"] = v_n
-    return TimeSeries(t, theta, {name: channels[name] for name in names})
+    return [channels[name] for name in names]
+
+
+# Samples per block: the per-block Python calls vanish against the array
+# work, and a block's few dozen temporary rows stay within a CPU cache.
+_BLOCK = 16384
+
+
+def _blocked(size, names, block):
+    """Arrays of ``size`` samples by name, filled from ``block(part)``, the
+    names' elementwise values in order on the grid slice ``part``. The last
+    block runs on to the end: numpy rounds one-column products otherwise."""
+    out = {name: np.empty(size) for name in names}
+    starts = range(0, size - 1, _BLOCK)
+    for start, stop in zip(starts, [*starts[1:], size]):
+        for array, values in zip(out.values(), block(slice(start, stop))):
+            array[start:stop] = values
+    return out
 
 
 def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
@@ -188,8 +205,10 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     channels : collection of str, optional
         Names to return, as ``write_csv`` takes them; None, the default,
         gives all of ``CURRENT_FED_CHANNELS``. Only what they need is
-        computed, bit for bit as in the full run. A name outside that
-        tuple raises ``ConfigError`` before any sample array exists.
+        computed, bit for bit as in the full run, a block of samples at a
+        time: memory is the kept channels plus a fixed block working set.
+        A name outside that tuple raises ``ConfigError`` before any sample
+        array exists.
 
     Returns
     -------
@@ -203,17 +222,19 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
     names = _select(channels, CURRENT_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
-    basis = _phase_basis(theta)
-    i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
-    v_abc = None
-    if _needs(names, _PHASE_V, _DQ0_V):
-        # Constant rotor-frame currents rotate in the phase frame:
-        # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
-        di_abc = np.stack(park_inverse(
-            (omega_e * i_q, -omega_e * i_d, 0.0), basis))
-        v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
-        del di_abc  # grid-sized; freed before _assemble allocates
-    return _assemble(params, t, theta, basis, names, i_abc, v_abc)
+
+    def block(part):
+        basis = _phase_basis(theta[part])
+        i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
+        v_abc = None
+        if _needs(names, _PHASE_V, _DQ0_V):
+            # Constant rotor-frame currents rotate in the phase frame:
+            # di_abc/dt is the inverse transform of (omega i_q, -omega i_d, 0).
+            di_abc = np.stack(park_inverse(
+                (omega_e * i_q, -omega_e * i_d, 0.0), basis))
+            v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
+        return _assemble(params, basis, names, i_abc, v_abc)
+    return TimeSeries(t, theta, _blocked(t.size, names, block))
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
@@ -233,9 +254,9 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     cfg : SimConfig
         Sampling grid.
     channels : collection of str, optional
-        As for ``run_current_fed``, over ``VOLTAGE_FED_CHANNELS``. Without
-        a voltage channel or "v_n" the winding voltages are not
-        reconstructed.
+        As for ``run_current_fed``, over ``VOLTAGE_FED_CHANNELS``, memory
+        too: the kept channels plus a fixed block working set. Without a
+        voltage channel or "v_n" the winding voltages are not reconstructed.
 
     Returns
     -------
@@ -273,7 +294,6 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
     names = _select(channels, VOLTAGE_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
-    basis = _phase_basis(theta)
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
     chol = np.linalg.cholesky(l_red)
@@ -282,30 +302,25 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     # e^{A t} = V e^{-rates t} V^-1 with V = C^-T Q and V^-1 = Q^T C^T.
     modes = np.linalg.solve(chol.T, q)
     start = -(q.T @ chol.T @ x_ss.real)
-    # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
-    i_ab = (x_ss.real[:, None] * basis.cos[0]
-            - x_ss.imag[:, None] * basis.sin[0]
-            + modes @ (start[:, None] * np.exp(-rates[:, None] * t)))
-    i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
-    # Each grid-sized temporary is freed once used, before the next
-    # allocation, so the basis held through _assemble adds no peak memory.
-    del i_ab
-    if not _needs(names, _PHASE_V, _DQ0_V, ("v_n",)):
-        return _assemble(params, t, theta, basis, names, i_abc, None)
 
-    # Reconstruct applied voltages, derivatives and the star-point shift.
-    applied = np.stack(park_inverse((v_d, v_q, 0.0), basis))
-    emf = omega_e * params.pm_flux()[:, None] * basis.sin
-    rhs = applied - params.resistances()[:, None] * i_abc - emf
-    del emf
-    di_ab = np.linalg.inv(l_red) @ (rhs[:2] - rhs[2])
-    di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
-    del di_ab
-    v_n = np.mean(rhs - params.inductance_matrix() @ di_abc, axis=0)
-    del rhs, di_abc
-    winding = applied - v_n
-    del applied
-    return _assemble(params, t, theta, basis, names, i_abc, winding, v_n)
+    def block(part):
+        basis = _phase_basis(theta[part])
+        # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
+        i_ab = (x_ss.real[:, None] * basis.cos[0]
+                - x_ss.imag[:, None] * basis.sin[0]
+                + modes @ (start[:, None] * np.exp(-rates[:, None] * t[part])))
+        i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
+        if not _needs(names, _PHASE_V, _DQ0_V, ("v_n",)):
+            return _assemble(params, basis, names, i_abc, None)
+        # Reconstruct applied voltages, derivatives and the star-point shift.
+        applied = np.stack(park_inverse((v_d, v_q, 0.0), basis))
+        emf = omega_e * params.pm_flux()[:, None] * basis.sin
+        rhs = applied - params.resistances()[:, None] * i_abc - emf
+        di_ab = np.linalg.inv(l_red) @ (rhs[:2] - rhs[2])
+        di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
+        v_n = np.mean(rhs - params.inductance_matrix() @ di_abc, axis=0)
+        return _assemble(params, basis, names, i_abc, applied - v_n, v_n=v_n)
+    return TimeSeries(t, theta, _blocked(t.size, names, block))
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

@@ -28,7 +28,7 @@ with their section in diagnostics (``machine.l_a``). Schema:
 
     [outputs]            optional
     csv                  time-series file name, default timeseries.csv
-    summary              report file name, default summary.txt
+    summary              report file name other than csv, default summary.txt
     channels             comma list of channel names, default all
     stride               keep every n-th sample in the CSV, default 1
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import PurePath
 
 from .errors import ConfigError
 from .imbalance import _FAMILIES
@@ -298,6 +299,11 @@ def parse_scenario(path) -> Scenario:
             "for voltage-fed mode"
         )
     channels = _channel_list(outputs["channels"])
+    for key in ("csv", "summary"):
+        if not outputs[key]:
+            raise ConfigError(f"outputs: {key} must name a file")
+    if PurePath(outputs["csv"]) == PurePath(outputs["summary"]):
+        raise ConfigError("outputs: csv and summary name the same file")
 
     resolved = [(f"machine.{key}", repr(value)) for key, value in phase.items()]
     resolved += [("machine.pole_pairs", str(machine["pole_pairs"])),

@@ -688,6 +688,28 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "error: unknown section [DEFAULT]\n"
 
+    @pytest.mark.parametrize("outputs, message", [
+        ("csv = out.txt\nsummary = out.txt\n",
+         "csv and summary name the same file"),
+        ("csv = ./out.txt\nsummary = out.txt\n",
+         "csv and summary name the same file"),
+        ("summary = timeseries.csv\n", "csv and summary name the same file"),
+        ("summary =\n", "summary must name a file"),
+        ("csv =\n", "csv must name a file"),
+    ], ids=["same", "same-spelled-apart", "summary-default-csv",
+            "empty-summary", "empty-csv"])
+    @pytest.mark.parametrize("job", ["simulate", "compare"])
+    def test_unusable_output_names_exit_2(self, tmp_path, capsys, outputs,
+                                          message, job):
+        # Once the summary overwrote the CSV, or the empty name failed as
+        # a directory after the CSV was written.
+        text = MACHINE + OP_SIM + "\n[outputs]\n" + outputs
+        rc = main([job, "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: outputs: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text(MACHINE)

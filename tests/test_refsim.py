@@ -28,6 +28,8 @@ from pmimb import (
     steady_state_currents,
     transient_window,
 )
+from pmimb import parse_scenario, refsim
+from pmimb.cli import run_scenario
 from pmimb.refsim import CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS
 
 
@@ -423,42 +425,143 @@ class TestChannelSelection:
             simulate(nominal, mode, "t_e")
 
 
+# Per block size, grids one short of a block, exactly one, two and a lone
+# sample (which the last block takes in), and two and a partial block.
+BLOCK_GRIDS = [pytest.param(block, size, id=f"block{block}-n{size}")
+               for block in (7, 1000)
+               for size in (block - 1, block, 2 * block + 1, 2 * block + 7)]
+
+COMPARE_SCENARIO = """\
+[machine]
+pole_pairs = 3
+r = 0.1
+l = 2e-4
+m = 2e-5
+lam = 0.05
+
+[imbalance]
+family = combined
+d_r = 5%, 0, 2%
+d_l = 4%, 1%, 0
+d_m = 0, 3%, 0
+d_lam = 2%, 0, 1%
+
+[operating_point]
+omega_e = 400
+i_d = -1
+i_q = 8
+i_0 = 0.5
+
+[sim]
+dt = 1e-5
+duration = {duration!r}
+"""
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBlockSizeInvariance:
+    # The runs and the compare job evaluate their samples a block of
+    # refsim._BLOCK at a time. Any block size must give the bits of one
+    # block over the whole grid, signed zeros included.
+    @pytest.mark.parametrize("selection", [None, "compare", "ripple-study"])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    @pytest.mark.parametrize("block, size", BLOCK_GRIDS)
+    def test_channels_do_not_depend_on_the_block_size(
+            self, nominal, monkeypatch, mode, selection, block, size):
+        p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
+        cfg = SimConfig(dt=1e-5, duration=(size - 1) * 1e-5)
+        channels = None if selection is None else SELECTIONS[selection]
+
+        def run(block):
+            monkeypatch.setattr(refsim, "_BLOCK", block)
+            if mode == "current-fed":
+                return run_current_fed(p, (-1.0, 8.0), 300.0, cfg,
+                                       channels=channels)
+            return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg,
+                                   channels=channels)
+        whole, blocked = run(size), run(block)
+        assert blocked.t.size == size
+        assert blocked.names == whole.names
+        for name in whole.names:
+            assert_same_bits(blocked.channel(name), whole.channel(name))
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_compare_model_columns_do_not_depend_on_the_block_size(
+            self, tmp_path, monkeypatch, block):
+        size = 2 * block + 7
+        path = tmp_path / "compare.ini"
+        path.write_text(COMPARE_SCENARIO.format(duration=(size - 1) * 1e-5))
+        artifacts = {}
+        for run_block in (size, block):
+            monkeypatch.setattr(refsim, "_BLOCK", run_block)
+            written = run_scenario(parse_scenario(path), "compare",
+                                   tmp_path / str(run_block))
+            artifacts[run_block] = [f.read_bytes() for f in written]
+        csv_text = artifacts[block][0].decode()
+        assert csv_text.startswith("t,theta,v_d_sim,v_q_sim,v_d_model,")
+        assert csv_text.count("\n") == size + 1
+        assert artifacts[block] == artifacts[size]
+
+
 class TestPeakMemory:
     # Peak bytes traced during one run on a 200 001-sample grid, in grid
-    # columns of 8 bytes per sample; the columns the result holds (15 for
-    # current-fed, 16 for voltage-fed) count too. tracemalloc sees numpy's
-    # buffers, so the figure is deterministic.
+    # columns of 8 bytes per sample. The columns the result holds count
+    # too: t, theta and every channel, 15 for current-fed and 16 for
+    # voltage-fed. The rest is one block's working set, fixed in bytes;
+    # TimeSeries's check of the time base (9 bytes per sample) stays
+    # under it up to these grids. tracemalloc sees numpy's buffers, so
+    # the figure is deterministic.
     N = 200_001
 
-    @pytest.mark.parametrize("mode, drive, columns", [
-        ("voltage-fed", (1.0, 20.0), 30),
-        ("current-fed", (-1.0, 8.0), 26),
-    ])
-    def test_peak_in_grid_columns(self, nominal, mode, drive, columns):
-        assert self.peak_columns(nominal, mode, drive) <= columns
+    @pytest.mark.parametrize("mode, drive, channels, columns", [
+        ("voltage-fed", (1.0, 20.0), None, 20),
+        ("current-fed", (-1.0, 8.0), None, 18),
+        # The compare job's channels.
+        ("current-fed", (-1.0, 8.0), ("v_d", "v_q"), 6),
+    ], ids=["voltage-fed", "current-fed", "compare"])
+    def test_peak_in_grid_columns(self, nominal, mode, drive, channels,
+                                  columns):
+        peak, _ = self.peak_bytes(nominal, mode, drive, self.N, channels)
+        assert peak / (8 * self.N) <= columns
 
     def test_current_only_selection_skips_the_voltages(self, nominal):
-        # The ripple-study channels need no winding voltages: 18 columns
-        # measured, against 26 for the full voltage-fed run.
+        # The ripple-study channels need no winding voltages: 8 kept
+        # columns against 16 for the full voltage-fed run.
         channels = ("i_a", "i_b", "i_0", "i_d", "i_q", "t_e")
-        assert self.peak_columns(nominal, "voltage-fed", (1.0, 20.0),
-                                 channels) <= 20
+        peak, _ = self.peak_bytes(nominal, "voltage-fed", (1.0, 20.0),
+                                  self.N, channels)
+        assert peak / (8 * self.N) <= 10
 
-    def peak_columns(self, nominal, mode, drive, channels=None):
+    @pytest.mark.parametrize("mode, drive", [
+        ("voltage-fed", (1.0, 20.0)),
+        ("current-fed", (-1.0, 8.0)),
+    ], ids=["voltage-fed", "current-fed"])
+    def test_excess_over_kept_columns_is_fixed(self, nominal, mode, drive):
+        excess = [peak - kept for peak, kept in (
+            self.peak_bytes(nominal, mode, drive, size)
+            for size in (self.N // 2 + 1, self.N))]
+        assert excess[0] == pytest.approx(excess[1], rel=0.01)
+
+    def peak_bytes(self, nominal, mode, drive, size, channels=None):
+        """Peak traced bytes of one run and the bytes its result keeps."""
         p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
         run = run_current_fed if mode == "current-fed" else run_voltage_fed
         # Warm-up: first-call imports and caches are not the grid's.
         run(p, drive, 300.0, SimConfig(dt=1e-5, duration=1e-3),
             channels=channels)
-        cfg = SimConfig(dt=1e-6, duration=(self.N - 1) * 1e-6)
+        cfg = SimConfig(dt=1e-6, duration=(size - 1) * 1e-6)
         tracemalloc.start()
         try:
             ts = run(p, drive, 300.0, cfg, channels=channels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ts.t.size == self.N
-        return peak / (8 * self.N)
+        assert ts.t.size == size
+        return peak, 8 * size * (2 + len(ts.names))
 
 
 class TestRipplePrediction:

@@ -4,9 +4,11 @@
 ``TARGETS`` table; a name removed from the package would make
 ``perfbench/run.py --trace 1`` fail, so the suite checks them here. A
 transform inlined into ``refsim`` would leave its layer's spans empty, so
-the suite also checks that the simulations still call the traced names.
+the suite also checks that the simulations still call the traced names,
+once per block of samples.
 The README's library tour runs here too, so an API change cannot leave it
-stale.
+stale, and so does the artifact digest script that byte-identity checks
+diff between commits.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import importlib
 import importlib.util
 import io
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -50,7 +53,8 @@ def count_calls(monkeypatch, module, attr, counts):
     monkeypatch.setattr(module, attr, counted)
 
 
-def traced_counts(monkeypatch, mode, drive, channels=None):
+def traced_counts(monkeypatch, mode, drive, channels=None,
+                  cfg=SimConfig(dt=1e-5, duration=2e-3)):
     # A basis built inside a transform, from theta, counts as well.
     counts = {}
     for module in (refsim, transforms):
@@ -61,21 +65,36 @@ def traced_counts(monkeypatch, mode, drive, channels=None):
     run = (refsim.run_current_fed if mode == "current-fed"
            else refsim.run_voltage_fed)
     params = MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3)
-    run(params, drive, 300.0, SimConfig(dt=1e-5, duration=2e-3),
-        channels=channels)
+    run(params, drive, 300.0, cfg, channels=channels)
     return counts
 
 
-@pytest.mark.parametrize("mode, drive, traced_calls", [
+# Calls per block of a run of every channel; the test grid is one block.
+FULL_RUN_CALLS = [
     ("current-fed", (-1.0, 8.0), {"park_inverse": 2, "park_forward": 2,
                                   "phase_voltages": 1, "torque_abc": 1}),
     ("voltage-fed", (1.0, 20.0), {"park_inverse": 1, "park_forward": 2,
                                   "torque_abc": 1}),
-])
+]
+
+
+@pytest.mark.parametrize("mode, drive, traced_calls", FULL_RUN_CALLS)
 def test_simulation_builds_one_basis_and_calls_traced_names(
         monkeypatch, mode, drive, traced_calls):
     assert traced_counts(monkeypatch, mode, drive) \
         == {"_phase_basis": 1, **traced_calls}
+
+
+@pytest.mark.parametrize("mode, drive, traced_calls", FULL_RUN_CALLS)
+def test_each_block_builds_one_basis_and_calls_traced_names(
+        monkeypatch, mode, drive, traced_calls):
+    # Two whole blocks and a part of one: three blocks, each with its own
+    # basis and its own call of every traced name.
+    samples = 2 * refsim._BLOCK + 7
+    cfg = SimConfig(dt=1e-6, duration=(samples - 1) * 1e-6)
+    counts = traced_counts(monkeypatch, mode, drive, cfg=cfg)
+    assert counts == {name: 3 * calls for name, calls in
+                      {"_phase_basis": 1, **traced_calls}.items()}
 
 
 # A name absent from traced_calls is not called at all.
@@ -100,3 +119,19 @@ def test_readme_library_tour_runs():
         exec(compile(tour, "README.md library tour", "exec"), namespace)
     assert namespace["result"].per_phase == pytest.approx(
         (0.005, 0.0, 0.002), abs=1e-9)
+
+
+def test_artifact_digests_repeat(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "artifact_digests.py"))
+    scenario = str(ROOT / "scenarios" / "combined_compare.ini")
+    runs = []
+    for _ in range(2):
+        assert script["main"](["--no-corpus", scenario]) == 0
+        runs.append(capsys.readouterr().out)
+    rows = [line.split() for line in runs[0].splitlines()]
+    assert [row[:3] for row in rows] == [
+        ["combined_compare.ini:shipped", job, rc] for job, rc in
+        (("coeffs", "0"), ("simulate", "0"), ("compare", "0"),
+         ("identify", "2"))]
+    assert all(re.fullmatch("[0-9a-f]{64}", row[3]) for row in rows)
+    assert runs[1] == runs[0]
