@@ -174,9 +174,9 @@ _BLOCK = 16384
 
 
 def _blocked(size, names, block):
-    """Arrays of ``size`` samples by name, filled from ``block(part)``, the
-    names' elementwise values in order on the grid slice ``part``. The last
-    block runs on to the end: numpy rounds one-column products otherwise."""
+    """One array of ``size`` samples per name, filled from the values that
+    ``block(part)`` gives, in name order, on each grid slice ``part``. The
+    last block runs to the end: a lone sample's matrix product rounds apart."""
     out = {name: np.empty(size) for name in names}
     starts = range(0, size - 1, _BLOCK)
     for start, stop in zip(starts, [*starts[1:], size]):

@@ -458,11 +458,6 @@ duration = {duration!r}
 """
 
 
-def assert_same_bits(got, want):
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 class TestBlockSizeInvariance:
     # The runs and the compare job evaluate their samples a block of
     # refsim._BLOCK at a time. Any block size must give the bits of one
@@ -487,7 +482,9 @@ class TestBlockSizeInvariance:
         assert blocked.t.size == size
         assert blocked.names == whole.names
         for name in whole.names:
-            assert_same_bits(blocked.channel(name), whole.channel(name))
+            got, want = blocked.channel(name), whole.channel(name)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("block", [7, 1000])
     def test_compare_model_columns_do_not_depend_on_the_block_size(
