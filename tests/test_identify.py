@@ -135,6 +135,18 @@ class TestFitResistance:
         with pytest.raises(InputError, match="finite"):
             fit_flux(zeros, zeros, np.inf, GRID)
 
+    def test_shape_refused_before_zero_current(self):
+        with pytest.raises(InputError, match="shape") as info:
+            fit_resistance(np.zeros(10), np.zeros(11), 0.0, 0.0, GRID)
+        assert type(info.value) is InputError
+
+    def test_nan_current_is_not_zero_current(self):
+        zeros = np.zeros_like(GRID)
+        with pytest.raises(
+                InputError,
+                match=r"^resistance fit needs a finite operating point$"):
+            fit_resistance(zeros, zeros, np.nan, 0.0, GRID)
+
     def test_out_of_family_content_lands_in_residual(self):
         d_r = (0.02, 0.0, 0.01)
         dv_d, dv_q = resistance_residuals(d_r, i_d=2.0, i_q=3.0)
@@ -167,6 +179,19 @@ class TestFitFlux:
                 IdentifiabilityError,
                 match=r"^flux imbalance is invisible at zero speed$"):
             fit_flux(np.zeros_like(GRID), np.zeros_like(GRID), 0.0, GRID)
+
+    def test_negative_zero_speed_is_unidentifiable(self):
+        zeros = np.zeros_like(GRID)
+        with pytest.raises(
+                IdentifiabilityError,
+                match=r"^flux imbalance is invisible at zero speed$"):
+            fit_flux(zeros, zeros, -0.0, GRID)
+
+    def test_coverage_refused_before_zero_speed(self):
+        short = np.linspace(0.0, 2.0, 256)
+        with pytest.raises(InputError, match="electrical period") as info:
+            fit_flux(np.zeros(256), np.zeros(256), 0.0, short)
+        assert type(info.value) is InputError
 
     def test_subnormal_speed_is_rank_deficient(self):
         zeros = np.zeros_like(GRID)
