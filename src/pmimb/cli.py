@@ -194,9 +194,8 @@ def _job_identify(scenario: Scenario, out_dir: Path):
     if scenario.i_0 != 0.0:
         raise ConfigError("identify assumes operating_point.i_0 = 0")
     if scenario.identify_source is not None:
-        source = Path(scenario.identify_source)
-        if not source.is_absolute():
-            source = out_dir / source
+        # An absolute source_csv replaces out_dir in the join.
+        source = out_dir / scenario.identify_source
         data = read_csv(source)
         for needed in ("theta", "v_d", "v_q"):
             if needed not in data:

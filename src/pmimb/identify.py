@@ -1,9 +1,10 @@
 """Inverse problem: per-phase deviations from rotor-frame voltage residuals.
 
 Given the difference between measured dq voltages and the balanced model
-prediction, a linear least-squares fit recovers the deviation sum and the
-second-harmonic phasor of one imbalance family, and the phasor algebra is
-inverted back to per-phase deviations.
+prediction, ``_fit`` checks every input and fits the deviation sum and the
+second-harmonic phasor of one imbalance family by linear least squares;
+the phasor algebra inverts them to per-phase deviations. ``fit_resistance``
+and ``fit_flux`` are one ``_fit`` call each.
 """
 
 from __future__ import annotations
@@ -74,8 +75,12 @@ def _stack_inputs(dv_d, dv_q, theta):
     return dv_d, dv_q, theta
 
 
-def _fit(family, dv_d, dv_q, theta, op):
-    drive = _FAMILIES[family][1](**op)
+def _fit(family, excitation, dv_d, dv_q, theta, op):
+    dv_d, dv_q, theta = _stack_inputs(dv_d, dv_q, theta)
+    drive = _FAMILIES[family][1](**{k: float(v) for k, v in op.items()})
+    if not any(drive):
+        raise IdentifiabilityError(
+            f"{family} imbalance is invisible at zero {excitation}")
     if not np.all(np.isfinite(drive)):
         raise InputError(f"{family} fit needs a finite operating point")
     # The residual model is linear in (s, k cos phi, k sin phi) =
@@ -131,14 +136,7 @@ def fit_resistance(dv_d, dv_q, i_d, i_q, theta) -> IdentificationResult:
     fitted jointly.
 
     """
-    dv_d, dv_q, theta = _stack_inputs(dv_d, dv_q, theta)
-    i_d = float(i_d)
-    i_q = float(i_q)
-    if i_d == 0.0 and i_q == 0.0:
-        raise IdentifiabilityError(
-            "resistance imbalance is invisible at zero current"
-        )
-    return _fit("resistance", dv_d, dv_q, theta,
+    return _fit("resistance", "current", dv_d, dv_q, theta,
                 {"i_d": i_d, "i_q": i_q, "i_0": 0.0})
 
 
@@ -148,10 +146,4 @@ def fit_flux(dv_d, dv_q, omega_e, theta) -> IdentificationResult:
     Requires nonzero electrical speed: the flux signature rides on the
     back emf and vanishes at standstill.
     """
-    dv_d, dv_q, theta = _stack_inputs(dv_d, dv_q, theta)
-    omega_e = float(omega_e)
-    if omega_e == 0.0:
-        raise IdentifiabilityError(
-            "flux imbalance is invisible at zero speed"
-        )
-    return _fit("flux", dv_d, dv_q, theta, {"omega_e": omega_e})
+    return _fit("flux", "speed", dv_d, dv_q, theta, {"omega_e": omega_e})

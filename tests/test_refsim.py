@@ -592,15 +592,6 @@ class TestRipplePrediction:
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-class TestFamilyOverlaysScript:
-    def test_writes_one_csv_per_family(self, tmp_path, capsys):
-        script = runpy.run_path(str(SCRIPTS / "family_overlays.py"))
-        assert script["main"](["--out", str(tmp_path)]) == 0
-        written = sorted(path.name for path in tmp_path.glob("*.csv"))
-        assert written == sorted(f"{name}.csv" for name in FAMILY_DEVIATIONS)
-        assert "relative rms" in capsys.readouterr().out
-
-
 class TestVoltageFedRippleScript:
     def test_error_grows_with_deviation(self, tmp_path, capsys):
         out = tmp_path / "ripple.csv"
