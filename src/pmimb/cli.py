@@ -7,8 +7,8 @@ coefficients), ``simulate`` (reference simulation to CSV), ``compare``
 (closed-form model against the reference simulation), ``identify``
 (recover deviations from waveforms). Each writes summary.txt through
 ``run_scenario``. Exit codes: 0 success, 2 configuration error, 3 runtime
-error, a numeric overflow or invalid operation included. Every failure
-prints a single ``error: ...`` line to stderr.
+error, a numeric overflow, invalid operation or failed allocation
+included. Every failure prints a single ``error: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -71,11 +71,14 @@ def write_csv(ts: TimeSeries, path, channels=None, stride=1):
 def read_csv(path):
     """Read a write_csv file back as {column name: array}.
 
-    Rejects blank or repeated header names, files without data rows,
-    ragged rows and non-finite cells.
+    Rejects text that is not UTF-8, blank or repeated header names, files
+    without data rows, ragged rows and non-finite cells.
     """
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
+        try:
+            header = handle.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
         if not header:
             raise InputError(f"{path}: empty file")
         names = header.split(",")
@@ -306,6 +309,9 @@ def main(argv=None) -> int:
         return 3
     except FloatingPointError as exc:
         print(f"error: numeric fault: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     for path in artifacts:
         print(f"wrote {path}")

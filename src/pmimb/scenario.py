@@ -229,7 +229,7 @@ def parse_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from None
     except configparser.Error as exc:
         # Some parser messages span lines; the CLI reports one line.

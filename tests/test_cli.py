@@ -936,7 +936,11 @@ class TestCorruptedScenarioText:
 
 
 def set_key(text, key, value):
-    """The scenario text with the value of ``key`` replaced."""
+    """The scenario text with the value of ``key`` replaced; a dotted
+    ``section.key`` is appended in a new section instead."""
+    if "." in key:
+        section, _, key = key.partition(".")
+        return f"{text}\n[{section}]\n{key} = {value}\n"
     lines = text.splitlines(keepends=True)
     row = next(idx for idx, line in enumerate(lines)
                if line.partition("=")[0].strip() == key)
@@ -944,9 +948,16 @@ def set_key(text, key, value):
     return "".join(lines)
 
 
+# A source_csv whose header holds a byte that is not UTF-8; only the case
+# that adds [identify] source_csv reads it. "\udcff" in a value is written
+# as the byte 0xff.
+UNDECODABLE_SOURCE = b"t,theta,v_d,v_q\xff\n0,0,0,0\n"
+
+
 # Single-value edits that once ended in a traceback or in non-finite
 # results after numpy warnings: a sample grid numpy cannot build (exit 2
-# from every job that simulates), an identify fit whose residuals
+# from every job that simulates), a scenario file that is not UTF-8 (exit
+# 2), a source_csv that is not UTF-8, an identify fit whose residuals
 # overflow, a voltage-fed winding system that is singular in floating
 # point, and simulations or comparisons that overflow (exit 3).
 @pytest.mark.parametrize("base, key, value, job, rc", [
@@ -960,6 +971,9 @@ def set_key(text, key, value):
                          ("i_q", "1e300"))),
     ("resistance_compare.ini", "r", "1e300", "identify", 3),
     ("resistance_compare.ini", "i_q", "1e300", "identify", 3),
+    ("identify_flux.ini", "lam", "0.05 \udcff", "coeffs", 2),
+    ("identify_flux.ini", "identify.source_csv", "../source.csv",
+     "identify", 3),
     *(("voltage_fed_sim.ini", key, value, "simulate", 3)
       for key, value in (("d_r", "5%, 0, 1e300"), ("d_r", "1e300, 0, 0"),
                          ("lam", "1e300"))),
@@ -969,7 +983,9 @@ def set_key(text, key, value):
 def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
                                                 job, rc):
     scenario = tmp_path / "scenario.ini"
-    scenario.write_text(set_key(SCENARIOS[base], key, value))
+    scenario.write_bytes(set_key(SCENARIOS[base], key, value).encode(
+        "utf-8", "surrogateescape"))
+    (tmp_path / "source.csv").write_bytes(UNDECODABLE_SOURCE)
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err), \
@@ -980,8 +996,26 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
     assert [str(w.message) for w in caught] == []
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")
+    if "\udcff" in value:
+        assert lines[0].startswith("error: cannot read scenario file: ")
+    elif key == "identify.source_csv":
+        assert lines[0].startswith(f"error: {tmp_path / 'out' / value}: ")
+    else:
+        assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")
     # No artifact, so no CSV of NaN rows.
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
+    # 1e17 samples pass the intp guard, but their 711 PiB exceed any
+    # address space, so the allocation fails at once.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(MACHINE + "[sim]\ndt = 1\nduration = 1e17\n")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert err.count("\n") == 1
     assert not any((tmp_path / "out").glob("*"))
 
 
