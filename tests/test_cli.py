@@ -14,6 +14,7 @@ import oracles
 from pmimb import ConfigError, InputError, TimeSeries, cli, parse_scenario
 from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
                        write_csv)
+from pmimb.imbalance import _FAMILIES
 
 MACHINE = """\
 [machine]
@@ -860,6 +861,24 @@ class TestCorruptedIdentifySource:
 
 SCENARIOS = {path.name: path.read_text() for path in sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.ini"))}
+
+@pytest.mark.parametrize("family", [*_FAMILIES, "combined"])
+def test_each_family_has_a_compare_scenario_at_rounding_level(tmp_path,
+                                                               family):
+    # The overlay study: each family's closed form, and all of them
+    # composed, lies on the simulated voltages to rounding.
+    name = f"{family}_compare.ini"
+    assert name in SCENARIOS
+    scenario = tmp_path / name
+    scenario.write_text(SCENARIOS[name])
+    assert parse_scenario(scenario).family == family
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compare", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 0
+    summary = read_summary(tmp_path / "out" / "summary.txt")
+    for axis in ("v_d", "v_q"):
+        assert float(summary[f"compare.{axis}.relative_rms"]) < 1e-12
+
 
 # Replacement values for one scenario entry. Every file that sets a
 # current-fed duration has dt = 1e-5 s, so the largest run they allow is

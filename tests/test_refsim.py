@@ -607,6 +607,9 @@ class TestVoltageFedRippleScript:
             errors = [err for _, err in sweep]
             assert len(errors) == 4
             assert all(a < b for a, b in zip(errors, errors[1:]))
+            # The README's figures, in percent: half the deviation fraction.
+            assert round(100.0 * errors[0], 4) == 0.5005
+            assert round(100.0 * errors[-1], 4) == 5.0048
         assert "wrote" in capsys.readouterr().out
 
 
