@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one finiteness rule."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -14,3 +16,11 @@ class InputError(ValueError):
 class IdentifiabilityError(InputError):
     """A fit whose data cannot determine the requested parameters
     (rank-deficient regressor, zero excitation, zero speed)."""
+
+
+def _require_finite(error, prefix="", **values):
+    """Raise ``error(f"{prefix}{name} must be finite")`` for the first of
+    ``values``, scalar or array, that holds a nan or an infinity."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise error(f"{prefix}{name} must be finite")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _require_finite
 from .imbalance import SecondHarmonicPhasor
 
 MIN_SAMPLES_PER_PERIOD = 64
@@ -50,8 +50,7 @@ def check_angle_coverage(theta):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 3:
         raise InputError("theta must be a 1-D array of at least 3 samples")
-    if not np.all(np.isfinite(theta)):
-        raise InputError("theta must be finite")
+    _require_finite(InputError, theta=theta)
     span = float(theta.max() - theta.min())
     if span <= 0.0:
         raise InputError("theta samples span zero angle")
@@ -73,6 +72,19 @@ def check_angle_coverage(theta):
     return theta
 
 
+def _waveforms(theta, **signals):
+    """The named signals, then theta, as float arrays, checked in turn for
+    one shape, finite signals and angle coverage; messages name them."""
+    theta = np.asarray(theta, dtype=float)
+    signals = {k: np.asarray(v, dtype=float) for k, v in signals.items()}
+    if any(v.shape != theta.shape for v in signals.values()):
+        raise InputError(f"{', '.join(signals)} and theta must have "
+                         "identical shapes")
+    if not all(np.isfinite(v).all() for v in signals.values()):
+        raise InputError(f"{' and '.join(signals)} must be finite")
+    return (*signals.values(), check_angle_coverage(theta))
+
+
 def demodulate(signal, theta) -> HarmonicDecomposition:
     """Split a waveform into DC plus a 2theta component.
 
@@ -80,11 +92,7 @@ def demodulate(signal, theta) -> HarmonicDecomposition:
     exact (zero residual) for any signal inside that span. Requires at
     least one full period and 64 samples per period.
     """
-    signal = np.asarray(signal, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if signal.shape != theta.shape:
-        raise InputError("signal and theta must have identical shapes")
-    theta = check_angle_coverage(theta)
+    signal, theta = _waveforms(theta, signal=signal)
     basis = np.column_stack([
         np.ones_like(theta),
         np.cos(2.0 * theta),

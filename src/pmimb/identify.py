@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentifiabilityError, InputError
-from .harmonics import check_angle_coverage
+from .harmonics import _waveforms
 from .imbalance import (_FAMILIES, SecondHarmonicPhasor, _couple,
                         _double_angle)
 
@@ -63,20 +63,8 @@ def _raw_inverse(s, phasor: SecondHarmonicPhasor):
     ])
 
 
-def _stack_inputs(dv_d, dv_q, theta):
-    dv_d = np.asarray(dv_d, dtype=float)
-    dv_q = np.asarray(dv_q, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if not (dv_d.shape == dv_q.shape == theta.shape):
-        raise InputError("dv_d, dv_q and theta must have identical shapes")
-    if not (np.all(np.isfinite(dv_d)) and np.all(np.isfinite(dv_q))):
-        raise InputError("dv_d and dv_q must be finite")
-    check_angle_coverage(theta)
-    return dv_d, dv_q, theta
-
-
 def _fit(family, excitation, dv_d, dv_q, theta, op):
-    dv_d, dv_q, theta = _stack_inputs(dv_d, dv_q, theta)
+    dv_d, dv_q, theta = _waveforms(theta, dv_d=dv_d, dv_q=dv_q)
     drive = _FAMILIES[family][1](**{k: float(v) for k, v in op.items()})
     if not any(drive):
         raise IdentifiabilityError(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _require_finite
 from .machine import (MachineParameters, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
 
@@ -173,9 +174,7 @@ def flux_delta(d_lam, omega_e, theta):
     the back emf, whose drive is (0, omega_e, 0). A non-finite
     ``omega_e`` or ``theta`` raises ``ValueError``.
     """
-    for name, value in (("omega_e", omega_e), ("theta", theta)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+    _require_finite(ValueError, omega_e=omega_e, theta=theta)
     return _couple(_double_angle(theta),
                    *_terms("flux", {"d_lam": d_lam}, {"omega_e": omega_e}))
 

@@ -16,6 +16,7 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import _require_finite
 from .transforms import _as_basis
 
 
@@ -66,9 +67,8 @@ class MachineParameters:
     pole_pairs: int
 
     def __post_init__(self):
-        for name in chain(*_PHASE_KEYS.values()):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(ValueError, **{name: getattr(self, name) for name
+                                       in chain(*_PHASE_KEYS.values())})
         for name in ("r_a", "r_b", "r_c", "l_a", "l_b", "l_c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -160,10 +160,7 @@ class OperatingPoint:
     di_0: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "omega_e", "i_d", "i_q", "i_0",
-                     "di_d", "di_q", "di_0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"OperatingPoint.{name} must be finite")
+        _require_finite(ValueError, "OperatingPoint.", **vars(self))
 
 
 def decompose(params: MachineParameters) -> ImbalanceDecomposition:

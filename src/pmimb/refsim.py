@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _require_finite
 # demodulate and the delta functions are not called here; they stay bound
 # because perfbench/tracing.py looks them up under this module's names.
 from .harmonics import demodulate
@@ -95,13 +95,6 @@ def _sample_grid(cfg: SimConfig, omega_e):
     n_steps = int(round(cfg.duration / cfg.dt))
     t = np.arange(n_steps + 1) * cfg.dt
     return t, omega_e * t
-
-
-def _check_drive(omega_e, **commands):
-    # Reject a non-finite drive before any sample array is built.
-    for name, values in (("omega_e", (omega_e,)), *commands.items()):
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{name} must be finite")
 
 
 def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
@@ -219,7 +212,7 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
 
     """
     i_d, i_q = (float(v) for v in i_dq_cmd)
-    _check_drive(omega_e, i_dq_cmd=(i_d, i_q), i_0=(i_0,))
+    _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
     names = _select(channels, CURRENT_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
 
@@ -291,7 +284,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
 
     """
     v_d, v_q = (float(v) for v in v_dq_cmd)
-    _check_drive(omega_e, v_dq_cmd=(v_d, v_q))
+    _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
     names = _select(channels, VOLTAGE_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e)
 
@@ -333,7 +326,7 @@ def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):
     Raises ``InputError`` where ``run_voltage_fed`` does: when the
     winding equations are numerically singular.
     """
-    _check_drive(omega_e, v_dq_cmd=v_dq_cmd)
+    _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=v_dq_cmd)
     if omega_e == 0.0:
         raise ConfigError("steady-state ripple requires nonzero speed")
     _, _, x_ab = _steady_phasor(params, *v_dq_cmd, omega_e)

@@ -104,6 +104,16 @@ class TestDemodulate:
         with pytest.raises(InputError):
             demodulate(np.zeros(100), GRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        # Refused where it enters, not by the phasor it would produce.
+        signal = np.cos(2.0 * GRID)
+        signal[5] = bad
+        with pytest.raises(InputError,
+                           match="^signal must be finite$") as info:
+            demodulate(signal, GRID)
+        assert type(info.value) is InputError
+
     def test_decomposition_rejects_negative_residual(self):
         with pytest.raises(ValueError, match="residual_rms"):
             HarmonicDecomposition(0.0, SecondHarmonicPhasor(0.0, 0.0),

@@ -125,7 +125,8 @@ class TestFitResistance:
     def test_non_finite_residual_rejected(self):
         dv_d = np.zeros_like(GRID)
         dv_d[3] = np.inf
-        with pytest.raises(InputError, match="finite"):
+        with pytest.raises(InputError,
+                           match="^dv_d and dv_q must be finite$"):
             fit_resistance(dv_d, np.zeros_like(GRID), 1.0, 0.0, GRID)
 
     def test_non_finite_operating_point_rejected(self):
