@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IdentifiabilityError, InputError
+from .errors import ConfigError, InputError
 from .harmonics import compare_waveforms
 from .identify import _INVERTIBLE, fit_flux, fit_resistance
 # The delta functions and compose_total stay bound here, though only
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, IdentifiabilityError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:

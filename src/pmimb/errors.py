@@ -5,12 +5,12 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Invalid configuration: bad parameter values, malformed scenario files,
-    or simulation settings that violate a resolution guard."""
+    a non-finite drive or settings that violate a resolution guard."""
 
 
 class InputError(ValueError):
-    """Waveform inputs that cannot be processed: mismatched lengths,
-    insufficient angle coverage, or too few samples per period."""
+    """Waveform inputs that cannot be processed: mismatched shapes, non-finite
+    samples, too little angle coverage or too few samples per period."""
 
 
 class IdentifiabilityError(InputError):
@@ -22,5 +22,5 @@ def _require_finite(error, prefix="", **values):
     """Raise ``error(f"{prefix}{name} must be finite")`` for the first of
     ``values``, scalar or array, that holds a nan or an infinity."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise error(f"{prefix}{name} must be finite")

@@ -1,8 +1,8 @@
 """Synchronous extraction of DC and second-harmonic content.
 
 Signals are projected onto {1, cos 2theta, sin 2theta} by least squares
-against the sampled electrical angle, so the extraction works for any
-speed and does not require an integer number of periods per window.
+against the sampled angle, at any speed and over any span of at least one
+period. ``_waveforms`` checks every waveform input, here and in the fits.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def check_angle_coverage(theta):
 
 
 def _waveforms(theta, **signals):
-    """The named signals, then theta, as float arrays, checked in turn for
-    one shape, finite signals and angle coverage; messages name them."""
-    theta = np.asarray(theta, dtype=float)
+    """The named signals, then theta, as float arrays: one shape, then finite
+    signals, then angle coverage; the messages name the signals."""
     signals = {k: np.asarray(v, dtype=float) for k, v in signals.items()}
+    theta = np.asarray(theta, dtype=float)
     if any(v.shape != theta.shape for v in signals.values()):
         raise InputError(f"{', '.join(signals)} and theta must have "
                          "identical shapes")
@@ -123,9 +123,12 @@ def compare_waveforms(a, b) -> WaveformComparison:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise InputError("waveforms must have identical shapes")
-    err = b - a
-    max_abs = float(np.max(np.abs(err))) if err.size else 0.0
-    rms = float(np.sqrt(np.mean(err ** 2))) if err.size else 0.0
-    ref_rms = float(np.sqrt(np.mean(a ** 2))) if a.size else 0.0
-    relative = rms / ref_rms if ref_rms > 0.0 else None
-    return WaveformComparison(max_abs, rms, relative)
+    if not a.size:
+        return WaveformComparison(0.0, 0.0, None)
+    # One scratch array: the error, |error|, its square, then a's square.
+    err = np.subtract(b, a, out=np.empty(a.shape))
+    max_abs = float(np.max(np.abs(err, out=err)))
+    rms = float(np.sqrt(np.mean(np.square(err, out=err))))
+    ref_rms = float(np.sqrt(np.mean(np.square(a, out=err))))
+    return WaveformComparison(max_abs, rms,
+                              rms / ref_rms if ref_rms > 0.0 else None)

@@ -1,10 +1,10 @@
 """Inverse problem: per-phase deviations from rotor-frame voltage residuals.
 
 Given the difference between measured dq voltages and the balanced model
-prediction, ``_fit`` checks every input and fits the deviation sum and the
-second-harmonic phasor of one imbalance family by linear least squares;
-the phasor algebra inverts them to per-phase deviations. ``fit_resistance``
-and ``fit_flux`` are one ``_fit`` call each.
+prediction, ``_fit`` checks the waveforms (``harmonics._waveforms``) and
+the drive, then fits the deviation sum and second-harmonic phasor of one
+family by linear least squares; the phasor algebra inverts them to
+per-phase deviations. ``fit_resistance`` and ``fit_flux`` call ``_fit``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InputError
+from .errors import IdentifiabilityError, InputError, _require_finite
 from .harmonics import _waveforms
 from .imbalance import (_FAMILIES, SecondHarmonicPhasor, _couple,
                         _double_angle)
@@ -44,8 +44,7 @@ class IdentificationResult:
     def __post_init__(self):
         if self.family not in _INVERTIBLE:
             raise ValueError(f"family must be one of {_INVERTIBLE}")
-        if not all(np.isfinite(v) for v in self.per_phase):
-            raise ValueError("per_phase must be finite")
+        _require_finite(ValueError, per_phase=self.per_phase)
         if not (np.isfinite(self.fit_residual_rms)
                 and self.fit_residual_rms >= 0.0):
             raise ValueError("fit_residual_rms must be finite and nonnegative")

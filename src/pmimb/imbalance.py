@@ -193,11 +193,10 @@ def inductance_delta(d_l, d_m, op: OperatingPoint):
                    *_terms("inductance", {"d_l": d_l, "d_m": d_m}, vars(op)))
 
 
-def compose_total(ideal, d_res, d_flux, d_ind):
-    """Total (v_d, v_q): balanced model plus three (dv_d, dv_q) deltas."""
-    v_d = ideal[0] + d_res[0] + d_flux[0] + d_ind[0]
-    v_q = ideal[1] + d_res[1] + d_flux[1] + d_ind[1]
-    return v_d, v_q
+def compose_total(ideal, *deltas):
+    """Balanced (v_d, v_q) plus any (dv_d, dv_q) deltas, left to right."""
+    return tuple(sum((delta[axis] for delta in deltas), ideal[axis])
+                 for axis in (0, 1))
 
 
 def closed_form_dq(params: MachineParameters, op: OperatingPoint):

@@ -67,8 +67,8 @@ class MachineParameters:
     pole_pairs: int
 
     def __post_init__(self):
-        _require_finite(ValueError, **{name: getattr(self, name) for name
-                                       in chain(*_PHASE_KEYS.values())})
+        _require_finite(ValueError, **{
+            key: getattr(self, key) for key in chain(*_PHASE_KEYS.values())})
         for name in ("r_a", "r_b", "r_c", "l_a", "l_b", "l_c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")

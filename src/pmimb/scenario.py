@@ -112,6 +112,12 @@ def _text(raw, key):
     return raw.strip()
 
 
+def _file(raw, key):
+    if "\0" in raw:
+        raise ConfigError(f"{key}: a file name cannot hold a NUL byte")
+    return raw.strip()
+
+
 def _family(raw, key):
     family = raw.strip()
     if family not in FAMILIES:
@@ -156,13 +162,13 @@ _SCHEMA = {
         "mode": (_mode, "current-fed"),
     },
     "outputs": {
-        "csv": (_text, "timeseries.csv"),
-        "summary": (_text, "summary.txt"),
+        "csv": (_file, "timeseries.csv"),
+        "summary": (_file, "summary.txt"),
         "channels": (_text, "all"),
         "stride": (_stride, "1"),
     },
     "identify": {
-        "source_csv": (_text, None),
+        "source_csv": (_file, None),
     },
 }
 

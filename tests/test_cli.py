@@ -691,24 +691,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("outputs, message", [
         ("csv = out.txt\nsummary = out.txt\n",
-         "csv and summary name the same file"),
+         "outputs: csv and summary name the same file"),
         ("csv = ./out.txt\nsummary = out.txt\n",
-         "csv and summary name the same file"),
-        ("summary = timeseries.csv\n", "csv and summary name the same file"),
-        ("summary =\n", "summary must name a file"),
-        ("csv =\n", "csv must name a file"),
+         "outputs: csv and summary name the same file"),
+        ("summary = timeseries.csv\n",
+         "outputs: csv and summary name the same file"),
+        ("summary =\n", "outputs: summary must name a file"),
+        ("csv =\n", "outputs: csv must name a file"),
+        ("csv = a\0b.csv\n",
+         "outputs.csv: a file name cannot hold a NUL byte"),
+        ("summary = a\0b.txt\n",
+         "outputs.summary: a file name cannot hold a NUL byte"),
+        ("\n[identify]\nsource_csv = a\0b.csv\n",
+         "identify.source_csv: a file name cannot hold a NUL byte"),
     ], ids=["same", "same-spelled-apart", "summary-default-csv",
-            "empty-summary", "empty-csv"])
+            "empty-summary", "empty-csv", "nul-csv", "nul-summary",
+            "nul-source-csv"])
     @pytest.mark.parametrize("job", ["simulate", "compare"])
     def test_unusable_output_names_exit_2(self, tmp_path, capsys, outputs,
                                           message, job):
         # Once the summary overwrote the CSV, or the empty name failed as
-        # a directory after the CSV was written.
+        # a directory after the CSV was written; a NUL byte failed in
+        # open() with a traceback.
         text = MACHINE + OP_SIM + "\n[outputs]\n" + outputs
         rc = main([job, "--scenario", write_scenario(tmp_path, text),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr() == ("", f"error: outputs: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self, tmp_path):

@@ -313,6 +313,20 @@ class TestDeltaOracleEquivalence:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_compose_total_adds_any_deltas_left_to_right(self, rng, count):
+        ideal = tuple(rng.normal(size=(3, 65)))
+        deltas = [tuple(rng.normal(size=(2, 65))) for _ in range(count)]
+        kept = [a.copy() for a in (*ideal, *(x for d in deltas for x in d))]
+        v_d, v_q = compose_total(ideal, *deltas)
+        want_d, want_q = ideal[0], ideal[1]
+        for dv_d, dv_q in deltas:
+            want_d, want_q = want_d + dv_d, want_q + dv_q
+        assert np.array_equal(v_d, want_d) and np.array_equal(v_q, want_q)
+        # The inputs are left as they were.
+        assert all(np.array_equal(a, b) for a, b in zip(
+            kept, (*ideal, *(x for d in deltas for x in d))))
+
     def test_composition_consistent_with_decompose(self, nominal, rng):
         p = MachineParameters(
             0.104, 0.1, 0.102,

@@ -15,6 +15,7 @@ from pmimb import (
     TimeSeries,
     balanced_voltage_command,
     closed_form_dq,
+    compare_waveforms,
     compose_total,
     demodulate,
     flux_delta,
@@ -559,6 +560,23 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert ts.t.size == size
         return peak, 8 * size * (2 + len(ts.names))
+
+
+def test_compare_waveforms_peak_in_grid_columns():
+    # The compare job's metrics take one grid-sized scratch array, not a
+    # temporary per metric, so they add no more than one column to the
+    # job's peak.
+    n = TestPeakMemory.N
+    a = np.cos(np.linspace(0.0, 40.0, n))
+    b = a + 1e-3 * np.sin(np.linspace(0.0, 7.0, n))
+    compare_waveforms(a[:10], b[:10])
+    tracemalloc.start()
+    try:
+        compare_waveforms(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= 1.1
 
 
 class TestRipplePrediction:
