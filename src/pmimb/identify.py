@@ -2,9 +2,11 @@
 
 Given the difference between measured dq voltages and the balanced model
 prediction, ``_fit`` checks the waveforms (``harmonics._waveforms``) and
-the drive, then fits the deviation sum and second-harmonic phasor of one
-family by linear least squares; the phasor algebra inverts them to
-per-phase deviations. ``fit_resistance`` and ``fit_flux`` call ``_fit``.
+the drive, then fits the deviation sum and spread (s, Re C/3, Im C/3) of
+one family by linear least squares; one constant linear inverse,
+``imbalance._UNSPREAD``, maps them to per-phase deviations, and the
+coeffs path (``_terms``, ``_phasors``) reports their sum and phasor.
+``fit_resistance`` and ``fit_flux`` call ``_fit``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .errors import IdentifiabilityError, InputError, _require_finite
 from .harmonics import _waveforms
-from .imbalance import (_FAMILIES, SecondHarmonicPhasor, _couple,
-                        _double_angle)
+from .imbalance import (_FAMILIES, _UNSPREAD, SecondHarmonicPhasor,
+                        _couple, _double_angle, _phasors, _terms)
 
 # Families a fit can invert: a single triple, fixed by its sum and phasor.
 _INVERTIBLE = tuple(name for name, (fields, _) in _FAMILIES.items()
@@ -28,11 +30,11 @@ class IdentificationResult:
     """Fitted imbalance description for one parameter family.
 
     ``per_phase`` holds the deviations against the nominal model the
-    residuals were computed from; ``s`` is their sum and ``phasor`` their
-    second-harmonic coefficient, so the forward coefficient map
-    reproduces (s, phasor) exactly. The sum and the phasor fix the triple
-    uniquely, so a noise-free fit returns the true deviations unchanged,
-    with no shift to a zero minimum.
+    residuals were computed from; ``s`` and ``phasor`` are the forward
+    coefficient map (``_terms``, ``_phasors``) of ``per_phase``, so they
+    equal the coeffs job's figures for it bit for bit. The sum and the
+    phasor fix the triple uniquely, so a noise-free fit returns the true
+    deviations unchanged, with no shift to a zero minimum.
     """
 
     family: str
@@ -50,18 +52,6 @@ class IdentificationResult:
             raise ValueError("fit_residual_rms must be finite and nonnegative")
 
 
-def _raw_inverse(s, phasor: SecondHarmonicPhasor):
-    # Unique triple with the given sum and second-harmonic phasor.
-    re = phasor.k * np.cos(phasor.phi)
-    im = phasor.k * np.sin(phasor.phi)
-    third = s / 3.0
-    return np.array([
-        third + 2.0 * re,
-        third - re + np.sqrt(3.0) * im,
-        third - re - np.sqrt(3.0) * im,
-    ])
-
-
 def _fit(family, excitation, dv_d, dv_q, theta, op):
     dv_d, dv_q, theta = _waveforms(theta, dv_d=dv_d, dv_q=dv_q)
     drive = _FAMILIES[family][1](**{k: float(v) for k, v in op.items()})
@@ -70,11 +60,10 @@ def _fit(family, excitation, dv_d, dv_q, theta, op):
             f"{family} imbalance is invisible at zero {excitation}")
     if not np.all(np.isfinite(drive)):
         raise InputError(f"{family} fit needs a finite operating point")
-    # The residual model is linear in (s, k cos phi, k sin phi) =
-    # (s, Re C/3, Im C/3), so the design columns are the coupling operator
-    # at the unit spreads (s, C) = (1, 0), (0, 3) and (0, 3j). One call
-    # evaluates all three along a leading axis; both axes are fitted
-    # jointly.
+    # The residuals are linear in (s, Re C/3, Im C/3): the design columns
+    # are _couple at (s, C) = (1, 0), (0, 3) and (0, 3j), evaluated along a
+    # leading axis, and both axes are fitted jointly. _UNSPREAD maps the
+    # coefficients to the per-phase deviations.
     spread = np.array([[0.0], [3.0], [3.0j]])
     unit = _couple(_double_angle(theta), np.array([[1.0], [0.0], [0.0]]),
                    spread, spread, drive)
@@ -89,21 +78,16 @@ def _fit(family, excitation, dv_d, dv_q, theta, op):
     residual = target - design @ coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         rms = float(np.sqrt(np.mean(residual ** 2)))
-    if not np.isfinite([*coeffs, rms]).all():
+        per_phase = _UNSPREAD @ coeffs
+        # _terms and _phasors stay below three times the largest deviation.
+        headroom = 3.0 * per_phase
+    if not np.isfinite([*headroom, rms]).all():
         raise InputError(f"{family} fit overflows: the voltages or the "
                          "operating point are too large")
-    s_fit, a, b = (float(v) for v in coeffs)
-    k = float(np.hypot(a, b))
-    phi = float(np.arctan2(b, a)) if k > 0.0 else 0.0
-    phasor = SecondHarmonicPhasor(k, phi)
-    per_phase = _raw_inverse(s_fit, phasor)
-    return IdentificationResult(
-        family=family,
-        s=float(per_phase.sum()),
-        phasor=phasor,
-        per_phase=tuple(float(v) for v in per_phase),
-        fit_residual_rms=rms,
-    )
+    deviations = {_FAMILIES[family][0][0]: per_phase}
+    return IdentificationResult(family, _terms(family, deviations)[0],
+                                _phasors(family, deviations)[""],
+                                tuple(float(v) for v in per_phase), rms)
 
 
 def fit_resistance(dv_d, dv_q, i_d, i_q, theta) -> IdentificationResult:

@@ -17,7 +17,8 @@ Conventions. For a triple (d_a, d_b, d_c),
 
 so the d-axis resistance contribution reads k*cos(2*theta + phi)*i_d + ...
 A common offset on the triple leaves (k, phi) unchanged; a cyclic phase
-relabeling a->b->c->a advances phi by 2*pi/3.
+relabeling a->b->c->a advances phi by 2*pi/3. The fits map (sum, C/3)
+back to the triple by ``_UNSPREAD``, the exact inverse beside ``_spread``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def _spread(triple):
     """Complex spread C of a deviation triple, so k = |C|/3 and phi = arg C."""
     d_a, d_b, d_c = (float(v) for v in triple)
     return complex(d_a - 0.5 * (d_b + d_c), 0.5 * math.sqrt(3.0) * (d_b - d_c))
+
+
+# The inverse of the triple's (sum, Re C/3, Im C/3): one row per phase.
+_UNSPREAD = np.array([[1.0 / 3.0, 2.0, 0.0],
+                      [1.0 / 3.0, -1.0, math.sqrt(3.0)],
+                      [1.0 / 3.0, -1.0, -math.sqrt(3.0)]])
 
 
 def _double_angle(theta):

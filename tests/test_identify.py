@@ -17,7 +17,7 @@ from pmimb import (
     resistance_coeffs,
     resistance_delta,
 )
-from pmimb.identify import _raw_inverse
+from pmimb.imbalance import _UNSPREAD, _phasors, _terms
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
@@ -30,9 +30,28 @@ class TestInvertPhasor:
         # The sum and the 2theta phasor fix the triple: no shift to a
         # zero minimum, whatever the smallest entry is.
         triple = (da, db, dc)
-        recovered = _raw_inverse(sum(triple), flux_coeffs(triple))
+        phasor = flux_coeffs(triple)
+        recovered = _UNSPREAD @ (sum(triple), phasor.k * math.cos(phasor.phi),
+                                 phasor.k * math.sin(phasor.phi))
         tol = 1e-12 * (1.0 + da + db + dc)
         assert np.allclose(recovered, triple, atol=tol)
+
+
+@pytest.mark.parametrize("family, field", [("resistance", "d_r"),
+                                           ("flux", "d_lam")])
+def test_reported_terms_are_the_coeffs_map_of_per_phase(rng, family, field):
+    # s and phasor are what the coeffs job reports for the fitted triple,
+    # bit for bit, whatever the rounding of the fit.
+    for _ in range(100):
+        triple = tuple(rng.normal(0.0, 1e-2, 3))
+        if family == "resistance":
+            out = fit_resistance(*resistance_residuals(triple, -1.0, 8.0),
+                                 -1.0, 8.0, GRID)
+        else:
+            out = fit_flux(*flux_residuals(triple, 400.0), 400.0, GRID)
+        deviations = {field: out.per_phase}
+        assert out.s == _terms(family, deviations)[0]
+        assert out.phasor == _phasors(family, deviations)[""]
 
 
 class TestResultValidation:
