@@ -48,8 +48,11 @@ def write_csv(ts: TimeSeries, path, channels=None, stride=1):
     with one ``%`` operation per block; the bytes are those of formatting
     each value on its own. A channel that is missing from the series or
     listed twice raises ``ConfigError``, since ``read_csv`` would refuse
-    the file; so does a bare string, as ``run_current_fed`` does.
+    the file; so does a bare string, as ``run_current_fed`` does, and a
+    ``stride`` that is not an integer of at least 1.
     """
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ConfigError(f"stride must be an integer >= 1, not {stride!r}")
     names = _names(channels, ts.names)
     for idx, name in enumerate(names):
         if name in names[:idx]:

@@ -123,6 +123,13 @@ class TestCsvInputOutput:
             write_csv(small_series(), path, "i_a")
         assert not path.exists()
 
+    @pytest.mark.parametrize("stride", [0, -1, 2.5])
+    def test_bad_stride_rejected(self, tmp_path, stride):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="stride must be an integer"):
+            write_csv(small_series(), path, stride=stride)
+        assert not path.exists()
+
     def test_repeated_channel_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(ConfigError, match="'v_a' is listed twice"):

@@ -158,6 +158,22 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="channel"):
             TimeSeries(t, np.zeros(5), {"i_a": np.zeros(4)})
 
+    # A fault in any step, at a block's first or last step or deep in a
+    # later block, is found; every step is checked for order first.
+    @pytest.mark.parametrize("faults, message", [
+        ({refsim._BLOCK - 1: -2.0}, "strictly increasing"),
+        ({refsim._BLOCK: -1.0}, "strictly increasing"),
+        ({2 * refsim._BLOCK + 5: np.nan}, "strictly increasing"),
+        ({refsim._BLOCK: 0.5}, "uniformly sampled"),
+        ({3: 0.5, 2 * refsim._BLOCK + 5: -2.0}, "strictly increasing"),
+    ])
+    def test_time_base_checked_across_blocks(self, faults, message):
+        t = np.arange(3.0 * refsim._BLOCK + 10)
+        for step, shift in faults.items():
+            t[step + 1:] += shift
+        with pytest.raises(ValueError, match=f"^t must be {message}$"):
+            TimeSeries(t, np.zeros(t.size))
+
     def test_names_and_lookup(self):
         t = np.linspace(0, 1, 5)
         ts = TimeSeries(t, np.zeros(5), {"i_a": np.ones(5)})
@@ -510,9 +526,8 @@ class TestPeakMemory:
     # columns of 8 bytes per sample. The columns the result holds count
     # too: t, theta and every channel, 15 for current-fed and 16 for
     # voltage-fed. The rest is one block's working set, fixed in bytes;
-    # TimeSeries's check of the time base (9 bytes per sample) stays
-    # under it up to these grids. tracemalloc sees numpy's buffers, so
-    # the figure is deterministic.
+    # TimeSeries checks the time base a block at a time within it.
+    # tracemalloc sees numpy's buffers, so the figure is deterministic.
     N = 200_001
 
     @pytest.mark.parametrize("mode, drive, channels, columns", [
@@ -541,8 +556,8 @@ class TestPeakMemory:
     def test_excess_over_kept_columns_is_fixed(self, nominal, mode, drive):
         excess = [peak - kept for peak, kept in (
             self.peak_bytes(nominal, mode, drive, size)
-            for size in (self.N // 2 + 1, self.N))]
-        assert excess[0] == pytest.approx(excess[1], rel=0.01)
+            for size in (self.N // 2 + 1, self.N, 2 * self.N - 1))]
+        assert excess[1:] == pytest.approx([excess[0]] * 2, rel=0.01)
 
     def peak_bytes(self, nominal, mode, drive, size, channels=None):
         """Peak traced bytes of one run and the bytes its result keeps."""
