@@ -11,6 +11,7 @@ coeffs path (``_terms``, ``_phasors``) reports their sum and phasor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def _fit(family, excitation, dv_d, dv_q, theta, op):
     # The residuals are linear in (s, Re C/3, Im C/3): the design columns
     # are _couple at (s, C) = (1, 0), (0, 3) and (0, 3j), evaluated along a
     # leading axis, and both axes are fitted jointly. _UNSPREAD maps the
-    # coefficients to the per-phase deviations.
+    # coefficients to the deviations, whose s and |C| = 3k must be finite.
     spread = np.array([[0.0], [3.0], [3.0j]])
     unit = _couple(_double_angle(theta), np.array([[1.0], [0.0], [0.0]]),
                    spread, spread, drive)
@@ -75,19 +76,18 @@ def _fit(family, excitation, dv_d, dv_q, theta, op):
             f"{family} fit is rank deficient (rank {rank} of 3); "
             "the operating point does not excite all coefficients"
         )
-    residual = target - design @ coeffs
     with np.errstate(over="ignore", invalid="ignore"):
+        residual = target - design @ coeffs
         rms = float(np.sqrt(np.mean(residual ** 2)))
-        per_phase = _UNSPREAD @ coeffs
-        # _terms and _phasors stay below three times the largest deviation.
-        headroom = 3.0 * per_phase
-    if not np.isfinite([*headroom, rms]).all():
+        per_phase = tuple(float(v) for v in _UNSPREAD @ coeffs)
+    deviations = {_FAMILIES[family][0][0]: per_phase}
+    s, c_2theta = _terms(family, deviations)[:2]
+    if not np.isfinite([*per_phase, s, math.hypot(c_2theta.real,
+                                                  c_2theta.imag), rms]).all():
         raise InputError(f"{family} fit overflows: the voltages or the "
                          "operating point are too large")
-    deviations = {_FAMILIES[family][0][0]: per_phase}
-    return IdentificationResult(family, _terms(family, deviations)[0],
-                                _phasors(family, deviations)[""],
-                                tuple(float(v) for v in per_phase), rms)
+    return IdentificationResult(family, s, _phasors(family, deviations)[""],
+                                per_phase, rms)
 
 
 def fit_resistance(dv_d, dv_q, i_d, i_q, theta) -> IdentificationResult:

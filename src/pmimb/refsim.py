@@ -68,8 +68,7 @@ class TimeSeries:
             raise ValueError("t must be 1-D with at least 2 samples")
         if self.theta.shape != self.t.shape:
             raise ValueError("theta must match t in shape")
-        # Step extremes a block at a time, holding no grid column; a nan
-        # step makes the minimum nan, which reads as not increasing.
+        # Step extremes a block at a time; a nan step reads as not increasing.
         ends = np.array([(steps.min(), steps.max()) for steps in (
             np.diff(self.t[start:start + _BLOCK + 1])
             for start in range(0, self.t.size - 1, _BLOCK))])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,29 @@ def test_reported_terms_are_the_coeffs_map_of_per_phase(rng, family, field):
         deviations = {field: out.per_phase}
         assert out.s == _terms(family, deviations)[0]
         assert out.phasor == _phasors(family, deviations)[""]
+
+
+def near_limit_fit(spread):
+    # A 2theta spread Re C/3 = spread near the float limit, at a current
+    # small enough that the residuals square without overflow.
+    i_q = 1e-160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit_resistance(spread * i_q * np.sin(2.0 * GRID),
+                              -spread * i_q * np.cos(2.0 * GRID),
+                              0.0, i_q, GRID)
+
+
+def test_fit_near_the_float_limit_is_reported():
+    # per_phase (1e308, -5e307, -5e307) maps forward to a finite |C|.
+    assert near_limit_fit(5e307).phasor.k == pytest.approx(5e307)
+
+
+@pytest.mark.parametrize("spread", [7e307, 1e308, 1.5e308])
+def test_fit_overflow_is_refused_without_warnings(spread):
+    # From 7e307 on, |C| of the fitted triple or the triple overflows.
+    with pytest.raises(InputError, match="^resistance fit overflows"):
+        near_limit_fit(spread)
 
 
 class TestResultValidation:
