@@ -73,7 +73,8 @@ def test_fit_near_the_float_limit_is_reported():
 
 @pytest.mark.parametrize("spread", [7e307, 1e308, 1.5e308])
 def test_fit_overflow_is_refused_without_warnings(spread):
-    # From 7e307 on, |C| of the fitted triple or the triple overflows.
+    # From 7e307 on, |C| of the fitted triple, the triple itself or the
+    # residual product overflows.
     with pytest.raises(InputError, match="^resistance fit overflows"):
         near_limit_fit(spread)
 
