@@ -7,7 +7,9 @@ holds each text with one line deleted; with one value entry (one item of
 a comma list) set to each of "", x, nan, inf, -1, 0, 1, 1e, 5%, 5e-324,
 1e300 and 1e-300; with an unknown key in each section; with one of six
 sections appended; and with one whole value set to each of 1e300,
--1e300, 1e-300, 5e-324 and 1e150.
+-1e300, 1e-300, 5e-324 and 1e150. It also holds the sample-selection
+edges of each shipped text: [outputs] stride set to 2, 7 and 10**9, and
+[sim] duration set equal to its dt (a grid of 2 samples).
 
 Each text runs in a fresh working directory, with relative paths for the
 scenario and for --out, and the four jobs share that --out as a user
@@ -25,6 +27,7 @@ Usage: python3 scripts/artifact_digests.py [--no-corpus] [scenario.ini ...]
 """
 
 import argparse
+import configparser
 import contextlib
 import hashlib
 import io
@@ -34,6 +37,7 @@ import warnings
 from pathlib import Path
 
 from pmimb.cli import main as pmimb_main
+from pmimb.scenario import _SCHEMA
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 JOBS = ("coeffs", "simulate", "compare", "identify")
@@ -48,6 +52,7 @@ APPENDED = (
     "[identify]\nsource_csv = timeseries.csv\n",
     "[outputs]\nchannels = v_d, v_q, i_d, i_q, t_e\nstride = 3\n",
 )
+STRIDES = (2, 7, 10**9)
 
 
 def corpus(text):
@@ -75,10 +80,32 @@ def corpus(text):
                    set_line(lines, row, line.rstrip("\n") + "\nbogus = 1"))
     for idx, section in enumerate(APPENDED):
         yield f"append:{idx}", text + "\n" + section
+    for stride in STRIDES:
+        yield (f"edge:stride={stride}",
+               with_key(lines, "outputs", "stride", str(stride)))
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    dt = parser.get("sim", "dt", fallback=_SCHEMA["sim"]["dt"][1])
+    yield "edge:duration=dt", with_key(lines, "sim", "duration", dt)
 
 
 def set_line(lines, row, line):
     return "".join(lines[:row] + [line + "\n"] + lines[row + 1:])
+
+
+def with_key(lines, section, key, value):
+    """The text with ``key = value`` in [section]: the key's line replaced,
+    else a line added under the section header, else the section appended."""
+    current, header = None, None
+    for row, line in enumerate(lines):
+        if line.startswith("["):
+            current = line.strip()[1:-1]
+            header = row if current == section else header
+        elif current == section and line.partition("=")[0].strip() == key:
+            return set_line(lines, row, f"{key} = {value}")
+    if header is not None:
+        return set_line(lines, header, f"[{section}]\n{key} = {value}")
+    return "".join(lines) + f"\n[{section}]\n{key} = {value}\n"
 
 
 def run_job(job):

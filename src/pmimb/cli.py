@@ -30,7 +30,8 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import (TimeSeries, _blocked, _names, run_current_fed,
+from .refsim import (CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS, TimeSeries,
+                     _blocked, _grid_size, _names, run_current_fed,
                      run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
@@ -134,15 +135,16 @@ _SUMMARY_CHANNELS = ("i_d", "i_q", "t_e")
 _VOLTAGES_DQ = ("v_d", "v_q")
 
 
-def _simulate(scenario: Scenario, channels):
-    """Run the scenario's simulation, computing only ``channels``."""
+def _simulate(scenario: Scenario, channels, samples=slice(None)):
+    """Run the scenario's simulation, computing only ``channels`` at the
+    grid indices ``samples`` selects."""
     if scenario.mode == "voltage-fed":
         return run_voltage_fed(scenario.machine, (scenario.v_d, scenario.v_q),
                                scenario.omega_e, scenario.sim,
-                               channels=channels)
+                               channels=channels, samples=samples)
     return run_current_fed(scenario.machine, (scenario.i_d, scenario.i_q),
                            scenario.omega_e, scenario.sim, i_0=scenario.i_0,
-                           channels=channels)
+                           channels=channels, samples=samples)
 
 
 def _job_coeffs(scenario: Scenario, out_dir: Path):
@@ -150,19 +152,36 @@ def _job_coeffs(scenario: Scenario, out_dir: Path):
 
 
 def _job_simulate(scenario: Scenario, out_dir: Path):
-    ts = _simulate(scenario, None if scenario.channels is None
-                   else {*scenario.channels, *_SUMMARY_CHANNELS})
+    """Simulate only the samples the job reads, each bit for bit the full
+    run's. First the summary's channels on the late half, reduced to their
+    means and dropped: a grid too large to allocate fails there, before
+    any file is written. Then the CSV's channels on every stride-th sample,
+    written whole. A selection holds at least 2 samples, so a late half of
+    one (n = 2) is evaluated with the sample before it, and a lone CSV row
+    (stride >= n) with the grid's last sample, which its write skips."""
+    available = (VOLTAGE_FED_CHANNELS if scenario.mode == "voltage-fed"
+                 else CURRENT_FED_CHANNELS)
+    _names(scenario.channels, available)  # an unknown name before the grid
+    n = _grid_size(scenario.sim)
+    late = _simulate(scenario, _SUMMARY_CHANNELS,
+                     slice(min(n // 2, n - 2), None))
+    t_end = late.t[-1]
+    means = [np.mean(late.channels[name][-(n - n // 2):])
+             for name in _SUMMARY_CHANNELS]
+    del late
+    lone_row = scenario.stride >= n
+    ts = _simulate(scenario, scenario.channels,
+                   slice(0, None, n - 1 if lone_row else scenario.stride))
     csv_path = out_dir / scenario.csv_name
-    write_csv(ts, csv_path, scenario.channels, scenario.stride)
+    write_csv(ts, csv_path, scenario.channels, 2 if lone_row else 1)
     entries = [
         ("simulate.mode", scenario.mode),
-        ("simulate.samples", str(ts.t.size)),
-        ("simulate.t_end", _fmt(ts.t[-1])),
+        ("simulate.samples", str(n)),
+        ("simulate.t_end", _fmt(t_end)),
         ("simulate.csv", csv_path.name),
     ]
-    for name in _SUMMARY_CHANNELS:
-        half = ts.channels[name][ts.t.size // 2:]
-        entries.append((f"simulate.mean_{name}", _fmt(np.mean(half))))
+    entries += [(f"simulate.mean_{name}", _fmt(mean))
+                for name, mean in zip(_SUMMARY_CHANNELS, means)]
     return entries, [csv_path]
 
 

@@ -7,7 +7,10 @@ solution of the winding ODE under constant rotor-frame voltage commands
 and an isolated star point, checked against fixed-step RK4 in
 tests/oracles.py; ``steady_state_currents`` gives its exact dq steady state.
 Both run a block of samples at a time: memory is the kept channels plus a
-fixed block working set.
+fixed block working set. Both are closed form per sample, so either can
+evaluate any slice of its grid alone, bit for bit as the full run does:
+a caller that reads only some samples (every n-th row, the late half)
+pays only for those.
 """
 
 from __future__ import annotations
@@ -68,15 +71,26 @@ class TimeSeries:
             raise ValueError("t must be 1-D with at least 2 samples")
         if self.theta.shape != self.t.shape:
             raise ValueError("theta must match t in shape")
-        # Step extremes a block at a time; a nan step reads as not increasing.
-        ends = np.array([(steps.min(), steps.max()) for steps in (
-            np.diff(self.t[start:start + _BLOCK + 1])
-            for start in range(0, self.t.size - 1, _BLOCK))])
-        low, high = ends[:, 0].min(), ends[:, 1].max()
+        # A block at a time, so no grid-sized temporary is made: the step
+        # extremes, then whether t and theta are finite. A nan step reads
+        # as not increasing; an infinite end can pass both step checks.
+        blocks = []
+        for start in range(0, self.t.size - 1, _BLOCK):
+            part = slice(start, start + _BLOCK + 1)
+            steps = np.diff(self.t[part])
+            blocks.append((steps.min(), steps.max(),
+                           np.isfinite(self.t[part]).all(),
+                           np.isfinite(self.theta[part]).all()))
+        low, high, finite_t, finite_theta = np.array(blocks).T
+        low, high = low.min(), high.max()
         if not low > 0.0:
             raise ValueError("t must be strictly increasing")
         if high - low > 1e-9 * high:
             raise ValueError("t must be uniformly sampled")
+        if not finite_t.all():
+            raise ValueError("t must be finite")
+        if not finite_theta.all():
+            raise ValueError("theta must be finite")
         for name, data in self.channels.items():
             data = np.asarray(data, dtype=float)
             if data.shape != self.t.shape:
@@ -91,8 +105,33 @@ class TimeSeries:
         return self.channels[name]
 
 
-def _sample_grid(cfg: SimConfig, omega_e):
-    """Sample times and angles, refusing a step too coarse for the speed."""
+def _grid_size(cfg: SimConfig):
+    """Number of samples on the grid ``cfg`` describes, both ends included."""
+    return int(round(cfg.duration / cfg.dt)) + 1
+
+
+def _grid_indices(cfg: SimConfig, samples):
+    """The grid indices ``samples`` selects, as a range, checked before any
+    sample array exists: it must be a slice stepping by at least 1 that
+    holds at least 2 samples."""
+    size = _grid_size(cfg)
+    try:
+        index = range(size)[samples] if isinstance(samples, slice) else None
+    except (TypeError, ValueError):  # a bound that is no integer, a zero step
+        index = None
+    if index is None or index.step < 1:
+        raise ConfigError(f"samples must be a slice of grid indices stepping "
+                          f"by at least 1, not {samples!r}")
+    if len(index) < 2:
+        raise ConfigError(f"samples {samples!r} selects {len(index)} of "
+                          f"{size} grid samples; at least 2 are needed")
+    return index
+
+
+def _sample_grid(cfg: SimConfig, omega_e, index):
+    """Times and angles of the grid samples at ``index``, refusing a step
+    too coarse for the speed. Each value is bit for bit the full grid's:
+    its integer index times dt."""
     if omega_e != 0.0:
         period = 2.0 * math.pi / abs(omega_e)
         if cfg.dt > period / MIN_STEPS_PER_PERIOD:
@@ -100,8 +139,7 @@ def _sample_grid(cfg: SimConfig, omega_e):
                 f"dt = {cfg.dt:g} s exceeds 1/{MIN_STEPS_PER_PERIOD} of the "
                 f"electrical period {period:g} s"
             )
-    n_steps = int(round(cfg.duration / cfg.dt))
-    t = np.arange(n_steps + 1) * cfg.dt
+    t = np.arange(index.start, index.stop, index.step) * cfg.dt
     return t, omega_e * t
 
 
@@ -182,7 +220,8 @@ def _blocked(size, names, block):
 
 
 def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
-                    cfg: SimConfig, i_0=0.0, channels=None) -> TimeSeries:
+                    cfg: SimConfig, i_0=0.0, channels=None,
+                    samples=slice(None)) -> TimeSeries:
     """Evaluate the machine exactly under prescribed rotor-frame currents.
 
     Parameters
@@ -205,19 +244,27 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         time: memory is the kept channels plus a fixed block working set.
         A name outside that tuple raises ``ConfigError`` before any sample
         array exists.
+    samples : slice, optional
+        Grid indices to evaluate, the whole grid by default; ``t`` and
+        ``theta`` hold the selected samples only. Every sample is closed
+        form, so each selected one is bit for bit the full run's at that
+        index, and memory scales with the selection, not the grid. A
+        selection that is not a slice, steps by less than 1 or holds
+        fewer than 2 samples raises ``ConfigError`` before any sample
+        array exists.
 
     Returns
     -------
     TimeSeries
         Phase and rotor-frame voltages and currents plus torque, or the
-        selected ones, in ``CURRENT_FED_CHANNELS`` order. Exact: currents
-        are imposed, so no integration is involved.
+        selected ones, in ``CURRENT_FED_CHANNELS`` order, at the selected
+        samples. Exact: currents are imposed, so no integration is involved.
 
     """
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
     names = _select(channels, CURRENT_FED_CHANNELS)
-    t, theta = _sample_grid(cfg, omega_e)
+    t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
 
     def block(part):
         basis = _phase_basis(theta[part])
@@ -234,7 +281,8 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
-                    cfg: SimConfig, channels=None) -> TimeSeries:
+                    cfg: SimConfig, channels=None,
+                    samples=slice(None)) -> TimeSeries:
     """Solve the voltage-fed machine with an isolated star point.
 
     Parameters
@@ -253,14 +301,18 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         As for ``run_current_fed``, over ``VOLTAGE_FED_CHANNELS``, memory
         too: the kept channels plus a fixed block working set. Without a
         voltage channel or "v_n" the winding voltages are not reconstructed.
+    samples : slice, optional
+        As for ``run_current_fed``: the solution below is evaluated at the
+        selected grid samples only, each bit for bit the full run's.
 
     Returns
     -------
     TimeSeries
         All standard channels plus "v_n", the star-point displacement
-        voltage, or the selected ones, in ``VOLTAGE_FED_CHANNELS`` order.
-        Voltage channels are winding voltages (terminal minus star
-        point), so v_0 = -v_n. Initial currents are zero.
+        voltage, or the selected ones, in ``VOLTAGE_FED_CHANNELS`` order,
+        at the selected samples. Voltage channels are winding voltages
+        (terminal minus star point), so v_0 = -v_n. Initial currents are
+        zero, at grid index 0 whether or not it is selected.
 
     Notes
     -----
@@ -273,7 +325,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         x' = A x + Re(F e^{j theta}),  A = -H R_red,  F = H (G_ab - G_c),
 
     with H = L_red^-1 and phase x driven by Re(G_x e^{j theta}). Its
-    solution from rest is evaluated exactly at every sample:
+    solution from rest is evaluated exactly at every selected sample:
 
         x(t) = Re(X e^{j theta}) - e^{A t} Re(X),
 
@@ -289,7 +341,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
     names = _select(channels, VOLTAGE_FED_CHANNELS)
-    t, theta = _sample_grid(cfg, omega_e)
+    t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
     chol = np.linalg.cholesky(l_red)

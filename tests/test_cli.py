@@ -325,6 +325,18 @@ class TestSimulateJob:
             "t_e)\n")
         assert not (out / "timeseries.csv").exists()
 
+    def test_unavailable_channel_refused_before_the_grid(self, tmp_path,
+                                                         capsys):
+        # The summary's late half runs before the CSV's channels; a grid
+        # it cannot allocate must not hide the channel error.
+        text = MACHINE + ("[sim]\ndt = 1\nduration = 1e17\n"
+                          "[outputs]\nchannels = v_n\n")
+        rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: channel 'v_n' is not in this time series")
+
     def test_voltage_fed_summary(self, tmp_path):
         text = MACHINE + """\
 [operating_point]
@@ -771,9 +783,77 @@ def test_channel_selection_leaves_every_artifact_unchanged(
                             capsys)
     simulate = cli._simulate
     monkeypatch.setattr(cli, "_simulate",
-                        lambda scenario, channels: simulate(scenario, None))
+                        lambda scenario, channels, samples=slice(None):
+                        simulate(scenario, None, samples))
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
+
+
+def full_grid_then_slice(simulate):
+    """``_simulate`` evaluating every grid sample, then selecting."""
+    def run(scenario, channels, samples=slice(None)):
+        ts = simulate(scenario, channels)
+        return TimeSeries(ts.t[samples], ts.theta[samples], {
+            name: data[samples] for name, data in ts.channels.items()})
+    return run
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+def test_sample_selection_leaves_every_artifact_unchanged(
+        tmp_path, monkeypatch, capsys, scenario):
+    # Jobs evaluate only the samples they read; evaluating the whole grid
+    # and selecting afterwards must give the same bytes, messages and exit
+    # codes.
+    shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
+                            capsys)
+    monkeypatch.setattr(cli, "_simulate", full_grid_then_slice(cli._simulate))
+    assert run_every_job(scenario, tmp_path / "full", monkeypatch,
+                         capsys) == shipped
+
+
+DRIVES = {
+    "current-fed": "[operating_point]\nomega_e = 300\ni_d = -2\ni_q = 10\n",
+    "voltage-fed": "[operating_point]\nomega_e = 300\nv_d = 0.5\n"
+                   "v_q = 11.0\n",
+}
+
+
+# Grids of 2 and 3 samples, whose late half is 1 and 2 samples, and
+# strides that write the first and last samples or the first alone.
+@pytest.mark.parametrize("duration, stride, rows", [
+    pytest.param(1e-5, 1, 2, id="n2"),
+    pytest.param(2e-5, 1, 3, id="n3"),
+    pytest.param(2e-5, 3, 1, id="n3-stride-n"),
+    pytest.param(0.03, 3000, 2, id="stride-n-minus-1"),
+    pytest.param(0.03, 3001, 1, id="stride-n"),
+    pytest.param(0.03, 10**9, 1, id="stride-1e9"),
+])
+@pytest.mark.parametrize("channels", [None, ("i_q", "v_a")],
+                         ids=["all", "two"])
+@pytest.mark.parametrize("mode", DRIVES)
+def test_simulate_selection_edges_match_the_full_run(
+        tmp_path, mode, channels, duration, stride, rows):
+    text = MACHINE + DRIVES[mode] + (
+        f"\n[sim]\nmode = {mode}\ndt = 1e-5\nduration = {duration!r}\n"
+        f"\n[outputs]\nstride = {stride}\n")
+    if channels:
+        text += f"channels = {', '.join(channels)}\n"
+    scenario = parse_scenario(write_scenario(tmp_path, text))
+    run_scenario(scenario, "simulate", tmp_path / "out")
+
+    # The oracle evaluates every sample and channel, then selects.
+    full = cli._simulate(scenario, None)
+    n = full.t.size
+    write_csv(full, tmp_path / "full.csv", channels, stride)
+    csv_bytes = (tmp_path / "out" / "timeseries.csv").read_bytes()
+    assert csv_bytes == (tmp_path / "full.csv").read_bytes()
+    assert csv_bytes.count(b"\n") == 1 + rows
+    summary = read_summary(tmp_path / "out" / "summary.txt")
+    assert summary["simulate.samples"] == str(n)
+    assert summary["simulate.t_end"] == repr(float(full.t[-1]))
+    for name in ("i_d", "i_q", "t_e"):
+        assert summary[f"simulate.mean_{name}"] == repr(
+            float(np.mean(full.channel(name)[n // 2:])))
 
 
 CORRUPT_CELLS = ("", "x", "nan", "inf", "1e", "--1")
@@ -1051,6 +1131,19 @@ def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ")
     assert err.count("\n") == 1
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_unallocatable_grid_fails_before_a_tiny_csv_selection(tmp_path,
+                                                               capsys):
+    # Every 1e17th sample is a CSV of 2 rows; the summary's late half is
+    # evaluated first, fails to allocate, and nothing is written.
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(MACHINE + "[sim]\ndt = 1\nduration = 1e17\n"
+                        "[outputs]\nstride = 100000000000000000\n")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
     assert not any((tmp_path / "out").glob("*"))
 
 

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
+from conftest import NOMINAL
 from pmimb import (
     ConfigError,
     InputError,
@@ -173,6 +175,36 @@ class TestTimeSeries:
             t[step + 1:] += shift
         with pytest.raises(ValueError, match=f"^t must be {message}$"):
             TimeSeries(t, np.zeros(t.size))
+
+    def test_infinite_end_of_time_refused(self):
+        # Its steps, 1 and inf, pass both step checks.
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            TimeSeries([0.0, 1.0, np.inf], np.zeros(3))
+
+    # Finiteness of t, then of theta, is checked in the same blocks as the
+    # steps and refused after both step checks: a nan in t makes a nan
+    # step, read as not increasing, and an infinite end of t passes them.
+    @pytest.mark.parametrize("t_faults, theta_faults, message", [
+        ({-1: np.inf}, {}, "t must be finite"),
+        ({0: -np.inf}, {}, "t must be finite"),
+        ({}, {refsim._BLOCK: np.nan}, "theta must be finite"),
+        ({}, {-1: -np.inf}, "theta must be finite"),
+        ({}, {2 * refsim._BLOCK + 5: np.inf}, "theta must be finite"),
+        ({-1: np.inf}, {0: np.nan}, "t must be finite"),
+        ({refsim._BLOCK: np.nan}, {}, "t must be strictly increasing"),
+        ({refsim._BLOCK: -1.0}, {0: np.nan}, "t must be strictly increasing"),
+        ({refsim._BLOCK: refsim._BLOCK + 0.5}, {5: np.inf},
+         "t must be uniformly sampled"),
+    ])
+    def test_non_finite_refused_after_the_step_checks(self, t_faults,
+                                                      theta_faults, message):
+        t = np.arange(3.0 * refsim._BLOCK + 10)
+        theta = np.zeros(t.size)
+        for values, faults in ((t, t_faults), (theta, theta_faults)):
+            for index, value in faults.items():
+                values[index] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeSeries(t, theta)
 
     def test_names_and_lookup(self):
         t = np.linspace(0, 1, 5)
@@ -396,13 +428,14 @@ SELECTION_CASES = [
 ]
 
 
-def simulate(nominal, mode, channels):
+def simulate(nominal, mode, channels, samples=slice(None),
+             cfg=SimConfig(dt=1e-5, duration=3e-3)):
     p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
-    cfg = SimConfig(dt=1e-5, duration=3e-3)
     if mode == "current-fed":
         return run_current_fed(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
-                               channels=channels)
-    return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg, channels=channels)
+                               channels=channels, samples=samples)
+    return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg, channels=channels,
+                           samples=samples)
 
 
 class TestChannelSelection:
@@ -440,6 +473,109 @@ class TestChannelSelection:
                                               "collection of names, not the "
                                               "string 't_e'$"):
             simulate(nominal, mode, "t_e")
+
+
+def assert_selection_is_the_full_run(got, full, samples):
+    """Every array of ``got`` is ``full``'s at ``samples``, bit for bit."""
+    assert got.names == [name for name in full.names if name in got.names]
+    pairs = [(got.t, full.t), (got.theta, full.theta)] + [
+        (got.channel(name), full.channel(name)) for name in got.names]
+    for have, want in pairs:
+        assert np.array_equal(have.view(np.uint64),
+                              want[samples].view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def full_runs():
+    """Every channel of each mode's run on the 301-sample grid."""
+    return {mode: simulate(NOMINAL, mode, None)
+            for mode in ("current-fed", "voltage-fed")}
+
+
+# The 301-sample grid's index bounds, open ends and negatives included.
+BOUNDS = st.none() | st.integers(-310, 310)
+
+
+class TestSampleSelection:
+    # Every sample is closed form, so a selection is the full run indexed
+    # by the same slice, signed zeros included, whatever the channels and
+    # the block size. Blocks of 3 and 7 let a step exceed the block and a
+    # selection end in a lone sample, which the block before it takes in.
+    @given(mode=st.sampled_from(["current-fed", "voltage-fed"]),
+           picks=st.sets(st.sampled_from(VOLTAGE_FED_CHANNELS)),
+           block=st.sampled_from([3, 7, refsim._BLOCK]),
+           start=BOUNDS, stop=BOUNDS, step=st.none() | st.integers(1, 320))
+    @example(mode="voltage-fed", picks=set(VOLTAGE_FED_CHANNELS), block=7,
+             start=None, stop=None, step=9)
+    @example(mode="current-fed", picks={"v_d", "t_e"}, block=7,
+             start=2, stop=17, step=None)
+    @example(mode="voltage-fed", picks={"v_n", "i_d"}, block=7,
+             start=-281, stop=None, step=20)
+    @example(mode="current-fed", picks=set(), block=3, start=None,
+             stop=None, step=300)
+    def test_selection_is_the_full_run_at_those_samples(
+            self, full_runs, mode, picks, block, start, stop, step):
+        samples = slice(start, stop, step)
+        if len(range(301)[samples]) < 2:
+            return
+        available = full_runs[mode].names
+        channels = [name for name in available if name in picks]
+        original = refsim._BLOCK
+        refsim._BLOCK = block
+        try:
+            got = simulate(NOMINAL, mode, channels, samples)
+        finally:
+            refsim._BLOCK = original
+        assert got.names == channels
+        assert_selection_is_the_full_run(got, full_runs[mode], samples)
+
+    # With the package's block size on a 40 001-sample grid: a step above
+    # the block, a last block of one sample, and a strided selection.
+    @pytest.mark.parametrize("samples", [
+        slice(3, None, refsim._BLOCK + 117),
+        slice(1, refsim._BLOCK + 2),
+        slice(-2 * refsim._BLOCK - 1, None),
+        slice(None, None, 2),
+    ], ids=["step-above-block", "lone-last", "late-lone-last", "stride-2"])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_selection_across_package_blocks(self, nominal, mode, samples):
+        cfg = SimConfig(dt=1e-6, duration=0.04)
+        full = simulate(nominal, mode, None, cfg=cfg)
+        assert full.t.size == 40_001
+        assert_selection_is_the_full_run(
+            simulate(nominal, mode, None, samples, cfg), full, samples)
+
+    @pytest.mark.parametrize("samples, message", [
+        (None, "samples must be a slice of grid indices stepping by at "
+               "least 1, not None"),
+        (range(5), "samples must be a slice of grid indices stepping by at "
+                   "least 1, not range(0, 5)"),
+        (slice(None, None, 0), "samples must be a slice of grid indices "
+                               "stepping by at least 1, not slice(None, "
+                               "None, 0)"),
+        (slice(None, None, -1), "samples must be a slice of grid indices "
+                                "stepping by at least 1, not slice(None, "
+                                "None, -1)"),
+        (slice(0.5, None), "samples must be a slice of grid indices "
+                           "stepping by at least 1, not slice(0.5, None, "
+                           "None)"),
+        (slice(5, 6), "samples slice(5, 6, None) selects 1 of 301 grid "
+                      "samples; at least 2 are needed"),
+        (slice(-1, None), "samples slice(-1, None, None) selects 1 of 301 "
+                          "grid samples; at least 2 are needed"),
+        (slice(None, None, 301), "samples slice(None, None, 301) selects 1 "
+                                 "of 301 grid samples; at least 2 are "
+                                 "needed"),
+        (slice(10, 5), "samples slice(10, 5, None) selects 0 of 301 grid "
+                       "samples; at least 2 are needed"),
+    ])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_invalid_selection_refused_before_the_grid(
+            self, nominal, monkeypatch, mode, samples, message):
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        with pytest.raises(ConfigError) as excinfo:
+            simulate(nominal, mode, None, samples)
+        assert str(excinfo.value) == message
 
 
 # Per block size, grids one short of a block, exactly one, two and a lone
@@ -521,6 +657,37 @@ class TestBlockSizeInvariance:
         assert artifacts[block] == artifacts[size]
 
 
+RIPPLE_SCENARIO = """\
+[machine]
+pole_pairs = 3
+r = 0.1
+l = 2e-4
+m = 2e-5
+lam = 0.05
+
+[imbalance]
+family = combined
+d_r = 5%, 0, 2%
+d_l = 4%, 1%, 0
+d_m = 0, 3%, 0
+d_lam = 2%, 0, 1%
+
+[operating_point]
+omega_e = 300
+v_d = 1.0
+v_q = 20.0
+
+[sim]
+mode = voltage-fed
+dt = 1e-6
+duration = {duration!r}
+
+[outputs]
+channels = i_a, i_b, i_0, i_d, i_q
+stride = 20
+"""
+
+
 class TestPeakMemory:
     # Peak bytes traced during one run on a 200 001-sample grid, in grid
     # columns of 8 bytes per sample. The columns the result holds count
@@ -558,6 +725,28 @@ class TestPeakMemory:
             self.peak_bytes(nominal, mode, drive, size)
             for size in (self.N // 2 + 1, self.N, 2 * self.N - 1))]
         assert excess[1:] == pytest.approx([excess[0]] * 2, rel=0.01)
+
+    def test_simulate_job_evaluates_only_the_samples_it_reads(self,
+                                                             tmp_path):
+        # The ripple-study job: voltage-fed, five channels written at
+        # stride 20, and the summary's three means over the late half. Each
+        # selection is its own run, so neither holds a full grid column.
+        text = RIPPLE_SCENARIO.format(duration=(self.N - 1) * 1e-6)
+        warm_up, path = tmp_path / "warm-up.ini", tmp_path / "ripple.ini"
+        warm_up.write_text(RIPPLE_SCENARIO.format(duration=1e-3))
+        path.write_text(text)
+        run_scenario(parse_scenario(warm_up), "simulate", tmp_path / "warm")
+        scenario = parse_scenario(path)
+        tracemalloc.start()
+        try:
+            written = run_scenario(scenario, "simulate", tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        summary = written[-1].read_text()
+        assert f"simulate.samples: {self.N}\n" in summary
+        assert written[0].read_text().count("\n") == 1 + 10_001
+        assert peak / (8 * self.N) <= 5
 
     def peak_bytes(self, nominal, mode, drive, size, channels=None):
         """Peak traced bytes of one run and the bytes its result keeps."""

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from pmimb import MachineParameters, SimConfig, refsim, transforms
+from pmimb import (MachineParameters, SimConfig, parse_scenario, refsim,
+                   transforms)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -135,3 +136,20 @@ def test_artifact_digests_repeat(capsys):
          ("identify", "2"))]
     assert all(re.fullmatch("[0-9a-f]{64}", row[3]) for row in rows)
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (ROOT / "scenarios").glob("*.ini")))
+def test_artifact_digest_corpus_holds_the_selection_edges(tmp_path, name):
+    # Each shipped text, with or without [sim] and [outputs], gets each
+    # edge stride and a duration of one step.
+    script = runpy.run_path(str(ROOT / "scripts" / "artifact_digests.py"))
+    text = (ROOT / "scenarios" / name).read_text(encoding="utf-8")
+    variants = dict(script["corpus"](text))
+    path = tmp_path / "scenario.ini"
+    for stride in (2, 7, 10**9):
+        path.write_text(variants[f"edge:stride={stride}"])
+        assert parse_scenario(path).stride == stride
+    path.write_text(variants["edge:duration=dt"])
+    shipped = parse_scenario(ROOT / "scenarios" / name).sim
+    assert parse_scenario(path).sim == SimConfig(shipped.dt, shipped.dt)
