@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .harmonics import compare_waveforms
 from .identify import _INVERTIBLE, fit_flux, fit_resistance
-# The delta functions and compose_total stay bound here, though only
-# closed_form_dq calls them: perfbench/tracing.py looks them up by name.
+# Bound for perfbench/tracing.py alone: closed_form_dq calls compose_total
+# through imbalance, and nothing calls the delta functions.
 from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         compose_total, flux_delta, inductance_delta,
                         resistance_delta)
@@ -41,26 +41,21 @@ from .scenario import Scenario, parse_scenario
 _BLOCK_ROWS = 1024
 
 
-def write_csv(ts: TimeSeries, path, channels=None, stride=1):
-    """Write a time series as CSV: header ``t,theta,<channels>``.
+def write_csv(ts: TimeSeries, path, stride=1):
+    """Write ``ts`` as CSV: ``t``, ``theta`` and every channel in the
+    series' order, on every ``stride``-th row.
 
     Values carry 17 significant digits (``%.17g``) so a read-back
     reproduces every sample exactly. Rows are formatted a block at a time
     with one ``%`` operation per block; the bytes are those of formatting
-    each value on its own. A channel that is missing from the series or
-    listed twice raises ``ConfigError``, since ``read_csv`` would refuse
-    the file; so does a bare string, as ``run_current_fed`` does, and a
-    ``stride`` that is not an integer of at least 1.
+    each value on its own. A ``stride`` that is not an integer of at
+    least 1 raises ``ConfigError``.
     """
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ConfigError(f"stride must be an integer >= 1, not {stride!r}")
-    names = _names(channels, ts.names)
-    for idx, name in enumerate(names):
-        if name in names[:idx]:
-            raise ConfigError(f"channel {name!r} is listed twice")
     columns = [col[::stride] for col in
-               [ts.t, ts.theta] + [ts.channels[name] for name in names]]
-    header = ",".join(["t", "theta"] + names)
+               [ts.t, ts.theta, *ts.channels.values()]]
+    header = ",".join(["t", "theta", *ts.channels])
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = columns[0].size
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -173,7 +168,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     ts = _simulate(scenario, scenario.channels,
                    slice(0, None, n - 1 if lone_row else scenario.stride))
     csv_path = out_dir / scenario.csv_name
-    write_csv(ts, csv_path, scenario.channels, 2 if lone_row else 1)
+    write_csv(ts, csv_path, 2 if lone_row else 1)
     entries = [
         ("simulate.mode", scenario.mode),
         ("simulate.samples", str(n)),

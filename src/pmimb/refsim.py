@@ -161,32 +161,28 @@ def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
 
 _PHASE_V, _PHASE_I = ("v_a", "v_b", "v_c"), ("i_a", "i_b", "i_c")
 _DQ0_V, _DQ0_I = ("v_d", "v_q", "v_0"), ("i_d", "i_q", "i_0")
-# Channels of a current-fed run in TimeSeries order; voltage-fed adds v_n.
+# A current-fed run's channels in the order None gives; voltage-fed adds v_n.
 CURRENT_FED_CHANNELS = _PHASE_V + _PHASE_I + _DQ0_V + _DQ0_I + ("t_e",)
 VOLTAGE_FED_CHANNELS = CURRENT_FED_CHANNELS + ("v_n",)
 
 
 def _names(channels, available):
-    """``channels`` as a list, all of ``available`` for None; a bare string
-    (read one character at a time) or a name not available is refused."""
+    """``channels`` as a list in the order given, all of ``available`` for
+    None. A bare string (read one character at a time), a name not
+    available or one listed twice is refused, the first in order."""
     if channels is None:
         return list(available)
     if isinstance(channels, str):
         raise ConfigError(f"channels must be a collection of names, "
                           f"not the string {channels!r}")
     names = list(channels)
-    for name in names:
+    for idx, name in enumerate(names):
         if name not in available:
-            raise ConfigError(f"channel {name!r} is not in this time series "
+            raise ConfigError(f"unknown channel {name!r} "
                               f"(available: {', '.join(available)})")
+        if name in names[:idx]:
+            raise ConfigError(f"channel {name!r} is listed twice")
     return names
-
-
-def _select(channels, available):
-    """The names to build, in ``available`` order, checked by ``_names``
-    before any sample array exists."""
-    names = _names(channels, available)
-    return tuple(name for name in available if name in names)
 
 
 def _needs(names, *groups):
@@ -238,12 +234,13 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         Constant zero-sequence current; physical star connections keep
         this at zero, the knob exists to exercise zero-sequence coupling.
     channels : collection of str, optional
-        Names to return, as ``write_csv`` takes them; None, the default,
-        gives all of ``CURRENT_FED_CHANNELS``. Only what they need is
+        Names to return, in the order given (a set gives its own
+        iteration order); None, the default, gives all of
+        ``CURRENT_FED_CHANNELS`` in that order. Only what they need is
         computed, bit for bit as in the full run, a block of samples at a
         time: memory is the kept channels plus a fixed block working set.
-        A name outside that tuple raises ``ConfigError`` before any sample
-        array exists.
+        A bare string, a name outside that tuple or a name listed twice
+        raises ``ConfigError`` before any sample array exists.
     samples : slice, optional
         Grid indices to evaluate, the whole grid by default; ``t`` and
         ``theta`` hold the selected samples only. Every sample is closed
@@ -257,13 +254,13 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
     -------
     TimeSeries
         Phase and rotor-frame voltages and currents plus torque, or the
-        selected ones, in ``CURRENT_FED_CHANNELS`` order, at the selected
-        samples. Exact: currents are imposed, so no integration is involved.
+        named ones in the order named, at the selected samples. Exact:
+        currents are imposed, so no integration is involved.
 
     """
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
-    names = _select(channels, CURRENT_FED_CHANNELS)
+    names = _names(channels, CURRENT_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
 
     def block(part):
@@ -309,10 +306,10 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     -------
     TimeSeries
         All standard channels plus "v_n", the star-point displacement
-        voltage, or the selected ones, in ``VOLTAGE_FED_CHANNELS`` order,
-        at the selected samples. Voltage channels are winding voltages
-        (terminal minus star point), so v_0 = -v_n. Initial currents are
-        zero, at grid index 0 whether or not it is selected.
+        voltage, or the named ones in the order named, at the selected
+        samples. Voltage channels are winding voltages (terminal minus
+        star point), so v_0 = -v_n. Initial currents are zero, at grid
+        index 0 whether or not it is selected.
 
     Notes
     -----
@@ -340,7 +337,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     """
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
-    names = _select(channels, VOLTAGE_FED_CHANNELS)
+    names = _names(channels, VOLTAGE_FED_CHANNELS)
     t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)

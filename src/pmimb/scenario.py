@@ -50,7 +50,7 @@ from pathlib import PurePath
 from .errors import ConfigError
 from .imbalance import _FAMILIES
 from .machine import _PHASE_KEYS, MachineParameters
-from .refsim import VOLTAGE_FED_CHANNELS, SimConfig
+from .refsim import VOLTAGE_FED_CHANNELS, SimConfig, _names
 
 # Deviation keys each family may declare.
 _FAMILY_KEYS = {"none": (),
@@ -211,14 +211,11 @@ def _deviation_triple(raw, key, nominal, nominal_key):
 def _channel_list(text):
     if text == "all":
         return None
-    channels = tuple(p.strip() for p in text.split(","))
-    for idx, name in enumerate(channels):
-        if name not in VOLTAGE_FED_CHANNELS:
-            raise ConfigError(f"outputs.channels: unknown channel {name!r}")
-        if name in channels[:idx]:
-            raise ConfigError(
-                f"outputs.channels: channel {name!r} is listed twice")
-    return channels
+    try:
+        return tuple(_names([p.strip() for p in text.split(",")],
+                            VOLTAGE_FED_CHANNELS))
+    except ConfigError as exc:
+        raise ConfigError(f"outputs.channels: {exc}") from None
 
 
 def parse_scenario(path) -> Scenario:

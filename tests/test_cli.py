@@ -88,9 +88,10 @@ class TestCsvInputOutput:
         assert lines[0] == "t,theta,i_a,v_a"
         assert len(lines) == 4
 
-    def test_empty_channel_selection(self, tmp_path):
+    def test_series_without_channels(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(small_series(3), path, channels=())
+        ts = small_series(3)
+        write_csv(TimeSeries(ts.t, ts.theta), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,theta"
         assert all(len(line.split(",")) == 2 for line in lines[1:])
@@ -113,27 +114,11 @@ class TestCsvInputOutput:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 4  # samples 0, 3, 6, 9
 
-    def test_unknown_channel_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="channel"):
-            write_csv(small_series(), tmp_path / "out.csv", channels=("i_x",))
-
-    def test_bare_string_rejected(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with pytest.raises(ConfigError, match="collection of names"):
-            write_csv(small_series(), path, "i_a")
-        assert not path.exists()
-
     @pytest.mark.parametrize("stride", [0, -1, 2.5])
     def test_bad_stride_rejected(self, tmp_path, stride):
         path = tmp_path / "out.csv"
         with pytest.raises(ConfigError, match="stride must be an integer"):
             write_csv(small_series(), path, stride=stride)
-        assert not path.exists()
-
-    def test_repeated_channel_rejected(self, tmp_path):
-        path = tmp_path / "out.csv"
-        with pytest.raises(ConfigError, match="'v_a' is listed twice"):
-            write_csv(small_series(), path, channels=("v_a", "i_a", "v_a"))
         assert not path.exists()
 
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
@@ -148,9 +133,11 @@ class TestCsvInputOutput:
 
     @pytest.mark.parametrize("channels", [("edge", "i_a"), ()])
     def test_channel_subset_bytes_match_oracle(self, tmp_path, channels):
+        # A series built with some channels, out of their first order.
         ts = awkward_series(2 * _BLOCK_ROWS + 7)
         path = tmp_path / "out.csv"
-        write_csv(ts, path, channels=channels, stride=3)
+        write_csv(TimeSeries(ts.t, ts.theta, {
+            name: ts.channel(name) for name in channels}), path, stride=3)
         assert path.read_bytes() == oracle_bytes(ts, channels, 3)
 
     def test_read_rejects_empty_file(self, tmp_path):
@@ -320,7 +307,7 @@ class TestSimulateJob:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: channel 'v_n' is not in this time series (available: "
+            "error: unknown channel 'v_n' (available: "
             "v_a, v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, "
             "t_e)\n")
         assert not (out / "timeseries.csv").exists()
@@ -335,7 +322,7 @@ class TestSimulateJob:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: channel 'v_n' is not in this time series")
+            "error: unknown channel 'v_n' (available: ")
 
     def test_voltage_fed_summary(self, tmp_path):
         text = MACHINE + """\
@@ -777,14 +764,19 @@ def run_every_job(scenario, workdir, monkeypatch, capsys):
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
 def test_channel_selection_leaves_every_artifact_unchanged(
         tmp_path, monkeypatch, capsys, scenario):
-    # Jobs simulate only the channels they read; forcing every channel
-    # must give the same bytes, messages and exit codes.
+    # Jobs simulate only the channels they read; evaluating every channel,
+    # then keeping the requested ones in the requested order, must give the
+    # same bytes, messages and exit codes.
     shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
                             capsys)
     simulate = cli._simulate
-    monkeypatch.setattr(cli, "_simulate",
-                        lambda scenario, channels, samples=slice(None):
-                        simulate(scenario, None, samples))
+
+    def every_channel(scenario, channels, samples=slice(None)):
+        ts = simulate(scenario, None, samples)
+        return TimeSeries(ts.t, ts.theta, {
+            name: ts.channel(name)
+            for name in (ts.names if channels is None else channels)})
+    monkeypatch.setattr(cli, "_simulate", every_channel)
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
 
@@ -841,10 +833,13 @@ def test_simulate_selection_edges_match_the_full_run(
     scenario = parse_scenario(write_scenario(tmp_path, text))
     run_scenario(scenario, "simulate", tmp_path / "out")
 
-    # The oracle evaluates every sample and channel, then selects.
+    # The oracle evaluates every sample and channel, then selects the
+    # channels in the order named, and the rows by the stride.
     full = cli._simulate(scenario, None)
     n = full.t.size
-    write_csv(full, tmp_path / "full.csv", channels, stride)
+    write_csv(TimeSeries(full.t, full.theta, {
+        name: full.channel(name) for name in (channels or full.names)}),
+        tmp_path / "full.csv", stride)
     csv_bytes = (tmp_path / "out" / "timeseries.csv").read_bytes()
     assert csv_bytes == (tmp_path / "full.csv").read_bytes()
     assert csv_bytes.count(b"\n") == 1 + rows

@@ -403,8 +403,8 @@ class TestVoltageFed:
         assert np.max(np.abs(ts.channel("v_n") - v_n)) < tol_v
 
 
-# One selection per channel group, single names, every name in reverse
-# order, and the sets the CLI jobs ask for.
+# One selection per channel group, single names, each mode's every name in
+# reverse order, and the sets the CLI jobs ask for.
 SELECTIONS = {
     "i_a": ("i_a",),
     "v_b": ("v_b",),
@@ -419,6 +419,7 @@ SELECTIONS = {
     "ripple-study": ("i_a", "i_b", "i_0", "i_d", "i_q", "t_e"),
     "compare": ("v_d", "v_q"),
     "all-reversed": tuple(reversed(VOLTAGE_FED_CHANNELS)),
+    "current-reversed": tuple(reversed(CURRENT_FED_CHANNELS)),
 }
 SELECTION_CASES = [
     pytest.param(mode, channels, id=f"{mode}-{name}")
@@ -441,13 +442,10 @@ def simulate(nominal, mode, channels, samples=slice(None),
 class TestChannelSelection:
     @pytest.mark.parametrize("mode, channels", SELECTION_CASES)
     def test_each_channel_equals_the_full_run(self, nominal, mode, channels):
-        full = simulate(nominal, mode, None)
-        selected = simulate(nominal, mode, channels)
-        assert selected.names == [n for n in full.names if n in channels]
-        assert np.array_equal(selected.t, full.t)
-        assert np.array_equal(selected.theta, full.theta)
-        for name in selected.names:
-            assert np.array_equal(selected.channel(name), full.channel(name))
+        # The named channels, in the order named, bit for bit the full run's.
+        assert_selection_is_the_full_run(
+            simulate(nominal, mode, channels), simulate(nominal, mode, None),
+            slice(None), channels)
 
     @pytest.mark.parametrize("mode, channels, available", [
         ("current-fed", ("i_d", "v_n"), CURRENT_FED_CHANNELS),
@@ -460,9 +458,21 @@ class TestChannelSelection:
             simulate(nominal, mode, channels)
         bad = channels[-1]
         assert str(excinfo.value) == (
-            f"channel {bad!r} is not in this time series "
-            f"(available: {', '.join(available)})")
+            f"unknown channel {bad!r} (available: {', '.join(available)})")
 
+    # The first faulty name in order is the one refused.
+    @pytest.mark.parametrize("channels, message", [
+        (("t_e", "i_d", "t_e"), "channel 't_e' is listed twice"),
+        (("v_d", "v_d", "t_m"), "channel 'v_d' is listed twice"),
+        (("t_m", "v_d", "v_d"), "unknown channel 't_m' (available: "),
+    ])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_repeated_channel_refused_before_the_grid(
+            self, nominal, monkeypatch, mode, channels, message):
+        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        with pytest.raises(ConfigError) as excinfo:
+            simulate(nominal, mode, channels)
+        assert str(excinfo.value).startswith(message)
 
     @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
     def test_bare_string_refused_before_the_grid(self, nominal, monkeypatch,
@@ -475,9 +485,10 @@ class TestChannelSelection:
             simulate(nominal, mode, "t_e")
 
 
-def assert_selection_is_the_full_run(got, full, samples):
-    """Every array of ``got`` is ``full``'s at ``samples``, bit for bit."""
-    assert got.names == [name for name in full.names if name in got.names]
+def assert_selection_is_the_full_run(got, full, samples, channels=None):
+    """``got`` holds ``channels`` in that order, all of ``full``'s for
+    None, and every array is ``full``'s at ``samples``, bit for bit."""
+    assert got.names == (full.names if channels is None else list(channels))
     pairs = [(got.t, full.t), (got.theta, full.theta)] + [
         (got.channel(name), full.channel(name)) for name in got.names]
     for have, want in pairs:
@@ -498,20 +509,21 @@ BOUNDS = st.none() | st.integers(-310, 310)
 
 class TestSampleSelection:
     # Every sample is closed form, so a selection is the full run indexed
-    # by the same slice, signed zeros included, whatever the channels and
-    # the block size. Blocks of 3 and 7 let a step exceed the block and a
+    # by the same slice, signed zeros included, whatever the channels, their
+    # order and the block size. Blocks of 3 and 7 let a step exceed the block and a
     # selection end in a lone sample, which the block before it takes in.
     @given(mode=st.sampled_from(["current-fed", "voltage-fed"]),
-           picks=st.sets(st.sampled_from(VOLTAGE_FED_CHANNELS)),
+           picks=st.lists(st.sampled_from(VOLTAGE_FED_CHANNELS),
+                          unique=True),
            block=st.sampled_from([3, 7, refsim._BLOCK]),
            start=BOUNDS, stop=BOUNDS, step=st.none() | st.integers(1, 320))
-    @example(mode="voltage-fed", picks=set(VOLTAGE_FED_CHANNELS), block=7,
-             start=None, stop=None, step=9)
-    @example(mode="current-fed", picks={"v_d", "t_e"}, block=7,
+    @example(mode="voltage-fed", picks=list(VOLTAGE_FED_CHANNELS[::-1]),
+             block=7, start=None, stop=None, step=9)
+    @example(mode="current-fed", picks=["t_e", "v_d"], block=7,
              start=2, stop=17, step=None)
-    @example(mode="voltage-fed", picks={"v_n", "i_d"}, block=7,
+    @example(mode="voltage-fed", picks=["v_n", "i_d"], block=7,
              start=-281, stop=None, step=20)
-    @example(mode="current-fed", picks=set(), block=3, start=None,
+    @example(mode="current-fed", picks=[], block=3, start=None,
              stop=None, step=300)
     def test_selection_is_the_full_run_at_those_samples(
             self, full_runs, mode, picks, block, start, stop, step):
@@ -519,15 +531,15 @@ class TestSampleSelection:
         if len(range(301)[samples]) < 2:
             return
         available = full_runs[mode].names
-        channels = [name for name in available if name in picks]
+        channels = [name for name in picks if name in available]
         original = refsim._BLOCK
         refsim._BLOCK = block
         try:
             got = simulate(NOMINAL, mode, channels, samples)
         finally:
             refsim._BLOCK = original
-        assert got.names == channels
-        assert_selection_is_the_full_run(got, full_runs[mode], samples)
+        assert_selection_is_the_full_run(got, full_runs[mode], samples,
+                                         channels)
 
     # With the package's block size on a 40 001-sample grid: a step above
     # the block, a last block of one sample, and a strided selection.

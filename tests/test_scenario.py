@@ -245,12 +245,17 @@ class TestOutputsAndIdentify:
 
     def test_unknown_channel_rejected(self, tmp_path):
         text = MACHINE + "[outputs]\nchannels = i_d, flux_a\n"
-        with pytest.raises(ConfigError, match="unknown channel"):
+        with pytest.raises(ConfigError) as excinfo:
             parse_scenario(write(tmp_path, text))
+        assert str(excinfo.value) == (
+            "outputs.channels: unknown channel 'flux_a' (available: v_a, "
+            "v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, t_e, "
+            "v_n)")
 
     def test_repeated_channel_rejected(self, tmp_path):
         text = MACHINE + "[outputs]\nchannels = v_d, v_d, i_a\n"
-        with pytest.raises(ConfigError, match="'v_d' is listed twice"):
+        with pytest.raises(ConfigError, match="^outputs.channels: channel "
+                                              "'v_d' is listed twice$"):
             parse_scenario(write(tmp_path, text))
 
     def test_zero_stride_rejected(self, tmp_path):
