@@ -213,6 +213,9 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                           f"not {scenario.family!r}")
     if scenario.i_0 != 0.0:
         raise ConfigError("identify assumes operating_point.i_0 = 0")
+    if scenario.mode != "current-fed":
+        raise ConfigError("identify requires sim.mode = current-fed: the "
+                          "fits take constant currents")
     if scenario.identify_source is not None:
         # An absolute source_csv replaces out_dir in the join.
         source = out_dir / scenario.identify_source
@@ -224,10 +227,6 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                 )
         source_label = str(source)
     else:
-        if scenario.mode != "current-fed":
-            raise ConfigError(
-                "identify without source_csv requires sim.mode = current-fed"
-            )
         ts = _simulate(scenario, _VOLTAGES_DQ)
         data = {"theta": ts.theta, **ts.channels}
         source_label = "simulated"

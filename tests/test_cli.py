@@ -516,9 +516,7 @@ class TestIdentifyJob:
         assert rc == 2
         assert "i_0" in capsys.readouterr().err
 
-    def test_voltage_fed_without_source_is_config_error(self, tmp_path,
-                                                        capsys):
-        text = MACHINE + """\
+    VOLTAGE_FED = MACHINE + """\
 [operating_point]
 omega_e = 300
 v_d = 0.5
@@ -533,12 +531,38 @@ duration = 0.03
 family = resistance
 d_r = 0.01, 0, 0
 """
-        rc = main(["identify", "--scenario", write_scenario(tmp_path, text),
-                   "--out", str(tmp_path / "out")])
-        err_lines = capsys.readouterr().err.splitlines()
+    VOLTAGE_FED_REFUSAL = ["error: identify requires sim.mode = current-fed: "
+                           "the fits take constant currents"]
+
+    def test_voltage_fed_without_source_is_config_error(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        rc = main(["identify", "--scenario",
+                   write_scenario(tmp_path, self.VOLTAGE_FED),
+                   "--out", str(out)])
         assert rc == 2
-        assert err_lines == ["error: identify without source_csv requires "
-                             "sim.mode = current-fed"]
+        assert capsys.readouterr().err.splitlines() == self.VOLTAGE_FED_REFUSAL
+        assert not (out / "summary.txt").exists()
+
+    def test_voltage_fed_source_csv_is_config_error(self, tmp_path, capsys):
+        # Under voltage drive the currents ripple, and a fit that takes
+        # them constant answers wrongly, so a voltage-fed export is refused
+        # as well.
+        out = tmp_path / "out"
+        sim_text = self.VOLTAGE_FED + (
+            "[outputs]\ncsv = measured.csv\nchannels = i_d, i_q, v_d, v_q\n")
+        assert main(["simulate", "--scenario",
+                     write_scenario(tmp_path, sim_text, "sim.ini"),
+                     "--out", str(out)]) == 0
+        (out / "summary.txt").unlink()
+        capsys.readouterr()
+        fit_text = self.VOLTAGE_FED + "[identify]\nsource_csv = measured.csv\n"
+        rc = main(["identify", "--scenario",
+                   write_scenario(tmp_path, fit_text, "fit.ini"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == self.VOLTAGE_FED_REFUSAL
+        assert not (out / "summary.txt").exists()
 
     def test_missing_source_file_is_input_error(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + \
