@@ -71,13 +71,14 @@ class TimeSeries:
             raise ValueError("t must be 1-D with at least 2 samples")
         if self.theta.shape != self.t.shape:
             raise ValueError("theta must match t in shape")
-        # A block at a time, so no grid-sized temporary is made: the step
-        # extremes, then whether t and theta are finite. A nan step reads
-        # as not increasing; an infinite end can pass both step checks.
+        # A block at a time, so no grid-sized temporary is made. A nan step
+        # reads as not increasing; t is checked finite before the steps are
+        # checked uniform, so an infinite step there is an overflow.
         blocks = []
         for start in range(0, self.t.size - 1, _BLOCK):
             part = slice(start, start + _BLOCK + 1)
-            steps = np.diff(self.t[part])
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = np.diff(self.t[part])
             blocks.append((steps.min(), steps.max(),
                            np.isfinite(self.t[part]).all(),
                            np.isfinite(self.theta[part]).all()))
@@ -85,10 +86,10 @@ class TimeSeries:
         low, high = low.min(), high.max()
         if not low > 0.0:
             raise ValueError("t must be strictly increasing")
-        if high - low > 1e-9 * high:
-            raise ValueError("t must be uniformly sampled")
         if not finite_t.all():
             raise ValueError("t must be finite")
+        if not (np.isfinite(high) and high - low <= 1e-9 * high):
+            raise ValueError("t must be uniformly sampled")
         if not finite_theta.all():
             raise ValueError("theta must be finite")
         for name, data in self.channels.items():

@@ -1,5 +1,6 @@
 import runpy
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +183,9 @@ class TestTimeSeries:
             TimeSeries([0.0, 1.0, np.inf], np.zeros(3))
 
     # Finiteness of t, then of theta, is checked in the same blocks as the
-    # steps and refused after both step checks: a nan in t makes a nan
-    # step, read as not increasing, and an infinite end of t passes them.
+    # steps: a nan in t makes a nan step, read as not increasing, and an
+    # infinite end of t passes the order check and is refused before the
+    # uniformity check, which an infinite step could not pass.
     @pytest.mark.parametrize("t_faults, theta_faults, message", [
         ({-1: np.inf}, {}, "t must be finite"),
         ({0: -np.inf}, {}, "t must be finite"),
@@ -205,6 +207,29 @@ class TestTimeSeries:
                 values[index] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
             TimeSeries(t, theta)
+
+    # A step that overflows between finite times, alone or beside a finite
+    # step, is not uniform; an infinite end is still not finite. Neither
+    # raises a numpy warning or floating-point error on the way.
+    @pytest.mark.parametrize("t, message", [
+        ([-1e308, 1e308], "t must be uniformly sampled"),
+        ([-1.7e308, 1.7e308, 1.79e308], "t must be uniformly sampled"),
+        ([-1e308, 1e308, np.inf], "t must be finite"),
+        ([0.0, np.inf], "t must be finite"),
+        ([-np.inf, 0.0, 1.0], "t must be finite"),
+        ([0.0, np.inf, np.inf], "t must be strictly increasing"),
+    ])
+    def test_overflowing_step_refused_without_a_warning(self, t, message):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TimeSeries(t, np.zeros(len(t)))
+
+    def test_largest_finite_step_accepted(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            ts = TimeSeries([-1e308, 0.0, 1e308], np.zeros(3))
+        assert ts.t.tolist() == [-1e308, 0.0, 1e308]
 
     def test_names_and_lookup(self):
         t = np.linspace(0, 1, 5)
