@@ -535,8 +535,9 @@ BOUNDS = st.none() | st.integers(-310, 310)
 class TestSampleSelection:
     # Every sample is closed form, so a selection is the full run indexed
     # by the same slice, signed zeros included, whatever the channels, their
-    # order and the block size. Blocks of 3 and 7 let a step exceed the block and a
-    # selection end in a lone sample, which the block before it takes in.
+    # order and the block size. Blocks of 3 and 7 let a step exceed the
+    # block and a selection end in a lone sample, which the block before it
+    # takes in.
     @given(mode=st.sampled_from(["current-fed", "voltage-fed"]),
            picks=st.lists(st.sampled_from(VOLTAGE_FED_CHANNELS),
                           unique=True),
