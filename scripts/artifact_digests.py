@@ -5,7 +5,7 @@ that order, on each scenario text: the shipped scenarios and, unless
 --no-corpus is given, a corpus of corrupted variants of each. The corpus
 holds each text with one line deleted; with one value entry (one item of
 a comma list) set to each of "", x, nan, inf, -1, 0, 1, 1e, 5%, 5e-324,
-1e300 and 1e-300; with an unknown key in each section; with one of seven
+1e300 and 1e-300; with an unknown key in each section; with one of eight
 sections appended; and with one whole value set to each of 1e300,
 -1e300, 1e-300, 5e-324 and 1e150. It also holds the sample-selection
 edges of each shipped text: [outputs] stride set to 2, 7 and 10**9, and
@@ -52,6 +52,7 @@ APPENDED = (
     "[identify]\nsource_csv = timeseries.csv\n",
     "[outputs]\nchannels = v_d, v_q, i_d, i_q, t_e\nstride = 3\n",
     "[outputs]\nchannels = t_e, i_q, i_d, v_q, v_d\nstride = 3\n",
+    "[outputs]\nchannels = i_d, v_n\n",
 )
 STRIDES = (2, 7, 10**9)
 
