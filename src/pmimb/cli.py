@@ -30,8 +30,7 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import (CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS, TimeSeries,
-                     _blocked, _grid_size, _names, run_current_fed,
+from .refsim import (TimeSeries, _blocked, _grid_size, run_current_fed,
                      run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
@@ -150,13 +149,10 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     """Simulate only the samples the job reads, each bit for bit the full
     run's. First the summary's channels on the late half, reduced to their
     means and dropped: a grid too large to allocate fails there, before
-    any file is written. Then the CSV's channels on every stride-th sample,
-    written whole. A selection holds at least 2 samples, so a late half of
-    one (n = 2) is evaluated with the sample before it, and a lone CSV row
-    (stride >= n) with the grid's last sample, which its write skips."""
-    available = (VOLTAGE_FED_CHANNELS if scenario.mode == "voltage-fed"
-                 else CURRENT_FED_CHANNELS)
-    _names(scenario.channels, available)  # an unknown name before the grid
+    any file is written. Then the CSV's channels (checked against the mode
+    at parse time) on every stride-th sample. A selection holds at least 2
+    samples: a late half of one (n = 2) takes the sample before it, and a
+    lone CSV row (stride >= n) the grid's last, which its write skips."""
     n = _grid_size(scenario.sim)
     late = _simulate(scenario, _SUMMARY_CHANNELS,
                      slice(min(n // 2, n - 2), None))
@@ -181,11 +177,6 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
-    if scenario.mode != "current-fed":
-        raise ConfigError(
-            "compare requires sim.mode = current-fed: the closed forms "
-            "take prescribed currents"
-        )
     ts = _simulate(scenario, _VOLTAGES_DQ)
     drive = (scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0)
     model = _blocked(ts.t.size, ("v_d_model", "v_q_model"), lambda part: (
@@ -213,9 +204,6 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                           f"not {scenario.family!r}")
     if scenario.i_0 != 0.0:
         raise ConfigError("identify assumes operating_point.i_0 = 0")
-    if scenario.mode != "current-fed":
-        raise ConfigError("identify requires sim.mode = current-fed: the "
-                          "fits take constant currents")
     if scenario.identify_source is not None:
         # An absolute source_csv replaces out_dir in the join.
         source = out_dir / scenario.identify_source
@@ -261,18 +249,21 @@ def _job_identify(scenario: Scenario, out_dir: Path):
     return entries, []
 
 
-# Each job's runner, help text and the sections it reads; other sections
-# in the file draw a warning. A runner returns its summary entries and
-# the files it wrote; run_scenario writes summary.txt.
+# Each job's runner, help text, the sections it reads (others draw a
+# warning) and why it needs sim.mode = current-fed, or None. A runner
+# returns its summary entries and files; run_scenario writes summary.txt.
 _SECTIONS = ("machine", "imbalance", "outputs")
 _SIM_SECTIONS = _SECTIONS + ("operating_point", "sim")
 _JOBS = {
-    "coeffs": (_job_coeffs, "closed-form imbalance coefficients", _SECTIONS),
-    "simulate": (_job_simulate, "reference simulation to CSV", _SIM_SECTIONS),
+    "coeffs": (_job_coeffs, "closed-form imbalance coefficients", _SECTIONS,
+               None),
+    "simulate": (_job_simulate, "reference simulation to CSV", _SIM_SECTIONS,
+                 None),
     "compare": (_job_compare, "closed-form model vs reference simulation",
-                _SIM_SECTIONS),
+                _SIM_SECTIONS, "the closed forms take prescribed currents"),
     "identify": (_job_identify, "recover deviations from waveforms",
-                 _SIM_SECTIONS + ("identify",)),
+                 _SIM_SECTIONS + ("identify",),
+                 "the fits take constant currents"),
 }
 
 
@@ -284,13 +275,16 @@ def run_scenario(scenario: Scenario, job, out_dir):
     """
     if job not in _JOBS:
         raise ConfigError(f"unknown job {job!r}")
-    runner, _, sections = _JOBS[job]
+    runner, _, sections, current_fed = _JOBS[job]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for section in scenario.sections:
         if section not in sections:
             print(f"warning: section [{section}] is ignored by the "
                   f"{job} job", file=sys.stderr)
+    if current_fed and scenario.mode != "current-fed":
+        raise ConfigError(f"{job} requires sim.mode = current-fed: "
+                          f"{current_fed}")
     entries, written = runner(scenario, out_dir)
     entries = [("job", job), *entries, *((f"config.{key}", value)
                                          for key, value in scenario.resolved)]
@@ -306,7 +300,7 @@ def main(argv=None) -> int:
         description="Per-phase imbalance models for PM synchronous machines",
     )
     sub = parser.add_subparsers(dest="job", required=True)
-    for job, (_, text, _) in _JOBS.items():
+    for job, (_, text, *_) in _JOBS.items():
         p = sub.add_parser(job, help=text)
         p.add_argument("--scenario", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")

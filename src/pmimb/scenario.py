@@ -29,7 +29,7 @@ with their section in diagnostics (``machine.l_a``). Schema:
     [outputs]            optional
     csv                  time-series file name, default timeseries.csv
     summary              report file name other than csv, default summary.txt
-    channels             comma list of channel names, default all
+    channels             comma list of the mode's channel names, default all
     stride               keep every n-th sample in the CSV, default 1
 
     [identify]           optional
@@ -50,7 +50,8 @@ from pathlib import PurePath
 from .errors import ConfigError
 from .imbalance import _FAMILIES
 from .machine import _PHASE_KEYS, MachineParameters
-from .refsim import VOLTAGE_FED_CHANNELS, SimConfig, _names
+from .refsim import (CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS, SimConfig,
+                     _names)
 
 # Deviation keys each family may declare.
 _FAMILY_KEYS = {"none": (),
@@ -59,6 +60,7 @@ _FAMILY_KEYS = {"none": (),
 FAMILIES = tuple(_FAMILY_KEYS)
 
 MODES = ("current-fed", "voltage-fed")
+_CHANNELS = dict(zip(MODES, (CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS)))
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,12 @@ def _deviation_triple(raw, key, nominal, nominal_key):
     return tuple(values)
 
 
-def _channel_list(text):
+def _channel_list(text, mode):
     if text == "all":
         return None
     try:
         return tuple(_names([p.strip() for p in text.split(",")],
-                            VOLTAGE_FED_CHANNELS))
+                            _CHANNELS[mode]))
     except ConfigError as exc:
         raise ConfigError(f"outputs.channels: {exc}") from None
 
@@ -301,7 +303,7 @@ def parse_scenario(path) -> Scenario:
             "operating_point.v_d and operating_point.v_q are required "
             "for voltage-fed mode"
         )
-    channels = _channel_list(outputs["channels"])
+    channels = _channel_list(outputs["channels"], sim["mode"])
     for key in ("csv", "summary"):
         if not outputs[key]:
             raise ConfigError(f"outputs: {key} must name a file")

@@ -299,30 +299,30 @@ class TestSimulateJob:
         assert not (out / "timeseries.csv").exists()
 
     def test_unavailable_channel_exits_2(self, tmp_path, capsys):
-        # v_n exists only in voltage-fed runs; the message lists what a
-        # current-fed run can give, whatever the scenario selected.
+        # v_n exists only in voltage-fed runs; the parse refuses it in a
+        # current-fed scenario and lists what a current-fed run can give.
         text = MACHINE + OP_SIM + "[outputs]\nchannels = i_d, v_n\n"
         out = tmp_path / "out"
         rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: unknown channel 'v_n' (available: "
+            "error: outputs.channels: unknown channel 'v_n' (available: "
             "v_a, v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, "
             "t_e)\n")
         assert not (out / "timeseries.csv").exists()
 
     def test_unavailable_channel_refused_before_the_grid(self, tmp_path,
                                                          capsys):
-        # The summary's late half runs before the CSV's channels; a grid
-        # it cannot allocate must not hide the channel error.
+        # A grid too large to allocate must not hide the channel error,
+        # which the parse reports before any job runs.
         text = MACHINE + ("[sim]\ndt = 1\nduration = 1e17\n"
                           "[outputs]\nchannels = v_n\n")
         rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: unknown channel 'v_n' (available: ")
+            "error: outputs.channels: unknown channel 'v_n' (available: ")
 
     def test_voltage_fed_summary(self, tmp_path):
         text = MACHINE + """\
@@ -421,7 +421,10 @@ dt = 1e-5
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err.startswith("error:")
+        assert captured.err == ("error: compare requires sim.mode = "
+                                "current-fed: the closed forms take "
+                                "prescribed currents\n")
+        assert not (tmp_path / "out" / "summary.txt").exists()
 
     def test_byte_deterministic_artifacts(self, tmp_path):
         text = MACHINE + OP_SIM + \
@@ -563,6 +566,30 @@ d_r = 0.01, 0, 0
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == self.VOLTAGE_FED_REFUSAL
         assert not (out / "summary.txt").exists()
+
+    def test_voltage_fed_refusal_comes_before_the_family(self, tmp_path,
+                                                         capsys):
+        # The drive mode is checked before the job runs, so a voltage-fed
+        # inductance scenario reads the mode refusal, not the family one.
+        text = self.VOLTAGE_FED.replace(
+            "family = resistance\nd_r = 0.01, 0, 0",
+            "family = inductance\nd_l = 1e-5, 0, 0")
+        rc = main(["identify", "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == self.VOLTAGE_FED_REFUSAL
+
+    def test_mode_refusal_follows_the_ignored_section_warning(self, tmp_path,
+                                                              capsys):
+        rc = main(["compare", "--scenario",
+                   write_scenario(tmp_path, self.VOLTAGE_FED
+                                  + "[identify]\nsource_csv = x.csv\n"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: section [identify] is ignored by the compare job",
+            "error: compare requires sim.mode = current-fed: the closed "
+            "forms take prescribed currents"]
 
     def test_missing_source_file_is_input_error(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + \
@@ -748,6 +775,21 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("job", cli._JOBS)
+    def test_channel_the_mode_lacks_exits_2_at_parse_time(self, tmp_path,
+                                                           capsys, job):
+        # Once only simulate refused v_n in a current-fed scenario; the
+        # other jobs ignored the list and exited 0.
+        text = MACHINE + OP_SIM + "[outputs]\nchannels = i_d, v_n\n"
+        rc = main([job, "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "error: outputs.channels: unknown channel 'v_n' (available: "
+            "v_a, v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, "
+            "t_e)\n"))
         assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self, tmp_path):

@@ -249,8 +249,18 @@ class TestOutputsAndIdentify:
             parse_scenario(write(tmp_path, text))
         assert str(excinfo.value) == (
             "outputs.channels: unknown channel 'flux_a' (available: v_a, "
-            "v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, t_e, "
-            "v_n)")
+            "v_b, v_c, i_a, i_b, i_c, v_d, v_q, v_0, i_d, i_q, i_0, t_e)")
+
+    def test_channels_follow_the_mode(self, tmp_path):
+        # v_n, the star-point voltage, exists only under voltage drive.
+        voltage_fed = (MACHINE + "[operating_point]\nomega_e = 300\n"
+                       "v_d = 0.5\nv_q = 11\n[sim]\nmode = voltage-fed\n")
+        channels = "[outputs]\nchannels = i_d, v_n\n"
+        sc = parse_scenario(write(tmp_path, voltage_fed + channels))
+        assert sc.channels == ("i_d", "v_n")
+        with pytest.raises(ConfigError, match="^outputs.channels: unknown "
+                                              "channel 'v_n' "):
+            parse_scenario(write(tmp_path, MACHINE + channels))
 
     def test_repeated_channel_rejected(self, tmp_path):
         text = MACHINE + "[outputs]\nchannels = v_d, v_d, i_a\n"
