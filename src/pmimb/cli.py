@@ -14,6 +14,7 @@ included. Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -207,6 +208,11 @@ def _job_identify(scenario: Scenario, out_dir: Path):
     if scenario.identify_source is not None:
         # An absolute source_csv replaces out_dir in the join.
         source = out_dir / scenario.identify_source
+        # realpath, not Path.resolve: a symlink loop then fails in read_csv.
+        if os.path.realpath(source) == os.path.realpath(
+                out_dir / scenario.summary_name):
+            raise ConfigError(f"{source}: source_csv names the summary file "
+                              "this job writes")
         data = read_csv(source)
         for needed in ("theta", "v_d", "v_q"):
             if needed not in data:

@@ -501,6 +501,35 @@ class TestIdentifyJob:
         assert summary["identify.source"].endswith("measured.csv")
         assert float(summary["identify.max_abs_error"]) < 1e-9
 
+    @pytest.mark.parametrize("spelling", ["timeseries.csv",
+                                          "./timeseries.csv", "absolute"])
+    def test_source_that_is_the_summary_is_refused(self, tmp_path, capsys,
+                                                   spelling):
+        # Once the summary overwrote the CSV it was fitted from.
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario",
+                     write_scenario(tmp_path, MACHINE + OP_SIM, "sim.ini"),
+                     "--out", str(out)]) == 0
+        (out / "summary.txt").unlink()
+        source = out / "timeseries.csv"
+        before = source.read_bytes()
+        capsys.readouterr()
+        if spelling == "absolute":
+            spelling = str(source)
+        fit_text = MACHINE + OP_SIM + (
+            "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0.01\n"
+            "[outputs]\ncsv = unused.csv\nsummary = timeseries.csv\n"
+            f"[identify]\nsource_csv = {spelling}\n")
+        rc = main(["identify", "--scenario",
+                   write_scenario(tmp_path, fit_text, "fit.ini"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {out / spelling}: source_csv names the summary file "
+            "this job writes\n"))
+        assert source.read_bytes() == before
+        assert [path.name for path in out.iterdir()] == ["timeseries.csv"]
+
     def test_family_must_be_invertible(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + \
             "[imbalance]\nfamily = inductance\nd_l = 1e-5, 0, 0\n"
