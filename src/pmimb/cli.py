@@ -49,10 +49,16 @@ def write_csv(ts: TimeSeries, path, stride=1):
     reproduces every sample exactly. Rows are formatted a block at a time
     with one ``%`` operation per block; the bytes are those of formatting
     each value on its own. A ``stride`` that is not an integer of at
-    least 1 raises ``ConfigError``.
+    least 1 raises ``ConfigError``, as does a channel name ``read_csv``
+    would not read back: ``t``, ``theta``, one holding a comma or a
+    character that is not printable, or one empty or padded with spaces.
     """
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ConfigError(f"stride must be an integer >= 1, not {stride!r}")
+    for name in ts.channels:
+        if (name in ("t", "theta") or not name.isprintable() or "," in name
+                or not name or name != name.strip()):
+            raise ConfigError(f"channel name {name!r} is not a CSV column")
     columns = [col[::stride] for col in
                [ts.t, ts.theta, *ts.channels.values()]]
     header = ",".join(["t", "theta", *ts.channels])

@@ -15,6 +15,7 @@ from pmimb import ConfigError, InputError, TimeSeries, cli, parse_scenario
 from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
                        write_csv)
 from pmimb.imbalance import _FAMILIES
+from pmimb.refsim import VOLTAGE_FED_CHANNELS
 
 MACHINE = """\
 [machine]
@@ -120,6 +121,26 @@ class TestCsvInputOutput:
         with pytest.raises(ConfigError, match="stride must be an integer"):
             write_csv(small_series(), path, stride=stride)
         assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["t", "theta", "", "a,b", "x\ny", "x\r",
+                                      " v_d", "v_d ", "\t", "\udcff"])
+    def test_name_read_csv_cannot_read_is_refused(self, tmp_path, name):
+        # Once each wrote a header that read_csv refused, or read back
+        # under another name, or failed to encode after the file opened.
+        ts = small_series()
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="is not a CSV column$"):
+            write_csv(TimeSeries(ts.t, ts.theta, {name: ts.t}), path)
+        assert not path.exists()
+
+    def test_every_job_channel_name_reads_back(self, tmp_path):
+        names = (*VOLTAGE_FED_CHANNELS, "v_d_sim", "v_q_sim", "v_d_model",
+                 "v_q_model")
+        ts = small_series()
+        path = tmp_path / "out.csv"
+        write_csv(TimeSeries(ts.t, ts.theta, dict.fromkeys(names, ts.t)),
+                  path)
+        assert list(read_csv(path)) == ["t", "theta", *names]
 
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
                                       2 * _BLOCK_ROWS + 7])
