@@ -225,7 +225,8 @@ def _job_identify(scenario: Scenario, out_dir: Path):
                 raise InputError(
                     f"{source}: column {needed!r} is required for identify"
                 )
-        source_label = str(source)
+        # As written, so the summary does not depend on --out.
+        source_label = scenario.identify_source
     else:
         ts = _simulate(scenario, _VOLTAGES_DQ)
         data = {"theta": ts.theta, **ts.channels}

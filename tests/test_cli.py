@@ -519,8 +519,24 @@ class TestIdentifyJob:
                    "--out", str(out)])
         assert rc == 0
         summary = read_summary(out / "summary.txt")
-        assert summary["identify.source"].endswith("measured.csv")
+        assert summary["identify.source"] == "measured.csv"
         assert float(summary["identify.max_abs_error"]) < 1e-9
+
+    def test_summary_does_not_depend_on_out(self, tmp_path):
+        # Once identify.source named the joined path, run_a/timeseries.csv.
+        deviation = "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0\n"
+        sim = write_scenario(tmp_path, MACHINE + OP_SIM + deviation, "s.ini")
+        fit = write_scenario(tmp_path, MACHINE + OP_SIM + deviation
+                             + "[identify]\nsource_csv = timeseries.csv\n")
+        summaries = []
+        for name in ("run_a", "run_b"):
+            out = tmp_path / name
+            for job, scenario in (("simulate", sim), ("identify", fit)):
+                assert main([job, "--scenario", scenario,
+                             "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert b"identify.source: timeseries.csv\n" in summaries[0]
 
     @pytest.mark.parametrize("spelling", ["timeseries.csv",
                                           "./timeseries.csv", "absolute"])
