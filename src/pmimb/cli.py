@@ -56,7 +56,7 @@ def write_csv(ts: TimeSeries, path, stride=1):
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ConfigError(f"stride must be an integer >= 1, not {stride!r}")
     for name in ts.channels:
-        if (name in ("t", "theta") or not name.isprintable() or "," in name
+        if (name in ("t", "theta") or "," in name or not name.isprintable()
                 or not name or name != name.strip()):
             raise ConfigError(f"channel name {name!r} is not a CSV column")
     columns = [col[::stride] for col in

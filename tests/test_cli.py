@@ -133,6 +133,13 @@ class TestCsvInputOutput:
             write_csv(TimeSeries(ts.t, ts.theta, {name: ts.t}), path)
         assert not path.exists()
 
+    def test_name_that_is_not_a_string_is_a_type_error(self, tmp_path):
+        ts = small_series()
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError):
+            write_csv(TimeSeries(ts.t, ts.theta, {1: ts.t}), path)
+        assert not path.exists()
+
     def test_every_job_channel_name_reads_back(self, tmp_path):
         names = (*VOLTAGE_FED_CHANNELS, "v_d_sim", "v_q_sim", "v_d_model",
                  "v_q_model")
