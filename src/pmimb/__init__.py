@@ -17,9 +17,8 @@ from .imbalance import (SecondHarmonicPhasor, closed_form_dq, compose_total,
                         inductance_delta, resistance_coeffs,
                         resistance_delta)
 from .machine import (ImbalanceDecomposition, MachineParameters,
-                      OperatingPoint, decompose, electrical_time_constant,
-                      ideal_dq_nonsalient, phase_voltages, torque_abc,
-                      transient_window)
+                      OperatingPoint, decompose, ideal_dq_nonsalient,
+                      phase_voltages, torque_abc, transient_window)
 from .refsim import (SimConfig, TimeSeries, balanced_voltage_command,
                      predict_current_ripple, run_current_fed,
                      run_voltage_fed, steady_state_currents)
@@ -50,7 +49,6 @@ __all__ = [
     "compose_total",
     "decompose",
     "demodulate",
-    "electrical_time_constant",
     "fit_flux",
     "fit_resistance",
     "flux_coeffs",

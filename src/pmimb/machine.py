@@ -86,11 +86,6 @@ class MachineParameters:
             ) from None
 
     @classmethod
-    def balanced(cls, r, l, m, lam, pole_pairs):
-        """Build identical-phase parameters."""
-        return cls(r, r, r, l, l, l, m, m, m, lam, lam, lam, pole_pairs)
-
-    @classmethod
     def from_nominal(cls, r, l, m, lam, pole_pairs,
                      d_r=(0.0, 0.0, 0.0), d_l=(0.0, 0.0, 0.0),
                      d_m=(0.0, 0.0, 0.0), d_lam=(0.0, 0.0, 0.0)):
@@ -240,19 +235,15 @@ def ideal_dq_nonsalient(params: MachineParameters, op: OperatingPoint):
     return v_d, v_q, t_e
 
 
-def electrical_time_constant(params: MachineParameters) -> float:
-    """Nominal stator time constant (l + m) / r."""
-    dec = decompose(params)
-    return (dec.nominal_l + dec.nominal_m) / dec.nominal_r
-
-
 def transient_window(params: MachineParameters, omega_e) -> float:
     """Settling window for voltage-fed runs.
 
-    Covers five electrical time constants and, when rotating, at least two
-    electrical periods so that periodic averages are meaningful.
+    Covers five nominal stator time constants (l + m) / r and, when
+    rotating, at least two electrical periods so that periodic averages
+    are meaningful.
     """
-    window = 5.0 * electrical_time_constant(params)
+    dec = decompose(params)
+    window = 5.0 * ((dec.nominal_l + dec.nominal_m) / dec.nominal_r)
     if omega_e != 0.0:
         window = max(window, 2.0 * (2.0 * math.pi / abs(omega_e)))
     return window

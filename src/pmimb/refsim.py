@@ -98,13 +98,6 @@ class TimeSeries:
                 raise ValueError(f"channel {name!r} must match t in shape")
             self.channels[name] = data
 
-    @property
-    def names(self):
-        return list(self.channels)
-
-    def channel(self, name):
-        return self.channels[name]
-
 
 def _grid_size(cfg: SimConfig):
     """Number of samples on the grid ``cfg`` describes, both ends included."""

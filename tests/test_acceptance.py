@@ -226,8 +226,8 @@ def test_criterion_4_voltage_fed_simulation():
     ts = run_voltage_fed(balanced, v_cmd, omega, cfg)
     mask = ts.t >= transient_window(balanced, omega)
     cmd_scale = math.hypot(*i_cmd)
-    dev_d = float(np.max(np.abs(ts.channel("i_d")[mask] - i_cmd[0])))
-    dev_q = float(np.max(np.abs(ts.channel("i_q")[mask] - i_cmd[1])))
+    dev_d = float(np.max(np.abs(ts.channels["i_d"][mask] - i_cmd[0])))
+    dev_q = float(np.max(np.abs(ts.channels["i_q"][mask] - i_cmd[1])))
     steady_dev = max(dev_d, dev_q) / cmd_scale
 
     imbalanced = machine(d_r=(0.05 * NOMINAL["r"], 0.0, 0.0))
@@ -237,10 +237,10 @@ def test_criterion_4_voltage_fed_simulation():
     rip_d, rip_q = predict_current_ripple(imbalanced, omega, *i_cmd)
     ripple_err = 0.0
     for name, predicted in (("i_d", rip_d), ("i_q", rip_q)):
-        measured = demodulate(ts2.channel(name)[mask2], ts2.theta[mask2])
+        measured = demodulate(ts2.channels[name][mask2], ts2.theta[mask2])
         got = measured.second.k * np.exp(1j * measured.second.phi)
         ripple_err = max(ripple_err, abs(got - predicted) / abs(predicted))
-    zero_seq = float(np.max(np.abs(ts2.channel("i_0"))))
+    zero_seq = float(np.max(np.abs(ts2.channels["i_0"])))
 
     elapsed = time.perf_counter() - start
     report(4, "voltage-fed reference simulation", [

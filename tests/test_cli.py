@@ -75,7 +75,7 @@ def awkward_series(n):
 
 
 def oracle_bytes(ts, channels, stride):
-    names = ts.names if channels is None else list(channels)
+    names = list(ts.channels if channels is None else channels)
     columns = [ts.t, ts.theta] + [ts.channels[name] for name in names]
     return oracles.csv_text(["t", "theta"] + names, columns,
                             stride).encode("utf-8")
@@ -165,7 +165,7 @@ class TestCsvInputOutput:
         ts = awkward_series(2 * _BLOCK_ROWS + 7)
         path = tmp_path / "out.csv"
         write_csv(TimeSeries(ts.t, ts.theta, {
-            name: ts.channel(name) for name in channels}), path, stride=3)
+            name: ts.channels[name] for name in channels}), path, stride=3)
         assert path.read_bytes() == oracle_bytes(ts, channels, 3)
 
     def test_read_rejects_empty_file(self, tmp_path):
@@ -913,8 +913,8 @@ def test_channel_selection_leaves_every_artifact_unchanged(
     def every_channel(scenario, channels, samples=slice(None)):
         ts = simulate(scenario, None, samples)
         return TimeSeries(ts.t, ts.theta, {
-            name: ts.channel(name)
-            for name in (ts.names if channels is None else channels)})
+            name: ts.channels[name]
+            for name in (ts.channels if channels is None else channels)})
     monkeypatch.setattr(cli, "_simulate", every_channel)
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
@@ -977,7 +977,7 @@ def test_simulate_selection_edges_match_the_full_run(
     full = cli._simulate(scenario, None)
     n = full.t.size
     write_csv(TimeSeries(full.t, full.theta, {
-        name: full.channel(name) for name in (channels or full.names)}),
+        name: full.channels[name] for name in (channels or full.channels)}),
         tmp_path / "full.csv", stride)
     csv_bytes = (tmp_path / "out" / "timeseries.csv").read_bytes()
     assert csv_bytes == (tmp_path / "full.csv").read_bytes()
@@ -987,7 +987,7 @@ def test_simulate_selection_edges_match_the_full_run(
     assert summary["simulate.t_end"] == repr(float(full.t[-1]))
     for name in ("i_d", "i_q", "t_e"):
         assert summary[f"simulate.mean_{name}"] == repr(
-            float(np.mean(full.channel(name)[n // 2:])))
+            float(np.mean(full.channels[name][n // 2:])))
 
 
 CORRUPT_CELLS = ("", "x", "nan", "inf", "1e", "--1")

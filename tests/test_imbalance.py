@@ -274,7 +274,7 @@ class TestDeltaOracleEquivalence:
                                 i_0=c["i_dq0"][2], di_d=c["di_dq0"][0],
                                 di_q=c["di_dq0"][1], di_0=c["di_dq0"][2])
             ideal = ideal_dq_nonsalient(
-                MachineParameters.balanced(**nominal, pole_pairs=3), op)
+                MachineParameters.from_nominal(**nominal, pole_pairs=3), op)
             v_d, v_q = compose_total(
                 ideal,
                 resistance_delta(d_r, op),

@@ -8,7 +8,6 @@ from pmimb import (
     MachineParameters,
     OperatingPoint,
     decompose,
-    electrical_time_constant,
     ideal_dq_nonsalient,
     phase_voltages,
     torque_abc,
@@ -44,23 +43,25 @@ def make_machine(nominal, d_r=(0, 0, 0), d_l=(0, 0, 0), d_m=(0, 0, 0),
 
 class TestValidation:
     def test_balanced_constructor(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=4)
+        p = MachineParameters.from_nominal(**nominal, pole_pairs=4)
         assert p.r_a == p.r_b == p.r_c == nominal["r"]
         assert p.pole_pairs == 4
 
     def test_rejects_nonpositive_resistance(self, nominal):
         with pytest.raises(ValueError):
-            MachineParameters.balanced(r=0.0, l=nominal["l"], m=nominal["m"],
-                                       lam=nominal["lam"], pole_pairs=1)
+            MachineParameters.from_nominal(r=0.0, l=nominal["l"],
+                                           m=nominal["m"], lam=nominal["lam"],
+                                           pole_pairs=1)
 
     def test_rejects_negative_flux(self, nominal):
         with pytest.raises(ValueError):
-            MachineParameters.balanced(r=nominal["r"], l=nominal["l"],
-                                       m=nominal["m"], lam=-0.01, pole_pairs=1)
+            MachineParameters.from_nominal(r=nominal["r"], l=nominal["l"],
+                                           m=nominal["m"], lam=-0.01,
+                                           pole_pairs=1)
 
     def test_rejects_bad_pole_pairs(self, nominal):
         with pytest.raises(ValueError):
-            MachineParameters.balanced(**nominal, pole_pairs=0)
+            MachineParameters.from_nominal(**nominal, pole_pairs=0)
 
     @pytest.mark.parametrize("name, value", [
         ("r_a", np.inf), ("r_c", np.nan),
@@ -79,8 +80,8 @@ class TestValidation:
     def test_rejects_indefinite_inductance_matrix(self):
         # l - 2m < 0 makes the matrix indefinite even with positive entries
         with pytest.raises(ValueError, match="[lm]_"):
-            MachineParameters.balanced(r=0.1, l=1e-4, m=6e-5, lam=0.05,
-                                       pole_pairs=1)
+            MachineParameters.from_nominal(r=0.1, l=1e-4, m=6e-5, lam=0.05,
+                                           pole_pairs=1)
 
     def test_operating_point_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -106,7 +107,8 @@ class TestDecompose:
         assert dec.d_lam == (0.0, 0.052 - 0.05, 0.0)
 
     def test_balanced_machine_decomposes_to_zero_deviations(self, nominal):
-        dec = decompose(MachineParameters.balanced(**nominal, pole_pairs=2))
+        dec = decompose(MachineParameters.from_nominal(**nominal,
+                                                       pole_pairs=2))
         assert dec.d_r == (0.0, 0.0, 0.0)
         assert dec.d_l == (0.0, 0.0, 0.0)
         assert dec.d_m == (0.0, 0.0, 0.0)
@@ -185,14 +187,15 @@ class TestIdealDq:
     def test_nonsalient_steady_point(self):
         op = OperatingPoint(theta=0.3, omega_e=100.0, i_d=0.0, i_q=2.0)
         v_d, v_q, t_e = ideal_dq_nonsalient(
-            MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3),
+            MachineParameters.from_nominal(0.1, 2e-4, 2e-5, 0.05,
+                                           pole_pairs=3),
             op)
         assert v_d == pytest.approx(2.2e-4 * 100.0 * 2.0, abs=1e-15)
         assert v_q == pytest.approx(0.1 * 2.0 + 100.0 * 0.05, abs=1e-15)
         assert t_e == pytest.approx(1.5 * 3 * 0.05 * 2.0, abs=1e-15)
 
     def test_nonsalient_matches_phase_frame_oracle(self, nominal, rng):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
+        p = MachineParameters.from_nominal(**nominal, pole_pairs=3)
         for _ in range(100):
             theta = rng.uniform(-10, 10)
             omega = rng.uniform(-800, 800)
@@ -213,12 +216,12 @@ class TestIdealDq:
 
 class TestTorque:
     def test_single_phase_example(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
+        p = MachineParameters.from_nominal(**nominal, pole_pairs=3)
         t_e = torque_abc(p, np.array([2.0, 0.0, 0.0]), theta=np.pi / 2)
         assert t_e == pytest.approx(3 * nominal["lam"] * 2.0, abs=1e-15)
 
     def test_balanced_currents_give_constant_torque(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
+        p = MachineParameters.from_nominal(**nominal, pole_pairs=3)
         i_q = 4.0
         theta = np.linspace(0, 2 * np.pi, 361)
         t_e = []
@@ -267,15 +270,10 @@ class TestTorque:
 
 
 class TestTimeConstants:
-    def test_time_constant(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
-        want = (nominal["l"] + nominal["m"]) / nominal["r"]
-        assert electrical_time_constant(p) == pytest.approx(want, rel=1e-15)
-
     def test_transient_window_covers_periods_and_settling(self, nominal):
-        p = MachineParameters.balanced(**nominal, pole_pairs=3)
-        tau = electrical_time_constant(p)
-        assert transient_window(p, 0.0) == pytest.approx(5 * tau)
+        p = MachineParameters.from_nominal(**nominal, pole_pairs=3)
+        tau = (nominal["l"] + nominal["m"]) / nominal["r"]
+        assert transient_window(p, 0.0) == pytest.approx(5 * tau, rel=1e-15)
         slow = transient_window(p, 10.0)
         assert slow == pytest.approx(2 * 2 * np.pi / 10.0)
         fast = transient_window(p, 1e6)

@@ -231,12 +231,6 @@ class TestTimeSeries:
             ts = TimeSeries([-1e308, 0.0, 1e308], np.zeros(3))
         assert ts.t.tolist() == [-1e308, 0.0, 1e308]
 
-    def test_names_and_lookup(self):
-        t = np.linspace(0, 1, 5)
-        ts = TimeSeries(t, np.zeros(5), {"i_a": np.ones(5)})
-        assert ts.names == ["i_a"]
-        assert np.all(ts.channel("i_a") == 1.0)
-
 
 class TestCurrentFed:
     CFG = SimConfig(dt=1e-5, duration=0.01)
@@ -247,12 +241,15 @@ class TestCurrentFed:
         ts = run_current_fed(p, (-2.0, 5.0), omega, self.CFG)
         op = OperatingPoint(theta=0.0, omega_e=omega, i_d=-2.0, i_q=5.0)
         v_d, v_q, t_e = ideal_dq_nonsalient(p, op)
-        assert np.max(np.abs(ts.channel("v_d") - v_d)) < 1e-12 * (1 + abs(v_d))
-        assert np.max(np.abs(ts.channel("v_q") - v_q)) < 1e-12 * (1 + abs(v_q))
-        assert np.max(np.abs(ts.channel("v_0"))) < 1e-14
-        assert np.max(np.abs(ts.channel("t_e") - t_e)) < 1e-12 * (1 + abs(t_e))
-        assert np.max(np.abs(ts.channel("i_d") + 2.0)) < 1e-13
-        assert np.max(np.abs(ts.channel("i_q") - 5.0)) < 1e-13
+        assert (np.max(np.abs(ts.channels["v_d"] - v_d))
+                < 1e-12 * (1 + abs(v_d)))
+        assert (np.max(np.abs(ts.channels["v_q"] - v_q))
+                < 1e-12 * (1 + abs(v_q)))
+        assert np.max(np.abs(ts.channels["v_0"])) < 1e-14
+        assert (np.max(np.abs(ts.channels["t_e"] - t_e))
+                < 1e-12 * (1 + abs(t_e)))
+        assert np.max(np.abs(ts.channels["i_d"] + 2.0)) < 1e-13
+        assert np.max(np.abs(ts.channels["i_q"] - 5.0)) < 1e-13
 
     def test_imbalanced_machine_matches_composed_model_pointwise(self, nominal):
         d_r = (0.01, 0.0, 0.004)
@@ -271,8 +268,8 @@ class TestCurrentFed:
             flux_delta(d_lam, omega, ts.theta),
             inductance_delta(d_l, d_m, op))
         scale = 1.0 + np.max(np.abs(v_q))
-        assert np.max(np.abs(ts.channel("v_d") - v_d)) < 1e-12 * scale
-        assert np.max(np.abs(ts.channel("v_q") - v_q)) < 1e-12 * scale
+        assert np.max(np.abs(ts.channels["v_d"] - v_d)) < 1e-12 * scale
+        assert np.max(np.abs(ts.channels["v_q"] - v_q)) < 1e-12 * scale
 
     def test_matches_brute_oracle_at_samples(self, nominal, rng):
         p = make_machine(nominal, d_r=(0.02, 0.0, 0.01),
@@ -285,24 +282,24 @@ class TestCurrentFed:
                 [p.r_a, p.r_b, p.r_c], [p.l_a, p.l_b, p.l_c],
                 [p.m_ab, p.m_bc, p.m_ca], [p.lam_a, p.lam_b, p.lam_c],
                 ts.theta[j], omega, [1.5, -4.0, 0.5], [0.0, 0.0, 0.0])
-            got = [ts.channel("v_d")[j], ts.channel("v_q")[j],
-                   ts.channel("v_0")[j]]
+            got = [ts.channels["v_d"][j], ts.channels["v_q"][j],
+                   ts.channels["v_0"][j]]
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_sequence_knob(self, nominal):
         p = make_machine(nominal)
         ts = run_current_fed(p, (0.0, 0.0), 200.0, self.CFG, i_0=2.0)
-        assert np.max(np.abs(ts.channel("i_0") - 2.0)) < 1e-13
-        phase_sum = (ts.channel("i_a") + ts.channel("i_b")
-                     + ts.channel("i_c"))
+        assert np.max(np.abs(ts.channels["i_0"] - 2.0)) < 1e-13
+        phase_sum = (ts.channels["i_a"] + ts.channels["i_b"]
+                     + ts.channels["i_c"])
         assert np.max(np.abs(phase_sum - 6.0)) < 1e-12
 
     def test_bit_reproducible(self, nominal):
         p = make_machine(nominal, d_r=(0.01, 0.0, 0.0))
         a = run_current_fed(p, (1.0, 2.0), 300.0, self.CFG)
         b = run_current_fed(p, (1.0, 2.0), 300.0, self.CFG)
-        for name in a.names:
-            assert np.array_equal(a.channel(name), b.channel(name))
+        for name in a.channels:
+            assert np.array_equal(a.channels[name], b.channels[name])
 
 
 class TestVoltageFed:
@@ -310,8 +307,8 @@ class TestVoltageFed:
         p = make_machine(nominal, d_lam=(0.0, 0.001, 0.0))
         cfg = SimConfig(dt=1e-5, duration=0.005)
         ts = run_voltage_fed(p, (0.0, 0.0), 0.0, cfg)
-        assert np.max(np.abs(ts.channel("i_a"))) == 0.0
-        assert np.max(np.abs(ts.channel("i_q"))) == 0.0
+        assert np.max(np.abs(ts.channels["i_a"])) == 0.0
+        assert np.max(np.abs(ts.channels["i_q"])) == 0.0
 
     def test_dc_settles_to_resistive_current(self, nominal):
         p = make_machine(nominal)
@@ -319,8 +316,8 @@ class TestVoltageFed:
         v_d = 0.5
         ts = run_voltage_fed(p, (v_d, 0.0), 0.0, cfg)
         want = v_d / nominal["r"]
-        assert ts.channel("i_d")[-1] == pytest.approx(want, rel=1e-6)
-        assert abs(ts.channel("i_q")[-1]) < 1e-6 * want
+        assert ts.channels["i_d"][-1] == pytest.approx(want, rel=1e-6)
+        assert abs(ts.channels["i_q"][-1]) < 1e-6 * want
 
     def test_balanced_convergence_to_commanded_currents(self, nominal):
         p = make_machine(nominal)
@@ -331,44 +328,44 @@ class TestVoltageFed:
         ts = run_voltage_fed(p, v_cmd, omega, cfg)
         mask = ts.t >= transient_window(p, omega)
         assert mask.sum() > 1000
-        assert np.max(np.abs(ts.channel("i_d")[mask] - i_cmd[0])) < 1e-3
-        assert np.max(np.abs(ts.channel("i_q")[mask] - i_cmd[1])) < 1e-3
+        assert np.max(np.abs(ts.channels["i_d"][mask] - i_cmd[0])) < 1e-3
+        assert np.max(np.abs(ts.channels["i_q"][mask] - i_cmd[1])) < 1e-3
         # peak-to-peak flatness well past the transient
         tail = ts.t >= 0.75 * ts.t[-1]
-        assert np.ptp(ts.channel("i_d")[tail]) < 1e-6
+        assert np.ptp(ts.channels["i_d"][tail]) < 1e-6
 
     def test_zero_sequence_identically_zero(self, nominal):
         p = make_machine(nominal, d_r=(0.02, 0.0, 0.0),
                          d_l=(2e-5, 0.0, 0.0))
         cfg = SimConfig(dt=2e-5, duration=0.03)
         ts = run_voltage_fed(p, (1.0, 5.0), 300.0, cfg)
-        assert np.max(np.abs(ts.channel("i_0"))) < 1e-12
-        phase_sum = (ts.channel("i_a") + ts.channel("i_b")
-                     + ts.channel("i_c"))
+        assert np.max(np.abs(ts.channels["i_0"])) < 1e-12
+        phase_sum = (ts.channels["i_a"] + ts.channels["i_b"]
+                     + ts.channels["i_c"])
         assert np.max(np.abs(phase_sum)) < 1e-12
 
     def test_star_point_channel(self, nominal):
         p = make_machine(nominal, d_lam=(0.002, 0.0, 0.0))
         cfg = SimConfig(dt=2e-5, duration=0.02)
         ts = run_voltage_fed(p, (0.5, 2.0), 300.0, cfg)
-        assert "v_n" in ts.names
-        assert np.max(np.abs(ts.channel("v_0") + ts.channel("v_n"))) < 1e-12
+        assert "v_n" in ts.channels
+        assert np.max(np.abs(ts.channels["v_0"] + ts.channels["v_n"])) < 1e-12
         # imbalance drives the star point; the channel must carry signal
-        assert np.max(np.abs(ts.channel("v_n"))) > 1e-4
+        assert np.max(np.abs(ts.channels["v_n"])) > 1e-4
 
     def test_balanced_machine_keeps_star_point_quiet(self, nominal):
         p = make_machine(nominal)
         cfg = SimConfig(dt=2e-5, duration=0.02)
         ts = run_voltage_fed(p, (0.5, 2.0), 300.0, cfg)
-        assert np.max(np.abs(ts.channel("v_n"))) < 1e-12
+        assert np.max(np.abs(ts.channels["v_n"])) < 1e-12
 
     def test_bit_reproducible(self, nominal):
         p = make_machine(nominal, d_r=(0.005, 0.0, 0.0))
         cfg = SimConfig(dt=2e-5, duration=0.01)
         a = run_voltage_fed(p, (0.4, 1.0), 400.0, cfg)
         b = run_voltage_fed(p, (0.4, 1.0), 400.0, cfg)
-        for name in a.names:
-            assert np.array_equal(a.channel(name), b.channel(name))
+        for name in a.channels:
+            assert np.array_equal(a.channels[name], b.channels[name])
 
     def test_fourth_order_step_convergence(self, nominal):
         p = make_machine(nominal, d_r=(0.002, 0.0, 0.0))
@@ -420,12 +417,12 @@ class TestVoltageFed:
         scale = max(np.max(np.abs(i_a)), np.max(np.abs(i_b)))
         tol = 10.0 * scale * steps * ((dt * mu) ** 5 / 120.0
                                       + np.finfo(float).eps)
-        assert np.max(np.abs(ts.channel("i_a") - i_a)) < tol
-        assert np.max(np.abs(ts.channel("i_b") - i_b)) < tol
+        assert np.max(np.abs(ts.channels["i_a"] - i_a)) < tol
+        assert np.max(np.abs(ts.channels["i_b"] - i_b)) < tol
         # The v_n error is the current error seen through the winding
         # impedance.
         tol_v = tol * (max(r_abc) + mu * max(l_abc))
-        assert np.max(np.abs(ts.channel("v_n") - v_n)) < tol_v
+        assert np.max(np.abs(ts.channels["v_n"] - v_n)) < tol_v
 
 
 # One selection per channel group, single names, each mode's every name in
@@ -513,9 +510,10 @@ class TestChannelSelection:
 def assert_selection_is_the_full_run(got, full, samples, channels=None):
     """``got`` holds ``channels`` in that order, all of ``full``'s for
     None, and every array is ``full``'s at ``samples``, bit for bit."""
-    assert got.names == (full.names if channels is None else list(channels))
+    assert list(got.channels) == list(full.channels if channels is None
+                                     else channels)
     pairs = [(got.t, full.t), (got.theta, full.theta)] + [
-        (got.channel(name), full.channel(name)) for name in got.names]
+        (got.channels[name], full.channels[name]) for name in got.channels]
     for have, want in pairs:
         assert np.array_equal(have.view(np.uint64),
                               want[samples].view(np.uint64))
@@ -556,7 +554,7 @@ class TestSampleSelection:
         samples = slice(start, stop, step)
         if len(range(301)[samples]) < 2:
             return
-        available = full_runs[mode].names
+        available = full_runs[mode].channels
         channels = [name for name in picks if name in available]
         original = refsim._BLOCK
         refsim._BLOCK = block
@@ -671,9 +669,9 @@ class TestBlockSizeInvariance:
                                    channels=channels)
         whole, blocked = run(size), run(block)
         assert blocked.t.size == size
-        assert blocked.names == whole.names
-        for name in whole.names:
-            got, want = blocked.channel(name), whole.channel(name)
+        assert list(blocked.channels) == list(whole.channels)
+        for name in whole.channels:
+            got, want = blocked.channels[name], whole.channels[name]
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -801,7 +799,7 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert ts.t.size == size
-        return peak, 8 * size * (2 + len(ts.names))
+        return peak, 8 * size * (2 + len(ts.channels))
 
 
 def test_compare_waveforms_peak_in_grid_columns():

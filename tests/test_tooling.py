@@ -65,7 +65,8 @@ def traced_counts(monkeypatch, mode, drive, channels=None,
         count_calls(monkeypatch, refsim, name, counts)
     run = (refsim.run_current_fed if mode == "current-fed"
            else refsim.run_voltage_fed)
-    params = MachineParameters.balanced(0.1, 2e-4, 2e-5, 0.05, pole_pairs=3)
+    params = MachineParameters.from_nominal(0.1, 2e-4, 2e-5, 0.05,
+                                            pole_pairs=3)
     run(params, drive, 300.0, cfg, channels=channels)
     return counts
 
