@@ -88,7 +88,10 @@ class TimeSeries:
             raise ValueError("t must be strictly increasing")
         if not finite_t.all():
             raise ValueError("t must be finite")
-        if not (np.isfinite(high) and high - low <= 1e-9 * high):
+        # t = index * dt rounds each time to its float spacing, so the
+        # steps spread by up to 2 ulp of the largest |t|, an end of t.
+        ulp = np.spacing(max(abs(self.t[0]), abs(self.t[-1])))
+        if not (np.isfinite(high) and high - low <= 1e-9 * high + 2 * ulp):
             raise ValueError("t must be uniformly sampled")
         if not finite_theta.all():
             raise ValueError("theta must be finite")

@@ -581,6 +581,17 @@ class TestSampleSelection:
         assert_selection_is_the_full_run(
             simulate(nominal, mode, None, samples, cfg), full, samples)
 
+    # The steps of t = index * dt spread by up to 2 ulp of the last time;
+    # past about 8.4e6 steps that exceeded a bound of 1e-9 of the step, and
+    # the runners refused their own time base as not uniformly sampled.
+    @pytest.mark.parametrize("duration", [10.0, 100.0])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_late_samples_of_a_long_grid(self, nominal, mode, duration):
+        cfg = SimConfig(dt=1e-6, duration=duration)
+        n = refsim._grid_size(cfg)
+        ts = simulate(nominal, mode, ("i_d",), slice(-1000, None), cfg)
+        assert np.array_equal(ts.t, np.arange(n - 1000, n) * 1e-6)
+
     @pytest.mark.parametrize("samples, message", [
         (None, "samples must be a slice of grid indices stepping by at "
                "least 1, not None"),
