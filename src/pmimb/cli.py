@@ -290,6 +290,11 @@ def run_scenario(scenario: Scenario, job, out_dir):
         raise ConfigError(f"unknown job {job!r}")
     runner, _, sections, current_fed = _JOBS[job]
     out_dir = Path(out_dir)
+    # As identify's source check: "..", an absolute path or a symlink can
+    # spell one file two ways.
+    if os.path.realpath(out_dir / scenario.csv_name) == os.path.realpath(
+            out_dir / scenario.summary_name):
+        raise ConfigError("outputs: csv and summary name the same file")
     out_dir.mkdir(parents=True, exist_ok=True)
     for section in scenario.sections:
         if section not in sections:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import PurePath
 
 from .errors import ConfigError
 from .imbalance import _FAMILIES
@@ -307,8 +306,6 @@ def parse_scenario(path) -> Scenario:
     for key in ("csv", "summary"):
         if not outputs[key]:
             raise ConfigError(f"outputs: {key} must name a file")
-    if PurePath(outputs["csv"]) == PurePath(outputs["summary"]):
-        raise ConfigError("outputs: csv and summary name the same file")
 
     resolved = [(f"machine.{key}", repr(value)) for key, value in phase.items()]
     resolved += [("machine.pole_pairs", str(machine["pole_pairs"])),

@@ -850,6 +850,28 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    # Names that differ as text but reach one file: once the summary
+    # overwrote the CSV and the job exited 0, printing both names.
+    @pytest.mark.parametrize("spelling", ["dotdot", "absolute", "symlink"])
+    @pytest.mark.parametrize("job", ["simulate", "compare"])
+    def test_csv_spelling_the_summary_exits_2(self, tmp_path, capsys,
+                                              spelling, job):
+        out = tmp_path / "out"
+        csv = {"dotdot": "../out/summary.txt",
+               "absolute": str(out / "summary.txt"),
+               "symlink": "link.csv"}[spelling]
+        if spelling == "symlink":
+            out.mkdir()
+            (out / "link.csv").symlink_to("summary.txt")
+        text = MACHINE + OP_SIM + f"\n[outputs]\ncsv = {csv}\n"
+        rc = main([job, "--scenario", write_scenario(tmp_path, text),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: outputs: csv and summary name the same file\n")
+        assert [path.name for path in out.glob("*")] == (
+            ["link.csv"] if spelling == "symlink" else [])
+
     @pytest.mark.parametrize("job", cli._JOBS)
     def test_channel_the_mode_lacks_exits_2_at_parse_time(self, tmp_path,
                                                            capsys, job):
