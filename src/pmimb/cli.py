@@ -123,7 +123,12 @@ def _coefficient_entries(scenario: Scenario):
                  ", ".join(_fmt(v) for v in dec[f"d_{key}"]))
                 for key in _PHASE_KEYS]
     for family in _FAMILIES:
-        entries.append((f"{family}.s", _fmt(_terms(family, dec)[0])))
+        # Python floats, so np.errstate does not see a sum that overflows.
+        s, c_2theta, c_0, _ = _terms(family, dec)
+        if not np.isfinite([s, c_2theta, c_0]).all():
+            raise InputError(f"{family} coefficients overflow: the "
+                             "deviations are too large")
+        entries.append((f"{family}.s", _fmt(s)))
         for suffix, phasor in _phasors(family, dec).items():
             entries += [(f"{family}.k{suffix}", _fmt(phasor.k)),
                         (f"{family}.phi{suffix}", _fmt(phasor.phi))]

@@ -1303,6 +1303,23 @@ def test_unallocatable_grid_fails_before_a_tiny_csv_selection(tmp_path,
     assert not any((tmp_path / "out").glob("*"))
 
 
+# Finite deviations whose sum or spread leaves the float range. Python
+# floats hide the overflow from np.errstate: a spread ended in a
+# ValueError traceback (exit 1), a sum alone in "s: inf" (exit 0).
+@pytest.mark.parametrize("value", ["0, 1e308, 1e308", "1e308, 1e308, 0"],
+                         ids=["spread", "sum"])
+@pytest.mark.parametrize("key, family", [
+    ("d_r", "resistance"), ("d_lam", "flux"), ("d_l", "inductance")])
+def test_coefficient_overflow_exits_3(tmp_path, capsys, key, family, value):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(set_key(SCENARIOS["coeffs.ini"], key, value))
+    assert main(["coeffs", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr() == ("", f"error: {family} coefficients "
+                                   "overflow: the deviations are too large\n")
+    assert not any((tmp_path / "out").glob("*"))
+
+
 def test_numeric_overflow_is_named(tmp_path, capsys):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(set_key(SCENARIOS["resistance_compare.ini"], "r",
