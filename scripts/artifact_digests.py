@@ -1,15 +1,19 @@
 """Digest what every CLI job prints and writes, for byte-identity checks.
 
 Runs the four jobs (coeffs, simulate, compare, identify) in-process, in
-that order, on each scenario text: the shipped scenarios and, unless
---no-corpus is given, a corpus of corrupted variants of each. The corpus
-holds each text with one line deleted; with one value entry (one item of
-a comma list) set to each of "", x, nan, inf, -1, 0, 1, 1e, 5%, 5e-324,
-1e300 and 1e-300; with an unknown key in each section; with one of eight
-sections appended; and with one whole value set to each of 1e300,
--1e300, 1e-300, 5e-324 and 1e150. It also holds the sample-selection
-edges of each shipped text: [outputs] stride set to 2, 7 and 10**9, and
-[sim] duration set equal to its dt (a grid of 2 samples).
+that order unless JOB_ORDERS names another, on each scenario text: the
+shipped scenarios and, unless --no-corpus is given, a corpus of
+corrupted variants of each. The corpus holds each text with one line
+deleted; with one value entry (one item of a comma list) set to each of
+"", x, nan, inf, -1, 0, 1, 1e, 5%, 5e-324, 1e300 and 1e-300; with an
+unknown key in each section; with one of eight sections appended; and
+with one whole value set to each of 1e300, -1e300, 1e-300, 5e-324 and
+1e150. It also holds the sample-selection edges of each shipped text:
+[outputs] stride set to 2, 7 and 10**9, and [sim] duration set equal to
+its dt (a grid of 2 samples). Last comes append:4:no-compare, the text
+of append:4 ([identify] source_csv = timeseries.csv) run as coeffs,
+simulate, identify: there identify reads the CSV simulate wrote, which
+in append:4 compare overwrites first.
 
 Each text runs in a fresh working directory, with relative paths for the
 scenario and for --out, and the four jobs share that --out as a user
@@ -55,6 +59,8 @@ APPENDED = (
     "[outputs]\nchannels = i_d, v_n\n",
 )
 STRIDES = (2, 7, 10**9)
+# Variants run with a job order of their own.
+JOB_ORDERS = {"append:4:no-compare": ("coeffs", "simulate", "identify")}
 
 
 def corpus(text):
@@ -89,6 +95,7 @@ def corpus(text):
     parser.read_string(text)
     dt = parser.get("sim", "dt", fallback=_SCHEMA["sim"]["dt"][1])
     yield "edge:duration=dt", with_key(lines, "sim", "duration", dt)
+    yield "append:4:no-compare", text + "\n" + APPENDED[4]
 
 
 def set_line(lines, row, line):
@@ -134,7 +141,7 @@ def run_job(job):
     return rc, digest.hexdigest()
 
 
-def digest_text(label, text):
+def digest_text(label, text, jobs=JOBS):
     """One line per job for one scenario text, run in a fresh directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
@@ -142,7 +149,7 @@ def digest_text(label, text):
         try:
             Path("scenario.ini").write_text(text, encoding="utf-8")
             return [f"{label} {job} {' '.join(map(str, run_job(job)))}"
-                    for job in JOBS]
+                    for job in jobs]
         finally:
             os.chdir(home)
 
@@ -159,7 +166,8 @@ def main(argv=None):
         variants = ([("shipped", text)] if args.no_corpus
                     else corpus(text))
         for variant, variant_text in variants:
-            for line in digest_text(f"{path.name}:{variant}", variant_text):
+            for line in digest_text(f"{path.name}:{variant}", variant_text,
+                                    JOB_ORDERS.get(variant, JOBS)):
                 print(line)
     return 0
 

@@ -154,3 +154,16 @@ def test_artifact_digest_corpus_holds_the_selection_edges(tmp_path, name):
     path.write_text(variants["edge:duration=dt"])
     shipped = parse_scenario(ROOT / "scenarios" / name).sim
     assert parse_scenario(path).sim == SimConfig(shipped.dt, shipped.dt)
+
+
+def test_artifact_digest_identify_reads_the_simulated_csv():
+    # In append:4 compare overwrites timeseries.csv before identify reads
+    # it, so identify always fails there; this variant leaves compare out.
+    script = runpy.run_path(str(ROOT / "scripts" / "artifact_digests.py"))
+    text = (ROOT / "scenarios" / "resistance_compare.ini").read_text(
+        encoding="utf-8")
+    variant = "append:4:no-compare"
+    lines = script["digest_text"](variant, dict(script["corpus"](text))[
+        variant], script["JOB_ORDERS"][variant])
+    assert [line.split()[1:3] for line in lines] == [
+        ["coeffs", "0"], ["simulate", "0"], ["identify", "0"]]
