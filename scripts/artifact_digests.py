@@ -141,7 +141,7 @@ def run_job(job):
     return rc, digest.hexdigest()
 
 
-def digest_text(label, text, jobs=JOBS):
+def digest_text(label, text, jobs):
     """One line per job for one scenario text, run in a fresh directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:

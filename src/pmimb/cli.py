@@ -123,7 +123,7 @@ def _coefficient_entries(scenario: Scenario):
                  ", ".join(_fmt(v) for v in dec[f"d_{key}"]))
                 for key in _PHASE_KEYS]
     for family in _FAMILIES:
-        # Python floats, so np.errstate does not see a sum that overflows.
+        # _terms adds Python floats, whose overflow np.errstate misses.
         s, c_2theta, c_0, _ = _terms(family, dec)
         if not np.isfinite([s, c_2theta, c_0]).all():
             raise InputError(f"{family} coefficients overflow: the "
