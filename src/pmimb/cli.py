@@ -41,26 +41,22 @@ from .scenario import Scenario, parse_scenario
 _BLOCK_ROWS = 1024
 
 
-def write_csv(ts: TimeSeries, path, stride=1):
+def write_csv(ts: TimeSeries, path):
     """Write ``ts`` as CSV: ``t``, ``theta`` and every channel in the
-    series' order, on every ``stride``-th row.
+    series' order, one row per sample.
 
     Values carry 17 significant digits (``%.17g``) so a read-back
     reproduces every sample exactly. Rows are formatted a block at a time
     with one ``%`` operation per block; the bytes are those of formatting
-    each value on its own. A ``stride`` that is not an integer of at
-    least 1 raises ``ConfigError``, as does a channel name ``read_csv``
-    would not read back: ``t``, ``theta``, one holding a comma or a
-    character that is not printable, or one empty or padded with spaces.
+    each value on its own. A channel name ``read_csv`` would not read
+    back raises ``ConfigError``: ``t``, ``theta``, one holding a comma or
+    a character that is not printable, or one empty or padded with spaces.
     """
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ConfigError(f"stride must be an integer >= 1, not {stride!r}")
     for name in ts.channels:
         if (name in ("t", "theta") or "," in name or not name.isprintable()
                 or not name or name != name.strip()):
             raise ConfigError(f"channel name {name!r} is not a CSV column")
-    columns = [col[::stride] for col in
-               [ts.t, ts.theta, *ts.channels.values()]]
+    columns = [ts.t, ts.theta, *ts.channels.values()]
     header = ",".join(["t", "theta", *ts.channels])
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = columns[0].size
@@ -162,21 +158,16 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
     run's. First the summary's channels on the late half, reduced to their
     means and dropped: a grid too large to allocate fails there, before
     any file is written. Then the CSV's channels (checked against the mode
-    at parse time) on every stride-th sample. A selection holds at least 2
-    samples: a late half of one (n = 2) takes the sample before it, and a
-    lone CSV row (stride >= n) the grid's last, which its write skips."""
+    at parse time) on every stride-th sample."""
     n = _grid_size(scenario.sim)
-    late = _simulate(scenario, _SUMMARY_CHANNELS,
-                     slice(min(n // 2, n - 2), None))
+    late = _simulate(scenario, _SUMMARY_CHANNELS, slice(n // 2, None))
     t_end = late.t[-1]
-    means = [np.mean(late.channels[name][-(n - n // 2):])
-             for name in _SUMMARY_CHANNELS]
+    means = [np.mean(late.channels[name]) for name in _SUMMARY_CHANNELS]
     del late
-    lone_row = scenario.stride >= n
     ts = _simulate(scenario, scenario.channels,
-                   slice(0, None, n - 1 if lone_row else scenario.stride))
+                   slice(0, None, scenario.stride))
     csv_path = out_dir / scenario.csv_name
-    write_csv(ts, csv_path, 2 if lone_row else 1)
+    write_csv(ts, csv_path)
     entries = [
         ("simulate.mode", scenario.mode),
         ("simulate.samples", str(n)),
@@ -198,9 +189,11 @@ def _job_compare(scenario: Scenario, out_dir: Path):
     metrics_q = compare_waveforms(ts.channels["v_q"], model["v_q_model"])
 
     csv_path = out_dir / scenario.csv_name
-    out = TimeSeries(ts.t, ts.theta, {"v_d_sim": ts.channels["v_d"],
-                                      "v_q_sim": ts.channels["v_q"], **model})
-    write_csv(out, csv_path, stride=scenario.stride)
+    out = {"v_d_sim": ts.channels["v_d"], "v_q_sim": ts.channels["v_q"],
+           **model}
+    rows = slice(None, None, scenario.stride)
+    write_csv(TimeSeries(ts.t[rows], ts.theta[rows], {
+        name: column[rows] for name, column in out.items()}), csv_path)
 
     entries = [(f"compare.{axis}.{key}",
                 "n/a" if value is None else _fmt(value))

@@ -67,19 +67,20 @@ class TimeSeries:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.t.ndim != 1 or self.t.size < 2:
-            raise ValueError("t must be 1-D with at least 2 samples")
+        if self.t.ndim != 1 or self.t.size < 1:
+            raise ValueError("t must be 1-D with at least 1 sample")
         if self.theta.shape != self.t.shape:
             raise ValueError("theta must match t in shape")
         # A block at a time, so no grid-sized temporary is made. A nan step
         # reads as not increasing; t is checked finite before the steps are
-        # checked uniform, so an infinite step there is an overflow.
+        # checked uniform, so an infinite step there is an overflow. A lone
+        # sample has no step; the initial values pass both step checks.
         blocks = []
-        for start in range(0, self.t.size - 1, _BLOCK):
+        for start in range(0, max(self.t.size - 1, 1), _BLOCK):
             part = slice(start, start + _BLOCK + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = np.diff(self.t[part])
-            blocks.append((steps.min(), steps.max(),
+            blocks.append((steps.min(initial=np.inf), steps.max(initial=0.0),
                            np.isfinite(self.t[part]).all(),
                            np.isfinite(self.theta[part]).all()))
         low, high, finite_t, finite_theta = np.array(blocks).T
@@ -110,7 +111,7 @@ def _grid_size(cfg: SimConfig):
 def _grid_indices(cfg: SimConfig, samples):
     """The grid indices ``samples`` selects, as a range, checked before any
     sample array exists: it must be a slice stepping by at least 1 that
-    holds at least 2 samples."""
+    selects at least one sample."""
     size = _grid_size(cfg)
     try:
         index = range(size)[samples] if isinstance(samples, slice) else None
@@ -119,9 +120,9 @@ def _grid_indices(cfg: SimConfig, samples):
     if index is None or index.step < 1:
         raise ConfigError(f"samples must be a slice of grid indices stepping "
                           f"by at least 1, not {samples!r}")
-    if len(index) < 2:
-        raise ConfigError(f"samples {samples!r} selects {len(index)} of "
-                          f"{size} grid samples; at least 2 are needed")
+    if not index:
+        raise ConfigError(f"samples {samples!r} selects none of the {size} "
+                          f"grid samples")
     return index
 
 
@@ -202,13 +203,15 @@ def _assemble(params, basis, names, i_abc, v_abc, **more):
 
 def _blocked(size, names, block):
     """One array of ``size`` samples per name, filled from the values that
-    ``block(part)`` gives, in name order, on each grid slice ``part``. The
-    last block runs to the end: a lone sample's matrix product rounds apart."""
+    ``block(part)`` gives, in name order, on each block of positions ``part``.
+    A lone sample's matrix product rounds apart from the same sample's in a
+    block, so a block of one sample i runs as the pair [i, i], first kept."""
     out = {name: np.empty(size) for name in names}
-    starts = range(0, size - 1, _BLOCK)
-    for start, stop in zip(starts, [*starts[1:], size]):
-        for array, values in zip(out.values(), block(slice(start, stop))):
-            array[start:stop] = values
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        part = slice(start, stop) if stop - start > 1 else [start, start]
+        for array, values in zip(out.values(), block(part)):
+            array[start:stop] = values[:stop - start]
     return out
 
 
@@ -242,10 +245,10 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         Grid indices to evaluate, the whole grid by default; ``t`` and
         ``theta`` hold the selected samples only. Every sample is closed
         form, so each selected one is bit for bit the full run's at that
-        index, and memory scales with the selection, not the grid. A
-        selection that is not a slice, steps by less than 1 or holds
-        fewer than 2 samples raises ``ConfigError`` before any sample
-        array exists.
+        index, a lone sample included, and memory scales with the
+        selection, not the grid. A selection that is not a slice, steps
+        by less than 1 or is empty raises ``ConfigError`` before any
+        sample array exists.
 
     Returns
     -------

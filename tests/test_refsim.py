@@ -225,6 +225,23 @@ class TestTimeSeries:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 TimeSeries(t, np.zeros(len(t)))
 
+    def test_one_sample_accepted(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            ts = TimeSeries([5.0], [1.5], {"i_a": [2.0]})
+        assert (ts.t.tolist(), ts.theta.tolist()) == ([5.0], [1.5])
+
+    @pytest.mark.parametrize("t, theta, message", [
+        ([np.inf], [0.0], "t must be finite"),
+        ([np.nan], [np.nan], "t must be finite"),
+        ([0.0], [-np.inf], "theta must be finite"),
+        ([], [], "t must be 1-D with at least 1 sample"),
+    ])
+    def test_one_sample_checked_finite_and_none_refused(self, t, theta,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeSeries(t, theta)
+
     def test_largest_finite_step_accepted(self):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
@@ -534,8 +551,7 @@ class TestSampleSelection:
     # Every sample is closed form, so a selection is the full run indexed
     # by the same slice, signed zeros included, whatever the channels, their
     # order and the block size. Blocks of 3 and 7 let a step exceed the
-    # block and a selection end in a lone sample, which the block before it
-    # takes in.
+    # block and a selection end in a lone sample, which runs as a pair.
     @given(mode=st.sampled_from(["current-fed", "voltage-fed"]),
            picks=st.lists(st.sampled_from(VOLTAGE_FED_CHANNELS),
                           unique=True),
@@ -552,7 +568,7 @@ class TestSampleSelection:
     def test_selection_is_the_full_run_at_those_samples(
             self, full_runs, mode, picks, block, start, stop, step):
         samples = slice(start, stop, step)
-        if len(range(301)[samples]) < 2:
+        if not range(301)[samples]:
             return
         available = full_runs[mode].channels
         channels = [name for name in picks if name in available]
@@ -606,15 +622,8 @@ class TestSampleSelection:
         (slice(0.5, None), "samples must be a slice of grid indices "
                            "stepping by at least 1, not slice(0.5, None, "
                            "None)"),
-        (slice(5, 6), "samples slice(5, 6, None) selects 1 of 301 grid "
-                      "samples; at least 2 are needed"),
-        (slice(-1, None), "samples slice(-1, None, None) selects 1 of 301 "
-                          "grid samples; at least 2 are needed"),
-        (slice(None, None, 301), "samples slice(None, None, 301) selects 1 "
-                                 "of 301 grid samples; at least 2 are "
-                                 "needed"),
-        (slice(10, 5), "samples slice(10, 5, None) selects 0 of 301 grid "
-                       "samples; at least 2 are needed"),
+        (slice(10, 5), "samples slice(10, 5, None) selects none of the 301 "
+                       "grid samples"),
     ])
     @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
     def test_invalid_selection_refused_before_the_grid(
@@ -624,9 +633,32 @@ class TestSampleSelection:
             simulate(nominal, mode, None, samples)
         assert str(excinfo.value) == message
 
+    # Once refused as fewer than 2 samples.
+    @pytest.mark.parametrize("samples", [
+        slice(5, 6), slice(-1, None), slice(None, None, 301)])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_one_sample_selection_is_the_full_run(self, full_runs, mode,
+                                                  samples):
+        assert_selection_is_the_full_run(
+            simulate(NOMINAL, mode, None, samples), full_runs[mode], samples)
+
+    # A matrix product over one sample rounds apart from the same sample in
+    # a block; with the package's block size on a 40 001-sample grid, a
+    # lone sample at a block's either end, past it and at the grid's end
+    # is the full run's, in every channel.
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_lone_sample_at_block_edges_is_the_full_run(self, nominal, mode):
+        cfg = SimConfig(dt=1e-6, duration=0.04)
+        full = simulate(nominal, mode, None, cfg=cfg)
+        for index in (0, refsim._BLOCK - 1, refsim._BLOCK,
+                      refsim._BLOCK + 1, full.t.size - 1):
+            samples = slice(index, index + 1)
+            assert_selection_is_the_full_run(
+                simulate(nominal, mode, None, samples, cfg), full, samples)
+
 
 # Per block size, grids one short of a block, exactly one, two and a lone
-# sample (which the last block takes in), and two and a partial block.
+# sample (which runs as a pair), and two and a partial block.
 BLOCK_GRIDS = [pytest.param(block, size, id=f"block{block}-n{size}")
                for block in (7, 1000)
                for size in (block - 1, block, 2 * block + 1, 2 * block + 7)]
