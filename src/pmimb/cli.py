@@ -14,6 +14,7 @@ included. Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -282,7 +283,9 @@ def run_scenario(scenario: Scenario, job, out_dir):
     """Execute one job and write its artifacts under out_dir.
 
     Returns the job's files, then summary.txt: ``job: <name>``, the job's
-    entries and the ``config.*`` echo of the resolved scenario.
+    entries and the ``config.*`` echo of the resolved scenario. An output
+    name that is a directory is refused before the job runs, and a job that
+    fails removes the directories this call made.
     """
     if job not in _JOBS:
         raise ConfigError(f"unknown job {job!r}")
@@ -293,7 +296,13 @@ def run_scenario(scenario: Scenario, job, out_dir):
     if os.path.realpath(out_dir / scenario.csv_name) == os.path.realpath(
             out_dir / scenario.summary_name):
         raise ConfigError("outputs: csv and summary name the same file")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # out_dir and its parents are directories once it is made.
+    home = os.path.realpath(out_dir)
+    for key, name in (("csv", scenario.csv_name),
+                      ("summary", scenario.summary_name)):
+        path = os.path.realpath(out_dir / name)
+        if os.path.isdir(path) or os.path.commonpath([path, home]) == path:
+            raise ConfigError(f"outputs: {key} {name!r} names a directory")
     for section in scenario.sections:
         if section not in sections:
             print(f"warning: section [{section}] is ignored by the "
@@ -301,12 +310,22 @@ def run_scenario(scenario: Scenario, job, out_dir):
     if current_fed and scenario.mode != "current-fed":
         raise ConfigError(f"{job} requires sim.mode = current-fed: "
                           f"{current_fed}")
-    entries, written = runner(scenario, out_dir)
-    entries = [("job", job), *entries, *((f"config.{key}", value)
-                                         for key, value in scenario.resolved)]
-    summary = out_dir / scenario.summary_name
-    with open(summary, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(f"{key}: {value}\n" for key, value in entries)
+    # The job runs inside out_dir, which identify's source_csv joins.
+    made = [path for path in (out_dir, *out_dir.parents)
+            if not os.path.lexists(path)]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        entries, written = runner(scenario, out_dir)
+        entries = [("job", job), *entries, *(
+            (f"config.{key}", value) for key, value in scenario.resolved)]
+        summary = out_dir / scenario.summary_name
+        with open(summary, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(f"{key}: {value}\n" for key, value in entries)
+    except Exception:
+        for path in made:  # deepest first; one holding a file stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return [*written, summary]
 
 

@@ -1274,8 +1274,8 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
         assert lines[0].startswith(f"error: {tmp_path / 'out' / value}: ")
     else:
         assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")
-    # No artifact, so no CSV of NaN rows.
-    assert not any((tmp_path / "out").glob("*"))
+    # No artifact, so no CSV of NaN rows, and no output directory.
+    assert not (tmp_path / "out").exists()
 
 
 def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
@@ -1288,7 +1288,7 @@ def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ")
     assert err.count("\n") == 1
-    assert not any((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_unallocatable_grid_fails_before_a_tiny_csv_selection(tmp_path,
@@ -1301,7 +1301,7 @@ def test_unallocatable_grid_fails_before_a_tiny_csv_selection(tmp_path,
     assert main(["simulate", "--scenario", str(scenario),
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("error: out of memory: ")
-    assert not any((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 # Finite deviations whose sum or spread leaves the float range. Python
@@ -1318,7 +1318,66 @@ def test_coefficient_overflow_exits_3(tmp_path, capsys, key, family, value):
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr() == ("", f"error: {family} coefficients "
                                    "overflow: the deviations are too large\n")
-    assert not any((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+# A failed job once left its --out directory behind, empty: a job
+# refused for its drive mode (exit 2) and a coefficient overflow (exit 3).
+FAILING_JOBS = [
+    pytest.param("voltage_fed_sim.ini", None, "compare", 2, id="exit-2"),
+    pytest.param("coeffs.ini", "0, 1e308, 1e308", "coeffs", 3, id="exit-3"),
+]
+
+
+@pytest.mark.parametrize("base, d_r, job, rc", FAILING_JOBS)
+def test_failed_job_removes_the_directories_it_made(tmp_path, capsys, base,
+                                                    d_r, job, rc):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIOS[base] if d_r is None
+                        else set_key(SCENARIOS[base], "d_r", d_r))
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "a" / "b" / "c", tmp_path / "kept" / "d" / "e"):
+        assert main([job, "--scenario", str(scenario),
+                     "--out", str(out)]) == rc
+        assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "kept", "scenario.ini"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
+@pytest.mark.parametrize("base, d_r, job, rc", FAILING_JOBS)
+def test_failed_job_keeps_an_existing_out_directory(tmp_path, capsys, base,
+                                                    d_r, job, rc):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIOS[base] if d_r is None
+                        else set_key(SCENARIOS[base], "d_r", d_r))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    assert main([job, "--scenario", str(scenario), "--out", str(out)]) == rc
+    assert [path.name for path in out.iterdir()] == ["earlier.txt"]
+
+
+# An output name that resolves to a directory once failed in open() after
+# the job had run, leaving a CSV without its summary (exit 3).
+@pytest.mark.parametrize("name", [".", "..", "sub", "sub/..", "../.."])
+@pytest.mark.parametrize("key", ["csv", "summary"])
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_output_naming_a_directory_exits_2_before_the_job(
+        tmp_path, capsys, monkeypatch, job, key, name):
+    monkeypatch.setattr(cli, "_simulate", None)
+    out = tmp_path / "out"
+    if name == "sub":
+        (out / "sub").mkdir(parents=True)
+    text = MACHINE + OP_SIM + f"\n[outputs]\n{key} = {name}\n"
+    rc = main([job, "--scenario", write_scenario(tmp_path, text),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: outputs: {key} {name!r} names a directory\n")
+    assert sorted(path.name for path in tmp_path.rglob("*")) == (
+        ["out", "scenario.ini", "sub"] if name == "sub"
+        else ["scenario.ini"])
 
 
 def test_numeric_overflow_is_named(tmp_path, capsys):
