@@ -9,6 +9,7 @@ from pmimb import (
     InputError,
     OperatingPoint,
     SecondHarmonicPhasor,
+    WaveformComparison,
     compare_waveforms,
     check_angle_coverage,
     demodulate,
@@ -198,3 +199,7 @@ class TestCompareWaveforms:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             compare_waveforms(np.zeros(4), np.zeros(5))
+
+    def test_empty_waveforms_compare_as_equal(self):
+        # No sample differs, and no reference RMS exists to normalize by.
+        assert compare_waveforms([], []) == WaveformComparison(0.0, 0.0, None)
