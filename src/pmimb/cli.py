@@ -297,11 +297,11 @@ def run_scenario(scenario: Scenario, job, out_dir):
             out_dir / scenario.summary_name):
         raise ConfigError("outputs: csv and summary name the same file")
     # out_dir and its parents are directories once it is made.
-    home = os.path.realpath(out_dir)
+    out_real = os.path.realpath(out_dir)
     for key, name in (("csv", scenario.csv_name),
                       ("summary", scenario.summary_name)):
         path = os.path.realpath(out_dir / name)
-        if os.path.isdir(path) or os.path.commonpath([path, home]) == path:
+        if path == os.path.commonpath([path, out_real]) or os.path.isdir(path):
             raise ConfigError(f"outputs: {key} {name!r} names a directory")
     for section in scenario.sections:
         if section not in sections:

@@ -73,10 +73,10 @@ class TimeSeries:
             raise ValueError("theta must match t in shape")
         # A block at a time, so no grid-sized temporary is made. A nan step
         # reads as not increasing; t is checked finite before the steps are
-        # checked uniform, so an infinite step there is an overflow. A lone
-        # sample has no step; the initial values pass both step checks.
+        # checked uniform, so an infinite step there is an overflow. A block
+        # of one sample has no step; the initial values pass both checks.
         blocks = []
-        for start in range(0, max(self.t.size - 1, 1), _BLOCK):
+        for start in range(0, self.t.size, _BLOCK):
             part = slice(start, start + _BLOCK + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = np.diff(self.t[part])

@@ -1323,39 +1323,24 @@ def test_coefficient_overflow_exits_3(tmp_path, capsys, key, family, value):
 
 # A failed job once left its --out directory behind, empty: a job
 # refused for its drive mode (exit 2) and a coefficient overflow (exit 3).
-FAILING_JOBS = [
+@pytest.mark.parametrize("base, d_r, job, rc", [
     pytest.param("voltage_fed_sim.ini", None, "compare", 2, id="exit-2"),
     pytest.param("coeffs.ini", "0, 1e308, 1e308", "coeffs", 3, id="exit-3"),
-]
-
-
-@pytest.mark.parametrize("base, d_r, job, rc", FAILING_JOBS)
-def test_failed_job_removes_the_directories_it_made(tmp_path, capsys, base,
-                                                    d_r, job, rc):
+])
+def test_failed_job_removes_only_the_directories_it_made(
+        tmp_path, capsys, base, d_r, job, rc):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(SCENARIOS[base] if d_r is None
                         else set_key(SCENARIOS[base], "d_r", d_r))
-    (tmp_path / "kept").mkdir()
-    for out in (tmp_path / "a" / "b" / "c", tmp_path / "kept" / "d" / "e"):
+    (tmp_path / "kept" / "out").mkdir(parents=True)
+    (tmp_path / "kept" / "out" / "earlier.txt").write_text("kept")
+    for out in ("a/b/c", "kept/d/e", "kept/out"):
         assert main([job, "--scenario", str(scenario),
-                     "--out", str(out)]) == rc
+                     "--out", str(tmp_path / out)]) == rc
         assert capsys.readouterr().err.count("\n") == 1
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "kept", "scenario.ini"]
-    assert not any((tmp_path / "kept").iterdir())
-
-
-@pytest.mark.parametrize("base, d_r, job, rc", FAILING_JOBS)
-def test_failed_job_keeps_an_existing_out_directory(tmp_path, capsys, base,
-                                                    d_r, job, rc):
-    scenario = tmp_path / "scenario.ini"
-    scenario.write_text(SCENARIOS[base] if d_r is None
-                        else set_key(SCENARIOS[base], "d_r", d_r))
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "earlier.txt").write_text("kept")
-    assert main([job, "--scenario", str(scenario), "--out", str(out)]) == rc
-    assert [path.name for path in out.iterdir()] == ["earlier.txt"]
+    assert sorted(path.relative_to(tmp_path).as_posix()
+                  for path in tmp_path.rglob("*")) == [
+        "kept", "kept/out", "kept/out/earlier.txt", "scenario.ini"]
 
 
 # An output name that resolves to a directory once failed in open() after
