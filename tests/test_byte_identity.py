@@ -2,7 +2,7 @@
 
 Runs ``scripts/artifact_digests.py``'s runs for the shipped scenarios
 with their sample-selection edges (``edge:*``) and appended sections
-(``append:*``): 385 lines, the subset of the script's full corpus that
+(``append:*``): 413 lines, the subset of the script's full corpus that
 covers every job's success path and the selection edges. It requires
 them equal to ``artifact_digests.txt`` beside this file. A change that
 alters an exit code, a message or one artifact byte fails here.
@@ -44,7 +44,7 @@ def test_artifacts_match_the_reference_digests():
     expected = REFERENCE.read_text(encoding="utf-8").splitlines()
     actual = gate_lines()
     changed = [(old, new) for old, new in zip(expected, actual) if old != new]
-    assert len(actual) == len(expected) == 385
+    assert len(actual) == len(expected) == 413
     assert changed == [], (f"{len(changed)} digest lines differ "
                            f"(numpy {np.__version__}); first: {changed[0]}")
 
