@@ -308,8 +308,8 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         All standard channels plus "v_n", the star-point displacement
         voltage, or the named ones in the order named, at the selected
         samples. Voltage channels are winding voltages (terminal minus
-        star point), so v_0 = -v_n. Initial currents are zero, at grid
-        index 0 whether or not it is selected.
+        star point) from ``phase_voltages``, so v_0 = -v_n to rounding.
+        Initial currents are zero, at grid index 0 whether or not selected.
 
     Notes
     -----
@@ -347,24 +347,22 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     # e^{A t} = V e^{-rates t} V^-1 with V = C^-T Q and V^-1 = Q^T C^T.
     modes = np.linalg.solve(chol.T, q)
     start = -(q.T @ chol.T @ x_ss.real)
+    x_re, x_im = x_ss.real[:, None], x_ss.imag[:, None]
 
     def block(part):
         basis = _phase_basis(theta[part])
+        decay = start[:, None] * np.exp(-rates[:, None] * t[part])
         # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
-        i_ab = (x_ss.real[:, None] * basis.cos[0]
-                - x_ss.imag[:, None] * basis.sin[0]
-                + modes @ (start[:, None] * np.exp(-rates[:, None] * t[part])))
+        i_ab = x_re * basis.cos[0] - x_im * basis.sin[0] + modes @ decay
         i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
         if not _needs(names, _PHASE_V, _DQ0_V, ("v_n",)):
             return _assemble(params, basis, names, i_abc, None)
-        # Reconstruct applied voltages, derivatives and the star-point shift.
-        applied = np.stack(park_inverse((v_d, v_q, 0.0), basis))
-        emf = omega_e * params.pm_flux()[:, None] * basis.sin
-        rhs = applied - params.resistances()[:, None] * i_abc - emf
-        di_ab = np.linalg.inv(l_red) @ (rhs[:2] - rhs[2])
+        di_ab = (-omega_e * (x_re * basis.sin[0] + x_im * basis.cos[0])
+                 - modes @ (rates[:, None] * decay))
         di_abc = np.vstack([di_ab, -di_ab[0] - di_ab[1]])
-        v_n = np.mean(rhs - params.inductance_matrix() @ di_abc, axis=0)
-        return _assemble(params, basis, names, i_abc, applied - v_n, v_n=v_n)
+        v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
+        v_n = np.mean(park_inverse((v_d, v_q, 0.0), basis) - v_abc, axis=0)
+        return _assemble(params, basis, names, i_abc, v_abc, v_n=v_n)
     return TimeSeries(t, theta, _blocked(t.size, names, block))
 
 

@@ -25,6 +25,7 @@ from pmimb import (
     ideal_dq_nonsalient,
     inductance_delta,
     park_forward,
+    park_inverse,
     predict_current_ripple,
     resistance_delta,
     run_current_fed,
@@ -369,6 +370,25 @@ class TestVoltageFed:
         assert np.max(np.abs(ts.channels["v_0"] + ts.channels["v_n"])) < 1e-12
         # imbalance drives the star point; the channel must carry signal
         assert np.max(np.abs(ts.channels["v_n"])) > 1e-4
+
+    @pytest.mark.parametrize("omega", [0.0, 700.0])
+    def test_winding_law_holds_in_each_phase(self, nominal, rng, omega):
+        # The winding voltages come from the currents and their derivative,
+        # v_n from the applied voltages: each phase's applied voltage must be
+        # its winding voltage plus v_n. A dropped modal term or a sign slip
+        # in di/dt breaks this; the phase mean (v_0 = -v_n) alone does not.
+        for _ in range(10):
+            spread = {key: tuple(rng.uniform(0.0, 0.1 * nominal[name], 3))
+                      for key, name in (("d_r", "r"), ("d_l", "l"),
+                                        ("d_m", "m"), ("d_lam", "lam"))}
+            p = make_machine(nominal, **spread)
+            v_cmd = tuple(rng.uniform(-20.0, 20.0, 2))
+            ts = run_voltage_fed(p, v_cmd, omega,
+                                 SimConfig(dt=1e-5, duration=0.01))
+            applied = np.stack(park_inverse((*v_cmd, 0.0), ts.theta))
+            for phase, v_x in zip(applied, ("v_a", "v_b", "v_c")):
+                kvl = phase - ts.channels["v_n"] - ts.channels[v_x]
+                assert np.max(np.abs(kvl)) <= 1e-13 * np.max(np.abs(applied))
 
     def test_balanced_machine_keeps_star_point_quiet(self, nominal):
         p = make_machine(nominal)

@@ -76,7 +76,7 @@ FULL_RUN_CALLS = [
     ("current-fed", (-1.0, 8.0), {"park_inverse": 2, "park_forward": 2,
                                   "phase_voltages": 1, "torque_abc": 1}),
     ("voltage-fed", (1.0, 20.0), {"park_inverse": 1, "park_forward": 2,
-                                  "torque_abc": 1}),
+                                  "phase_voltages": 1, "torque_abc": 1}),
 ]
 
 
