@@ -284,25 +284,13 @@ def run_scenario(scenario: Scenario, job, out_dir):
 
     Returns the job's files, then summary.txt: ``job: <name>``, the job's
     entries and the ``config.*`` echo of the resolved scenario. An output
-    name that is a directory is refused before the job runs, and a job that
-    fails removes the directories this call made.
+    name that is a directory, or is not in one, is refused before the job
+    runs, and a job that fails removes the directories this call made.
     """
     if job not in _JOBS:
         raise ConfigError(f"unknown job {job!r}")
     runner, _, sections, current_fed = _JOBS[job]
     out_dir = Path(out_dir)
-    # As identify's source check: "..", an absolute path or a symlink can
-    # spell one file two ways.
-    if os.path.realpath(out_dir / scenario.csv_name) == os.path.realpath(
-            out_dir / scenario.summary_name):
-        raise ConfigError("outputs: csv and summary name the same file")
-    # out_dir and its parents are directories once it is made.
-    out_real = os.path.realpath(out_dir)
-    for key, name in (("csv", scenario.csv_name),
-                      ("summary", scenario.summary_name)):
-        path = os.path.realpath(out_dir / name)
-        if path == os.path.commonpath([path, out_real]) or os.path.isdir(path):
-            raise ConfigError(f"outputs: {key} {name!r} names a directory")
     for section in scenario.sections:
         if section not in sections:
             print(f"warning: section [{section}] is ignored by the "
@@ -315,6 +303,17 @@ def run_scenario(scenario: Scenario, job, out_dir):
             if not os.path.lexists(path)]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # "..", an absolute path or a symlink can spell one file two ways.
+        if os.path.realpath(out_dir / scenario.csv_name) == os.path.realpath(
+                out_dir / scenario.summary_name):
+            raise ConfigError("outputs: csv and summary name the same file")
+        for key, name in (("csv", scenario.csv_name),
+                          ("summary", scenario.summary_name)):
+            path = os.path.realpath(out_dir / name)
+            if os.path.isdir(path):
+                raise ConfigError(f"outputs: {key} {name!r} names a directory")
+            if not os.path.isdir(os.path.dirname(path)):
+                raise ConfigError(f"outputs: {key} {name!r} has no directory")
         entries, written = runner(scenario, out_dir)
         entries = [("job", job), *entries, *(
             (f"config.{key}", value) for key, value in scenario.resolved)]

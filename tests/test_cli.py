@@ -1365,6 +1365,23 @@ def test_output_naming_a_directory_exits_2_before_the_job(
         else ["scenario.ini"])
 
 
+# A csv or summary in a missing directory once failed in open() after the
+# job had written its other file: compare left its CSV without a summary.
+@pytest.mark.parametrize("key", ["csv", "summary"])
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_output_in_a_missing_directory_exits_2_before_the_job(
+        tmp_path, capsys, monkeypatch, job, key):
+    monkeypatch.setattr(cli, "_simulate", None)
+    name = "nosuch/deeper/out.txt"
+    text = MACHINE + OP_SIM + f"\n[outputs]\n{key} = {name}\n"
+    rc = main([job, "--scenario", write_scenario(tmp_path, text),
+               "--out", str(tmp_path / "a" / "b")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: outputs: {key} {name!r} has no directory\n")
+    assert [path.name for path in tmp_path.rglob("*")] == ["scenario.ini"]
+
+
 def test_numeric_overflow_is_named(tmp_path, capsys):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(set_key(SCENARIOS["resistance_compare.ini"], "r",
