@@ -46,7 +46,7 @@ class MachineParameters:
     lam_a, lam_b, lam_c : float
         Permanent-magnet flux linkage amplitudes (Wb), nonnegative.
     pole_pairs : int
-        Number of pole pairs, at least 1.
+        Number of pole pairs, at least 1 and at most the largest float.
 
     Every value must be finite. The phases are displaced by ``BETA``,
     2*pi/3: the model is three-phase by construction.
@@ -77,6 +77,8 @@ class MachineParameters:
                 raise ValueError(f"{name} must be nonnegative")
         if not (isinstance(self.pole_pairs, int) and self.pole_pairs >= 1):
             raise ValueError("pole_pairs must be an integer >= 1")
+        if self.pole_pairs > int(np.finfo(float).max):
+            raise ValueError("pole_pairs must be at most the largest float")
         try:
             np.linalg.cholesky(self.inductance_matrix())
         except np.linalg.LinAlgError:

@@ -1229,10 +1229,14 @@ UNDECODABLE_SOURCE = b"t,theta,v_d,v_q\xff\n0,0,0,0\n"
 # Single-value edits that once ended in a traceback or in non-finite
 # results after numpy warnings: a sample grid numpy cannot build (exit 2
 # from every job that simulates), a scenario file that is not UTF-8 (exit
-# 2), a source_csv that is not UTF-8, an identify fit whose residuals
-# overflow, a voltage-fed winding system that is singular in floating
-# point, and simulations or comparisons that overflow (exit 3).
+# 2), a pole_pairs beyond float range (exit 2 from every job; coeffs
+# exited 0), a source_csv that is not UTF-8, an identify fit whose
+# residuals overflow, a voltage-fed winding system that is singular in
+# floating point, and simulations or comparisons that overflow (exit 3).
 @pytest.mark.parametrize("base, key, value, job, rc", [
+    *(pytest.param("resistance_compare.ini", "pole_pairs", "1" + "0" * 400,
+                   job, 2, id=f"pole_pairs=1e400-{job}")
+      for job in ("coeffs", "simulate", "compare", "identify")),
     *(("identify_flux.ini", key, value, job, 2)
       for key, value in (("dt", "5e-324"), ("dt", "1e-300"),
                          ("duration", "1e300"))
@@ -1272,6 +1276,9 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
         assert lines[0].startswith("error: cannot read scenario file: ")
     elif key == "identify.source_csv":
         assert lines[0].startswith(f"error: {tmp_path / 'out' / value}: ")
+    elif key == "pole_pairs":
+        assert lines[0] == ("error: machine: pole_pairs must be at most the "
+                            "largest float")
     else:
         assert lines[0].startswith("error: sim: " if rc == 2 else "error: ")
     # No artifact, so no CSV of NaN rows, and no output directory.

@@ -63,6 +63,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineParameters.from_nominal(**nominal, pole_pairs=0)
 
+    # Beyond float range, pole_pairs once reached the torque as an
+    # OverflowError; the other refusals keep their message.
+    @pytest.mark.parametrize("pole_pairs, message", [
+        (10 ** 400, "pole_pairs must be at most the largest float"),
+        (int(np.finfo(float).max) + 1,
+         "pole_pairs must be at most the largest float"),
+        (0, "pole_pairs must be an integer >= 1"),
+        (-1, "pole_pairs must be an integer >= 1"),
+        (2.0, "pole_pairs must be an integer >= 1"),
+    ], ids=["1e400", "max+1", "0", "-1", "2.0"])
+    def test_pole_pairs_refusal_names_the_rule(self, nominal, pole_pairs,
+                                               message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MachineParameters.from_nominal(**nominal, pole_pairs=pole_pairs)
+
+    def test_largest_float_pole_pairs_accepted(self, nominal):
+        p = MachineParameters.from_nominal(
+            **nominal, pole_pairs=int(np.finfo(float).max))
+        assert float(p.pole_pairs) == np.finfo(float).max
+
     @pytest.mark.parametrize("name, value", [
         ("r_a", np.inf), ("r_c", np.nan),
         ("l_b", np.inf), ("l_a", np.nan),
