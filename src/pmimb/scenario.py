@@ -4,7 +4,7 @@ Line-oriented ``key = value`` pairs in named sections. Keys are dotted
 with their section in diagnostics (``machine.l_a``). Schema:
 
     [machine]            required
-    pole_pairs           integer >= 1
+    pole_pairs           integer >= 1, at most the largest float
     r, l, m, lam         nominal phase values (Ohm, H, H, Wb)
     r_a, r_b, r_c        optional absolute per-phase overrides
     l_a, l_b, l_c        likewise
