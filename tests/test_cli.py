@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,102 @@ class TestCsvInputOutput:
         path.write_text("t,theta,i_a\n")
         with pytest.raises(InputError, match="no data rows"):
             read_csv(path)
+
+
+def values_series(values, cols=5):
+    """A series whose channels c0..c{cols-1} hold ``values`` row by row,
+    padded with zeros, on an integer time base."""
+    values = np.asarray(values, dtype=float)
+    rows = -(-values.size // cols)
+    grid = np.zeros(rows * cols)
+    grid[:values.size] = values
+    grid = grid.reshape(rows, cols)
+    t = np.arange(rows, dtype=float)
+    return TimeSeries(t, np.zeros(rows), {
+        f"c{k}": grid[:, k] for k in range(cols)})
+
+
+def raw_bits_sweep(n, seed):
+    """``n`` doubles from uniform 64-bit patterns (every exponent, both
+    signs, subnormals and nan), plus zeros, the subnormal ends and inf."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, n, np.uint64)
+    ends = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+            1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    return np.concatenate([bits.view(np.float64), ends])
+
+
+# Values where %.17g's digits or layout turn: the carry to 1e17, the
+# switch between fixed and exponent notation, integers past 2**53.
+TURNING_POINTS = (1e16, 1e17, 9.9999999999999995e16, 1e-4,
+                  9.9999999999999991e-05, 1e-5, 12345678901234567.0,
+                  2.0**63, 2.0**64, 1e22, 1e23, -1e100, 1e-100, 1e-99)
+
+
+class TestCsvFormatting:
+    """write_csv's bytes against per-value ``{:.17g}``
+    (``oracles.csv_text``), over values chosen to break a fast path."""
+
+    @staticmethod
+    def check(tmp_path, ts, monkeypatch=None):
+        """Write ``ts``, compare with the oracle and return how many
+        values ``%.17g`` formatted itself."""
+        printed = []
+        if monkeypatch is not None:
+            def spy(seps, values):
+                printed.append(values.size)
+                return original(seps, values)
+            original = cli._printf_fields
+            monkeypatch.setattr(cli, "_printf_fields", spy)
+        path = tmp_path / "out.csv"
+        write_csv(ts, path)
+        assert path.read_bytes() == oracle_bytes(ts, None, 1)
+        return sum(printed)
+
+    def test_raw_bit_sweep_under_main_errstate(self, tmp_path, monkeypatch):
+        values = raw_bits_sweep(200_000, 23)
+        # Every biased exponent: subnormals' 0 and nan's 2047 included.
+        assert np.unique(values.view(np.uint64) >> 52 & 0x7FF).size == 2048
+        ts = values_series(values)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            printed = self.check(tmp_path, ts, monkeypatch)
+        # Some values take the %.17g fallback (nan, inf, near-ties), most
+        # the kernel.
+        assert 100 < printed < 0.05 * values.size
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf), -powers])
+        self.check(tmp_path, values_series(values))
+
+    def test_turning_points_and_large_integers(self, tmp_path):
+        integers = 2.0**53 + np.arange(-8, 64) * 2.0
+        self.check(tmp_path, values_series(
+            [*TURNING_POINTS, *integers, *(-integers)], cols=3))
+
+    def test_all_fallback_writes_the_same_bytes(self, tmp_path,
+                                                monkeypatch):
+        # As where long double is no wider than double.
+        monkeypatch.setattr(cli, "_SCALE_ERROR", np.finfo(float).eps)
+        ts = values_series([*raw_bits_sweep(2000, 5), *TURNING_POINTS])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            printed = self.check(tmp_path, ts, monkeypatch)
+        assert printed == ts.t.size * (2 + len(ts.channels))
+
+    def test_power_table_is_correctly_rounded(self):
+        # The certificate assumes each entry is 10**(16 - e) to half an
+        # ulp, at most eps / 2 of the value.
+        pow10 = cli._format_tables()[0]
+        eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+        for e, entry in zip(range(cli._EXP_MIN, cli._EXP_MAX), pow10):
+            exact = Fraction(10)**(16 - e)
+            error = abs(Fraction(*entry.as_integer_ratio()) - exact)
+            assert error <= eps / 2 * exact, e
+
+    def test_digit_table_is_the_four_digit_ascii(self):
+        ascii4 = cli._format_tables()[1]
+        assert ascii4.tobytes() == b"".join(
+            b"%04d" % k for k in range(10000))
 
 
 # The coefficient block of the coeffs and compare summaries, and the
