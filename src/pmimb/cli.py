@@ -422,7 +422,8 @@ def run_scenario(scenario: Scenario, job, out_dir):
         for key, name in (("csv", scenario.csv_name),
                           ("summary", scenario.summary_name)):
             path = os.path.realpath(out_dir / name)
-            if os.path.isdir(path):
+            # "sub/" and "sub/." name a directory that does not exist yet.
+            if os.path.basename(name) in ("", ".") or os.path.isdir(path):
                 raise ConfigError(f"outputs: {key} {name!r} names a directory")
             if not os.path.isdir(os.path.dirname(path)):
                 raise ConfigError(f"outputs: {key} {name!r} has no directory")

@@ -932,15 +932,19 @@ class TestExitCodes:
          "outputs.summary: a file name cannot hold a NUL byte"),
         ("\n[identify]\nsource_csv = a\0b.csv\n",
          "identify.source_csv: a file name cannot hold a NUL byte"),
+        ("csv = sub/\n", "outputs: csv 'sub/' names a directory"),
+        ("csv = sub/.\n", "outputs: csv 'sub/.' names a directory"),
+        ("summary = sub/\n", "outputs: summary 'sub/' names a directory"),
     ], ids=["same", "same-spelled-apart", "summary-default-csv",
             "empty-summary", "empty-csv", "nul-csv", "nul-summary",
-            "nul-source-csv"])
+            "nul-source-csv", "csv-trailing-slash", "csv-trailing-dot",
+            "summary-trailing-slash"])
     @pytest.mark.parametrize("job", ["simulate", "compare"])
     def test_unusable_output_names_exit_2(self, tmp_path, capsys, outputs,
                                           message, job):
         # Once the summary overwrote the CSV, or the empty name failed as
         # a directory after the CSV was written; a NUL byte failed in
-        # open() with a traceback.
+        # open() with a traceback; "sub/" wrote a file named sub.
         text = MACHINE + OP_SIM + "\n[outputs]\n" + outputs
         rc = main([job, "--scenario", write_scenario(tmp_path, text),
                    "--out", str(tmp_path / "out")])
