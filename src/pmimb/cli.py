@@ -186,7 +186,8 @@ def read_csv(path):
     """Read a write_csv file back as {column name: array}.
 
     Rejects text that is not UTF-8, blank or repeated header names, files
-    without data rows, ragged rows and non-finite cells.
+    without data rows, ragged rows and non-finite cells. ``#`` is not a
+    comment: a cell or row holding one is rejected, not cut short.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -206,7 +207,8 @@ def read_csv(path):
             with warnings.catch_warnings():
                 # An empty body is reported below, not as a numpy warning.
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(handle, delimiter=",", ndmin=2)
+                data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                                  comments=None)
         except ValueError as exc:
             raise InputError(f"{path}: {exc}") from None
     if data.shape[0] == 0:

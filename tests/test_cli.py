@@ -194,6 +194,18 @@ class TestCsvInputOutput:
         with pytest.raises(InputError, match="column 2 is blank"):
             read_csv(path)
 
+    @pytest.mark.parametrize("body", ["0,2#junk\n1,3\n",
+                                      "# note\n0,2\n1,3\n",
+                                      "0,2\n#1,3\n"],
+                             ids=["cell", "row", "commented-row"])
+    def test_read_rejects_hash_instead_of_skipping_it(self, tmp_path, body):
+        # loadtxt's default comments="#" once read 2#junk as 2 and
+        # skipped a row starting with #.
+        path = tmp_path / "bad.csv"
+        path.write_text("t,theta\n" + body)
+        with pytest.raises(InputError, match="could not convert string"):
+            read_csv(path)
+
     @pytest.mark.filterwarnings("error")
     def test_read_rejects_header_only_file_without_warning(self, tmp_path):
         path = tmp_path / "bad.csv"
