@@ -13,7 +13,12 @@ with one whole value set to each of 1e300, -1e300, 1e-300, 5e-324 and
 its dt (a grid of 2 samples). Last comes append:4:no-compare, the text
 of append:4 ([identify] source_csv = timeseries.csv) run as coeffs,
 simulate, identify: there identify reads the CSV simulate wrote, which
-in append:4 compare overwrites first.
+in append:4 compare overwrites first. Then come the csv:<edit> variants,
+the same text run as simulate, then identify on the CSV simulate wrote
+after one rewrite of it: one v_d cell of the middle row set to each of
+CSV_TOKENS, CRLF line ends, a blank line, no final newline, a row one
+cell short, and one byte that is not UTF-8. The identify line's digest
+covers the rewritten CSV.
 
 Each text runs in a fresh working directory, with relative paths for the
 scenario and for --out, and the four jobs share that --out as a user
@@ -60,8 +65,43 @@ APPENDED = (
     "[outputs]\nsummary = nosuch/summary.txt\n",
 )
 STRIDES = (2, 7, 10**9)
+CSV_TOKENS = ("nan", "inf", "-0", "+1", ".5", "1E5", " 1", "1e", "x",
+              "0x10", "1e400", "5e-324")
+
+
+def _middle_row(edit):
+    """A CSV rewrite that replaces the middle data row with the lines
+    ``edit(names, cells)`` makes of the header's names and its cells."""
+    def rewrite(data):
+        lines = data.split(b"\n")
+        row = len(lines) // 2
+        lines[row:row + 1] = edit(lines[0].split(b","),
+                                  lines[row].split(b","))
+        return b"\n".join(lines)
+    return rewrite
+
+
+def _set_v_d(token):
+    def edit(names, cells):
+        cells[names.index(b"v_d") if b"v_d" in names else -1] = token.encode()
+        return [b",".join(cells)]
+    return _middle_row(edit)
+
+
+# Rewrites of the CSV simulate wrote, by csv:<edit> variant.
+CSV_EDITS = {
+    **{f"csv:{token}": _set_v_d(token) for token in CSV_TOKENS},
+    "csv:crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "csv:blank-line": _middle_row(lambda names, cells: [b",".join(cells),
+                                                        b""]),
+    "csv:no-final-newline": lambda data: data[:-1],
+    "csv:ragged": _middle_row(lambda names, cells: [b",".join(cells[:-1])]),
+    "csv:non-utf8": _middle_row(lambda names, cells: [b"\xff"
+                                                      + b",".join(cells)]),
+}
 # Variants run with a job order of their own.
-JOB_ORDERS = {"append:4:no-compare": ("coeffs", "simulate", "identify")}
+JOB_ORDERS = {"append:4:no-compare": ("coeffs", "simulate", "identify"),
+              **dict.fromkeys(CSV_EDITS, ("simulate", "identify"))}
 
 
 def corpus(text):
@@ -97,6 +137,8 @@ def corpus(text):
     dt = parser.get("sim", "dt", fallback=_SCHEMA["sim"]["dt"][1])
     yield "edge:duration=dt", with_key(lines, "sim", "duration", dt)
     yield "append:4:no-compare", text + "\n" + APPENDED[4]
+    for variant in CSV_EDITS:
+        yield variant, text + "\n" + APPENDED[4]
 
 
 def set_line(lines, row, line):
@@ -142,15 +184,22 @@ def run_job(job):
     return rc, digest.hexdigest()
 
 
-def digest_text(label, text, jobs):
-    """One line per job for one scenario text, run in a fresh directory."""
+def digest_text(label, text, jobs, edit=None):
+    """One line per job for one scenario text, run in a fresh directory.
+    ``edit``, if given, rewrites the bytes of the CSV simulate wrote."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
             Path("scenario.ini").write_text(text, encoding="utf-8")
-            return [f"{label} {job} {' '.join(map(str, run_job(job)))}"
-                    for job in jobs]
+            lines = []
+            for job in jobs:
+                lines.append(f"{label} {job} "
+                             f"{' '.join(map(str, run_job(job)))}")
+                csv = Path("out", "timeseries.csv")
+                if job == "simulate" and edit and csv.exists():
+                    csv.write_bytes(edit(csv.read_bytes()))
+            return lines
         finally:
             os.chdir(home)
 
@@ -168,7 +217,8 @@ def main(argv=None):
                     else corpus(text))
         for variant, variant_text in variants:
             for line in digest_text(f"{path.name}:{variant}", variant_text,
-                                    JOB_ORDERS.get(variant, JOBS)):
+                                    JOB_ORDERS.get(variant, JOBS),
+                                    CSV_EDITS.get(variant)):
                 print(line)
     return 0
 
