@@ -182,18 +182,100 @@ def write_csv(ts: TimeSeries, path):
         handle.write(b"\n")
 
 
+# The bytes of a data row write_csv writes. A body of nothing else, every
+# row holding the header's number of cells, takes read_csv's fast path.
+_CSV_ALPHABET = b"0123456789.e+-naif,\n"
+# Body bytes per fast-path read, cut back to whole lines.
+_READ_BYTES = 1 << 18
+# The fast path reads x87 extended precision's 64-bit significand and
+# 15-bit exponent, with os.preadv.
+_X87_LONG_DOUBLE = (np.finfo(np.longdouble).nmant == 63
+                    and sys.byteorder == "little" and hasattr(os, "preadv"))
+
+
+def _read_rows(handle, line, cols):
+    """The rows after the header ``line`` of ``handle``'s file as a
+    (rows, cols) array, for text write_csv writes; otherwise None. Reads
+    with os.preadv, so the handle's own position stays where it is."""
+    if not (_X87_LONG_DOUBLE and handle.seekable()):
+        return None
+    fd, buf = handle.fileno(), bytearray(_READ_BYTES)
+    start = buf.find(b"\n", 0, os.preadv(fd, [buf], 0)) + 1
+    if buf[:start].decode("utf-8", "replace") != line:
+        return None  # CRLF or a lone CR, or a header past the first read
+    pos, rows = start, 0
+    while size := os.preadv(fd, [buf], pos):
+        if buf[:size].translate(None, _CSV_ALPHABET):
+            return None
+        rows += np.count_nonzero(np.frombuffer(buf, np.uint8, size) == 10)
+        pos += size
+    out = np.empty((rows, cols))
+    flat, done, pos = out.reshape(-1), 0, start
+    while size := os.preadv(fd, [buf], pos):
+        end = buf.rfind(b"\n", 0, size) + 1
+        if not end:  # a line longer than a read, or no final newline
+            return None
+        pos += end
+        text = np.frombuffer(buf, np.uint8, end)
+        newlines = np.flatnonzero(text == 10)
+        commas = np.flatnonzero(text == 44)
+        if commas.size != newlines.size * (cols - 1):
+            return None
+        # Each row's cols - 1 commas lie between its newlines.
+        commas = commas.reshape(-1, max(cols - 1, 1))
+        if cols > 1 and ((commas[:, -1] > newlines).any()
+                         or (commas[1:, 0] < newlines[:-1]).any()):
+            return None
+        text[newlines] = 44
+        block = bytes(buf[:end])
+        try:  # numpy >= 2.4 raises where a cell does not parse
+            wide = np.fromstring(block, np.longdouble, sep=",")
+        except ValueError:
+            return None
+        if wide.size != newlines.size * cols or done + wide.size > flat.size:
+            return None
+        with np.errstate(all="ignore"):  # 1e400 overflows a double
+            flat[done:done + wide.size] = wide
+        # A significand on a double's midpoint rounds twice; a value
+        # outside the normal doubles (biased exponents 15361 to 17406)
+        # rounds at another bit, or not at all.
+        bits = wide.view(np.uint64)
+        significand, exponent = bits[::2], bits[1::2] & 0x7FFF
+        again = np.flatnonzero(((significand & 0x7FF) == 0x400)
+                               | ((exponent - 15361 >= 2046)
+                                  & (significand != 0)))
+        for cell in again.tolist():  # as loadtxt reads it
+            row, col = divmod(cell, cols)
+            first = newlines[row - 1] + 1 if row else 0
+            flat[done + cell] = float(
+                block[first:newlines[row]].split(b",")[col])
+        done += wide.size
+    return out if done == flat.size else None
+
+
 def read_csv(path):
     """Read a write_csv file back as {column name: array}.
 
     Rejects text that is not UTF-8, blank or repeated header names, files
     without data rows, ragged rows and non-finite cells. ``#`` is not a
-    comment: a cell or row holding one is rejected, not cut short.
+    comment: a cell or row holding one is rejected, not cut short. A
+    UTF-8 byte-order mark before the header is dropped.
+
+    A body of the bytes write_csv writes (digits, ``.``, ``e``, ``+``,
+    ``-``, ``nan``, ``inf``, ``,`` and ``\n``), ending in a newline,
+    every row holding the header's number of cells, is read by libc's
+    strtold a block of rows at a time, and cast to double. That cast is
+    exact except where the long double lies on a double's midpoint, or
+    outside the normal doubles; there ``float()`` reads the cell again,
+    so every value is loadtxt's bit for bit. Any other body, and every
+    body where long double is not x87's, goes to ``np.loadtxt``.
     """
     with open(path, encoding="utf-8") as handle:
         try:
-            header = handle.readline().strip()
+            line = handle.readline()
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: {exc}") from None
+        header = line.removeprefix("\ufeff").strip()
         if not header:
             raise InputError(f"{path}: empty file")
         names = header.split(",")
@@ -203,14 +285,17 @@ def read_csv(path):
             if name in names[:idx]:
                 raise InputError(f"{path}: column {name!r} appears more "
                                  "than once in the header")
-        try:
-            with warnings.catch_warnings():
-                # An empty body is reported below, not as a numpy warning.
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(handle, delimiter=",", ndmin=2,
-                                  comments=None)
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        data = _read_rows(handle, line, len(names))
+        if data is None:
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is reported below, not as a numpy
+                    # warning.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                                      comments=None)
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc}") from None
     if data.shape[0] == 0:
         raise InputError(f"{path}: no data rows")
     if data.shape[1] != len(names):
@@ -344,7 +429,11 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         ts = _simulate(scenario, _VOLTAGES_DQ)
         data = {"theta": ts.theta, **ts.channels}
         source_label = "simulated"
-    theta, v_d_meas, v_q_meas = data["theta"], data["v_d"], data["v_q"]
+    # Contiguous copies of the fitted columns, so the fit does not keep
+    # read_csv's whole block alive.
+    theta, v_d_meas, v_q_meas = (np.ascontiguousarray(data[name])
+                                 for name in ("theta", "v_d", "v_q"))
+    del data
 
     op = OperatingPoint(theta=theta, omega_e=scenario.omega_e,
                         i_d=scenario.i_d, i_q=scenario.i_q)

@@ -1,8 +1,11 @@
 import contextlib
+import decimal
 import io
 import math
+import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +311,255 @@ class TestCsvFormatting:
         ascii4 = cli._format_tables()[1]
         assert ascii4.tobytes() == b"".join(
             b"%04d" % k for k in range(10000))
+
+
+def read_outcome(path):
+    """read_csv's result on ``path``: the bytes of each column, or the
+    InputError's message."""
+    try:
+        data = read_csv(path)
+    except InputError as exc:
+        return str(exc)
+    return {name: column.tobytes() for name, column in data.items()}
+
+
+def token_csv(path, tokens, cols=5):
+    """Write ``tokens`` row by row as the cells of a CSV of ``cols``
+    columns, padded with zeros."""
+    tokens = [*tokens, *["0"] * (-len(tokens) % cols)]
+    rows = [",".join(tokens[k:k + cols]) for k in range(0, len(tokens), cols)]
+    path.write_text(",".join(f"c{k}" for k in range(cols)) + "\n"
+                    + "".join(f"{row}\n" for row in rows))
+    return path
+
+
+def token_values(outcome, cols=5):
+    """The cells of a token_csv file, row by row, from read_outcome."""
+    return np.column_stack([np.frombuffer(outcome[f"c{k}"])
+                            for k in range(cols)]).ravel()
+
+
+def decimal_tokens(rng, n):
+    """``n`` decimals of 1 to 25 significant digits, in exponent and fixed
+    notation, from below the subnormals to past the largest double."""
+    tokens = []
+    for _ in range(n):
+        size = int(rng.integers(1, 26))
+        digits = "".join(map(str, [rng.integers(1, 10),
+                                   *rng.integers(0, 10, size - 1)]))
+        sign = "-" if rng.random() < 0.5 else ""
+        point = int(rng.integers(1, size + 1))
+        exp = int(rng.integers(-345, 310))
+        if abs(exp) < 25 and rng.random() < 0.5:
+            tokens.append(sign + (f"0.{'0' * -exp}{digits}" if exp < 0
+                                  else digits + "0" * exp))
+        else:
+            tokens.append(f"{sign}{digits[:point]}.{digits[point:]}e{exp}")
+    return tokens
+
+
+def midpoint_tokens(doubles):
+    """Each binary64 midpoint next to ``doubles`` written out exactly, at
+    17, 20 and 25 digits, and within 1e-40 of it on either side: there
+    long double rounds to the midpoint itself."""
+    near = decimal.Context(prec=40)
+    tokens = []
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        for value in doubles:
+            below = np.nextafter(value, -math.inf)
+            above = (Fraction(2)**1024 if value == np.finfo(float).max
+                     else np.nextafter(value, math.inf))
+            for other in (below, above):
+                mid = (Fraction(value) + Fraction(other)) / 2
+                exact = (decimal.Decimal(mid.numerator)
+                         / decimal.Decimal(mid.denominator))
+                tokens += [f"{exact:e}", f"{near.next_plus(exact):e}",
+                           f"{near.next_minus(exact):e}"]
+                tokens += [f"{exact:.{digits}e}" for digits in (16, 19, 24)]
+    return tokens
+
+
+# Midpoints whose double rounding is easy to get wrong: 2**53 + 1, either
+# side of powers of two, the subnormals' ends, the largest double.
+HARD_DOUBLES = (2.0**53, 1.0, 2.0**-1022, 2.0**1023, 0.0, 5e-324,
+                2.225073858507201e-308, 1.7976931348623157e308,
+                *TURNING_POINTS)
+HARD_TOKENS = ("9007199254740993", "2.4703282292062327e-324",
+               "2.4703282292062328e-324", "1.7976931348623158e308")
+# The digest script's CSV rewrites, and those that leave the text in the
+# fast path's alphabet and row structure, every cell parsing.
+CSV_EDITS = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                               / "scripts" / "artifact_digests.py"))[
+    "CSV_EDITS"]
+FAST_EDITS = ("csv:nan", "csv:inf", "csv:-0", "csv:+1", "csv:.5",
+              "csv:1e400", "csv:5e-324")
+
+
+class TestCsvReading:
+    """read_csv's fast path against np.loadtxt, the path any other text
+    takes: the same bits, or the same InputError."""
+
+    @staticmethod
+    def check(path, monkeypatch, fast=True):
+        """read_csv's outcome on ``path``, once as it reads and once with
+        the fast path off, under main()'s errstate and with warnings as
+        errors. Requires them equal, and the fast path taken iff ``fast``
+        (None: either way)."""
+        taken = []
+
+        def spy(*args):
+            rows = original(*args)
+            taken.append(rows is not None)
+            return rows
+        original = cli._read_rows
+        with monkeypatch.context() as patch, warnings.catch_warnings(), \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            patch.setattr(cli, "_read_rows", spy)
+            got = read_outcome(path)
+            fast_taken, taken[:] = any(taken), []
+            patch.setattr(cli, "_X87_LONG_DOUBLE", False)
+            want = read_outcome(path)
+        assert got == want
+        assert not any(taken) and fast in (None, fast_taken)
+        return got
+
+    def test_written_raw_bit_sweep(self, tmp_path, monkeypatch):
+        values = raw_bits_sweep(50_000, 24)
+        path = tmp_path / "sweep.csv"
+        write_csv(values_series(values), path)
+        assert "holds a non-finite value" in self.check(path, monkeypatch)
+        finite = values[np.isfinite(values)]
+        write_csv(values_series(finite), path)
+        got = self.check(path, monkeypatch)
+        assert token_values(got)[:finite.size].tobytes() == finite.tobytes()
+
+    def test_written_turning_points(self, tmp_path, monkeypatch):
+        integers = 2.0**53 + np.arange(-8, 64) * 2.0
+        values = np.array([*TURNING_POINTS, *integers, *(-integers)])
+        path = tmp_path / "turning.csv"
+        write_csv(values_series(values, cols=3), path)
+        got = self.check(path, monkeypatch)
+        assert token_values(got, 3)[:values.size].tobytes() == values.tobytes()
+
+    def test_random_decimal_tokens(self, tmp_path, monkeypatch, rng):
+        tokens = decimal_tokens(rng, 20_000)
+        finite = [token for token in tokens if math.isfinite(float(token))]
+        got = self.check(token_csv(tmp_path / "tokens.csv", finite),
+                         monkeypatch)
+        assert token_values(got)[:len(finite)].tobytes() == np.array(
+            [float(token) for token in finite]).tobytes()
+        overflow = sorted(set(tokens) - set(finite))
+        assert overflow
+        for token in overflow[:5]:
+            assert "non-finite" in self.check(
+                token_csv(tmp_path / "inf.csv", [token]), monkeypatch)
+
+    def test_midpoints_and_their_neighbours(self, tmp_path, monkeypatch,
+                                            rng):
+        doubles = np.abs(rng.integers(0, 2**63, 400).view(np.float64))
+        tokens = [*midpoint_tokens([*doubles[np.isfinite(doubles)],
+                                    *HARD_DOUBLES]), *HARD_TOKENS]
+        finite = [token for token in tokens if math.isfinite(float(token))]
+        got = self.check(token_csv(tmp_path / "midpoints.csv", finite),
+                         monkeypatch)
+        assert token_values(got)[:len(finite)].tobytes() == np.array(
+            [float(token) for token in finite]).tobytes()
+        for token in set(tokens) - set(finite):  # past the largest double
+            assert "non-finite" in self.check(
+                token_csv(tmp_path / "inf.csv", [token]), monkeypatch)
+
+    def test_random_text_of_the_alphabet(self, tmp_path, monkeypatch, rng):
+        # strtold must accept no cell float() refuses.
+        alphabet = list("0123456789.e+-naif")
+        accepted = 0
+        for _ in range(300):
+            cell = "".join(rng.choice(alphabet, rng.integers(1, 6)))
+            if rng.random() < 0.3:
+                cell = rng.choice(["nan", "inf", "-inf", "+nan"]) + cell[1:]
+            got = self.check(token_csv(tmp_path / "cell.csv", [cell, "1"],
+                                       cols=2), monkeypatch, fast=None)
+            accepted += isinstance(got, dict)
+        assert accepted > 10
+
+    @pytest.mark.parametrize("edit", CSV_EDITS)
+    def test_digest_edits(self, tmp_path, monkeypatch, edit):
+        path = tmp_path / "edited.csv"
+        write_csv(TimeSeries(np.arange(40.0), np.zeros(40), {
+            "v_d": np.linspace(-1, 1, 40), "v_q": np.ones(40)}), path)
+        path.write_bytes(CSV_EDITS[edit](path.read_bytes()))
+        self.check(path, monkeypatch, fast=edit in FAST_EDITS)
+
+    @pytest.mark.parametrize("body, fast", [
+        ("", True), ("1,2,3\n", True), ("1,2,3", False), ("\n1,2,3\n", False),
+        ("1,2,3\n\n", False), ("1,2\n3,4,5,6\n", False),
+        ("1,2,3\n4,5\n6,7,8,9\n", False), ("1,2,3,\n", False),
+        ("1,,3\n", False), ("1,2,3\r\n", False), ("1e5,2,3\n", True),
+        ("1 ,2,3\n", False), ("1,2,0x3\n", False), ("1,2,infinity\n", False),
+    ], ids=lambda x: repr(x))
+    def test_row_structure(self, tmp_path, monkeypatch, body, fast):
+        path = tmp_path / "rows.csv"
+        path.write_text("a,b,c\n" + body, newline="")
+        self.check(path, monkeypatch, fast=fast)
+
+    def test_single_column(self, tmp_path, monkeypatch):
+        path = tmp_path / "one.csv"
+        path.write_text("t\n1\n2\n")
+        assert self.check(path, monkeypatch)["t"] == np.array(
+            [1.0, 2.0]).tobytes()
+        path.write_text("t\n1\n\n2\n")
+        self.check(path, monkeypatch, fast=False)
+
+    @pytest.mark.parametrize("read_bytes", [40, 4096])
+    def test_blocks_of_whole_lines(self, tmp_path, monkeypatch, read_bytes):
+        # Short reads cut more rows across reads; a line longer than a
+        # read goes to loadtxt.
+        monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
+        path = tmp_path / "series.csv"
+        write_csv(awkward_series(300), path)
+        rows = path.read_bytes().replace(b"nan", b"1").replace(b"inf", b"2")
+        path.write_bytes(rows)
+        self.check(path, monkeypatch, fast=read_bytes > 100)
+
+    def test_header_only_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "header.csv"
+        path.write_text("t,theta,i_a\n")
+        assert "no data rows" in self.check(path, monkeypatch)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch):
+        path = tmp_path / "bom.csv"
+        write_csv(small_series(5), path)
+        plain = read_outcome(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.check(path, monkeypatch) == plain
+        assert list(plain) == ["t", "theta", "i_a", "v_a"]
+
+    @pytest.mark.parametrize("text, message", [
+        (b"\xef\xbb\xbf", "empty file"),
+        (b"\xef\xbb", "can't decode bytes in position 0-1"),
+        # Positions still count the mark's bytes.
+        (b"\xef\xbb\xbft,theta\n1,2\n3,\xff4\n", "byte 0xff in position 17"),
+    ], ids=["mark-alone", "cut-mark", "mark-then-bad-body"])
+    def test_byte_order_mark_edges(self, tmp_path, text, message):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text)
+        with pytest.raises(InputError, match=message):
+            read_csv(path)
+
+    def test_peak_memory_is_the_rows_and_one_block(self, tmp_path):
+        path = tmp_path / "large.csv"
+        rows = 20_001
+        t = np.arange(rows) * 1e-5
+        write_csv(TimeSeries(t, 377.0 * t, {
+            f"c{k}": np.sin(t * (k + 1)) for k in range(13)}), path)
+        tracemalloc.start()
+        try:
+            data = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data["t"].size == rows
+        assert peak < rows * 15 * 8 + 2 * 2**20
 
 
 # The coefficient block of the coeffs and compare summaries, and the
@@ -637,6 +889,25 @@ class TestIdentifyJob:
         assert rc == 0
         summary = read_summary(out / "summary.txt")
         assert summary["identify.source"] == "measured.csv"
+        assert float(summary["identify.max_abs_error"]) < 1e-9
+
+    def test_source_csv_with_byte_order_mark(self, tmp_path):
+        # The mark once stuck to the first header name, so a measured CSV
+        # saved with one, theta first, exited 3: column 'theta' is
+        # required.
+        deviation = "[imbalance]\nfamily = resistance\nd_r = 0.02, 0, 0\n"
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", write_scenario(
+            tmp_path, MACHINE + OP_SIM + deviation, "sim.ini"),
+            "--out", str(out)]) == 0
+        lines = (out / "timeseries.csv").read_text().splitlines(True)
+        (out / "measured.csv").write_text("\ufeff" + "".join(
+            line.partition(",")[2] for line in lines), encoding="utf-8")
+        assert main(["identify", "--scenario", write_scenario(
+            tmp_path, MACHINE + OP_SIM + deviation
+            + "[identify]\nsource_csv = measured.csv\n"),
+            "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
         assert float(summary["identify.max_abs_error"]) < 1e-9
 
     def test_summary_does_not_depend_on_out(self, tmp_path):
