@@ -197,7 +197,7 @@ def _read_rows(handle, line, cols):
     """The rows after the header ``line`` of ``handle``'s file as a
     (rows, cols) array, for text write_csv writes; otherwise None. Reads
     with os.preadv, so the handle's own position stays where it is."""
-    if not (_X87_LONG_DOUBLE and handle.seekable()):
+    if not (_X87_LONG_DOUBLE and handle.seekable()):  # a pipe reads once
         return None
     fd, buf = handle.fileno(), bytearray(_READ_BYTES)
     start = buf.find(b"\n", 0, os.preadv(fd, [buf], 0)) + 1
@@ -207,7 +207,8 @@ def _read_rows(handle, line, cols):
     while size := os.preadv(fd, [buf], pos):
         if buf[:size].translate(None, _CSV_ALPHABET):
             return None
-        rows += np.count_nonzero(np.frombuffer(buf, np.uint8, size) == 10)
+        rows += np.count_nonzero(np.frombuffer(buf, np.uint8, size)
+                                 == ord("\n"))
         pos += size
     out = np.empty((rows, cols))
     flat, done, pos = out.reshape(-1), 0, start
@@ -217,8 +218,8 @@ def _read_rows(handle, line, cols):
             return None
         pos += end
         text = np.frombuffer(buf, np.uint8, end)
-        newlines = np.flatnonzero(text == 10)
-        commas = np.flatnonzero(text == 44)
+        newlines = np.flatnonzero(text == ord("\n"))
+        commas = np.flatnonzero(text == ord(","))
         if commas.size != newlines.size * (cols - 1):
             return None
         # Each row's cols - 1 commas lie between its newlines.
@@ -226,7 +227,7 @@ def _read_rows(handle, line, cols):
         if cols > 1 and ((commas[:, -1] > newlines).any()
                          or (commas[1:, 0] < newlines[:-1]).any()):
             return None
-        text[newlines] = 44
+        text[newlines] = ord(",")
         block = bytes(buf[:end])
         try:  # numpy >= 2.4 raises where a cell does not parse
             wide = np.fromstring(block, np.longdouble, sep=",")
@@ -261,14 +262,13 @@ def read_csv(path):
     comment: a cell or row holding one is rejected, not cut short. A
     UTF-8 byte-order mark before the header is dropped.
 
-    A body of the bytes write_csv writes (digits, ``.``, ``e``, ``+``,
-    ``-``, ``nan``, ``inf``, ``,`` and ``\n``), ending in a newline,
-    every row holding the header's number of cells, is read by libc's
-    strtold a block of rows at a time, and cast to double. That cast is
-    exact except where the long double lies on a double's midpoint, or
-    outside the normal doubles; there ``float()`` reads the cell again,
-    so every value is loadtxt's bit for bit. Any other body, and every
-    body where long double is not x87's, goes to ``np.loadtxt``.
+    A body of only the bytes write_csv writes (``_CSV_ALPHABET``), with
+    the header's number of cells in every row and a final newline, is
+    read a block of rows at a time by strtold into long double and cast
+    to double. The cast is exact except on a double's midpoint or outside
+    the normal doubles, where ``float()`` reads the cell again, so every
+    value is loadtxt's bit for bit. Other text, and all text where long
+    double is not x87's, goes to ``np.loadtxt``.
     """
     with open(path, encoding="utf-8") as handle:
         try:
