@@ -205,8 +205,6 @@ def _read_rows(handle, line, cols):
         return None  # CRLF or a lone CR, or a header past the first read
     pos, rows = start, 0
     while size := os.preadv(fd, [buf], pos):
-        if buf[:size].translate(None, _CSV_ALPHABET):
-            return None
         rows += np.count_nonzero(np.frombuffer(buf, np.uint8, size)
                                  == ord("\n"))
         pos += size
@@ -229,6 +227,8 @@ def _read_rows(handle, line, cols):
             return None
         text[newlines] = ord(",")
         block = bytes(buf[:end])
+        if block.translate(None, _CSV_ALPHABET):
+            return None
         try:  # numpy >= 2.4 raises where a cell does not parse
             wide = np.fromstring(block, np.longdouble, sep=",")
         except ValueError:
