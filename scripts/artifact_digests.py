@@ -17,8 +17,9 @@ in append:4 compare overwrites first. Then come the csv:<edit> variants,
 the same text run as simulate, then identify on the CSV simulate wrote
 after one rewrite of it: one v_d cell of the middle row set to each of
 CSV_TOKENS, CRLF line ends, a blank line, no final newline, a row one
-cell short, and one byte that is not UTF-8. The identify line's digest
-covers the rewritten CSV.
+cell short, one byte that is not UTF-8, the first row's v_d set to nan,
+and that nan with the middle row's v_d set to x. The identify line's
+digest covers the rewritten CSV.
 
 Each text runs in a fresh working directory, with relative paths for the
 scenario and for --out, and the four jobs share that --out as a user
@@ -69,23 +70,24 @@ CSV_TOKENS = ("nan", "inf", "-0", "+1", ".5", "1E5", " 1", "1e", "x",
               "0x10", "1e400", "5e-324")
 
 
-def _middle_row(edit):
-    """A CSV rewrite that replaces the middle data row with the lines
-    ``edit(names, cells)`` makes of the header's names and its cells."""
+def _middle_row(edit, first=False):
+    """A CSV rewrite that replaces the middle data row, or the first, with
+    the lines ``edit(names, cells)`` makes of the header's names and its
+    cells."""
     def rewrite(data):
         lines = data.split(b"\n")
-        row = len(lines) // 2
+        row = 1 if first else len(lines) // 2
         lines[row:row + 1] = edit(lines[0].split(b","),
                                   lines[row].split(b","))
         return b"\n".join(lines)
     return rewrite
 
 
-def _set_v_d(token):
+def _set_v_d(token, first=False):
     def edit(names, cells):
         cells[names.index(b"v_d") if b"v_d" in names else -1] = token.encode()
         return [b",".join(cells)]
-    return _middle_row(edit)
+    return _middle_row(edit, first)
 
 
 # Rewrites of the CSV simulate wrote, by csv:<edit> variant.
@@ -98,6 +100,9 @@ CSV_EDITS = {
     "csv:ragged": _middle_row(lambda names, cells: [b",".join(cells[:-1])]),
     "csv:non-utf8": _middle_row(lambda names, cells: [b"\xff"
                                                       + b",".join(cells)]),
+    "csv:nan-first-row": _set_v_d("nan", first=True),
+    "csv:nan-then-x": lambda data: _set_v_d("x")(
+        _set_v_d("nan", first=True)(data)),
 }
 # Variants run with a job order of their own.
 JOB_ORDERS = {"append:4:no-compare": ("coeffs", "simulate", "identify"),

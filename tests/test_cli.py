@@ -392,7 +392,7 @@ CSV_EDITS = runpy.run_path(str(Path(__file__).resolve().parent.parent
                                / "scripts" / "artifact_digests.py"))[
     "CSV_EDITS"]
 FAST_EDITS = ("csv:nan", "csv:inf", "csv:-0", "csv:+1", "csv:.5",
-              "csv:1e400", "csv:5e-324")
+              "csv:1e400", "csv:5e-324", "csv:nan-first-row")
 
 
 class TestCsvReading:
