@@ -14,6 +14,7 @@ included. Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import os
@@ -193,13 +194,14 @@ _X87_LONG_DOUBLE = (np.finfo(np.longdouble).nmant == 63
                     and sys.byteorder == "little" and hasattr(os, "preadv"))
 
 
-def _read_rows(handle, line, cols):
+def _read_rows(path, handle, line, names):
     """The rows after the header ``line`` of ``handle``'s file as a
-    (rows, cols) array, for text write_csv writes; otherwise None. Reads
-    with os.preadv, so the handle's own position stays where it is."""
+    (rows, len(names)) array, for text write_csv writes; otherwise None.
+    Raises at the first block that holds a non-finite cell. Reads with
+    os.preadv, so the handle's own position stays where it is."""
     if not (_X87_LONG_DOUBLE and handle.seekable()):  # a pipe reads once
         return None
-    fd, buf = handle.fileno(), bytearray(_READ_BYTES)
+    fd, buf, cols = handle.fileno(), bytearray(_READ_BYTES), len(names)
     start = buf.find(b"\n", 0, os.preadv(fd, [buf], 0)) + 1
     if buf[:start].decode("utf-8", "replace") != line:
         return None  # CRLF or a lone CR, or a header past the first read
@@ -250,8 +252,62 @@ def _read_rows(handle, line, cols):
             first = newlines[row - 1] + 1 if row else 0
             flat[done + cell] = float(
                 block[first:newlines[row]].split(b",")[col])
+        # Every row is one line here, the first at line 2.
+        _reject_non_finite(path, names, flat[done:done + wide.size],
+                           2 + done // cols)
         done += wide.size
     return out if done == flat.size else None
+
+
+def _lines(handle, skipped):
+    """``handle``'s lines after the header, noting in ``skipped`` the file
+    line of each empty one: loadtxt reads no row from those."""
+    for number, text in enumerate(handle, 2):
+        if text == "\n":
+            skipped.append(number)
+        yield text
+
+
+def _reject_non_finite(path, names, rows, line, skipped=()):
+    """Raise InputError naming the first non-finite cell of ``rows`` in
+    file order, by its column and file line. ``rows`` (of len(names)
+    cells, possibly flat) are the file's lines from ``line`` on, less the
+    empty lines ``skipped`` lists in order."""
+    finite = np.isfinite(rows).reshape(-1)
+    if finite.all():
+        return
+    row, col = divmod(int(np.argmin(finite)), len(names))
+    line += row
+    for empty in skipped:
+        if empty <= line:
+            line += 1
+    raise InputError(f"{path}: column {names[col]!r} holds a non-finite "
+                     f"value at line {line}")
+
+
+def _decode_error(path, handle, exc):
+    """InputError for ``exc``, met decoding ``handle``'s text, with the
+    positions of its bytes counted from the file's first byte: the decoder
+    counts from the start of the chunk it was given. The file is decoded
+    again, a block at a time, to its first error; a pipe cannot be read
+    again and keeps the decoder's positions."""
+    shift = 0
+    if handle.seekable():
+        decoder, pos = codecs.getincrementaldecoder("utf-8")(), 0
+        handle.buffer.seek(0)
+        try:
+            while block := handle.buffer.read(_READ_BYTES):
+                decoder.decode(block)
+                pos += len(block)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as first:
+            # Positions count from the bytes the decoder held back.
+            exc, shift = first, pos - len(decoder.getstate()[0])
+    start, end = exc.start + shift, exc.end + shift
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+             if end == start + 1 else f"bytes in position {start}-{end - 1}")
+    return InputError(f"{path}: '{exc.encoding}' codec can't decode "
+                      f"{where}: {exc.reason}")
 
 
 def read_csv(path):
@@ -260,21 +316,32 @@ def read_csv(path):
     Rejects text that is not UTF-8, blank or repeated header names, files
     without data rows, ragged rows and non-finite cells. ``#`` is not a
     comment: a cell or row holding one is rejected, not cut short. A
-    UTF-8 byte-order mark before the header is dropped.
+    UTF-8 byte-order mark before the header is dropped. A decode error
+    names its bytes by their offset in the file; a non-finite cell is
+    named by its column and file line, the header being line 1.
 
     A body of only the bytes write_csv writes (``_CSV_ALPHABET``), with
     the header's number of cells in every row and a final newline, is
     read a block of rows at a time by strtold into long double and cast
     to double. The cast is exact except on a double's midpoint or outside
     the normal doubles, where ``float()`` reads the cell again, so every
-    value is loadtxt's bit for bit. Other text, and all text where long
-    double is not x87's, goes to ``np.loadtxt``.
+    value is loadtxt's bit for bit. Each block is checked for non-finite
+    cells once parsed, and the first one ends the read: no later block
+    is parsed. Other text, and all text where long double is not x87's,
+    goes to ``np.loadtxt``, whose whole result is then checked the same
+    way.
+
+    So both paths report the first non-finite cell in file order (row by
+    row), but not the same fault in every file: loadtxt reports a cell it
+    cannot parse, or a ragged row, anywhere in the file before any
+    non-finite cell, where the fast path reports a non-finite cell before
+    any fault in a later block.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             line = handle.readline()
         except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from None
+            raise _decode_error(path, handle, exc) from None
         header = line.removeprefix("\ufeff").strip()
         if not header:
             raise InputError(f"{path}: empty file")
@@ -285,25 +352,25 @@ def read_csv(path):
             if name in names[:idx]:
                 raise InputError(f"{path}: column {name!r} appears more "
                                  "than once in the header")
-        data = _read_rows(handle, line, len(names))
+        data = _read_rows(path, handle, line, names)
         if data is None:
+            skipped = []
             try:
                 with warnings.catch_warnings():
                     # An empty body is reported below, not as a numpy
                     # warning.
                     warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(handle, delimiter=",", ndmin=2,
-                                      comments=None)
+                    data = np.loadtxt(_lines(handle, skipped), delimiter=",",
+                                      ndmin=2, comments=None)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(path, handle, exc) from None
             except ValueError as exc:
                 raise InputError(f"{path}: {exc}") from None
+            if data.shape[0] and data.shape[1] != len(names):
+                raise InputError(f"{path}: rows do not match header")
+            _reject_non_finite(path, names, data, 2, skipped)
     if data.shape[0] == 0:
         raise InputError(f"{path}: no data rows")
-    if data.shape[1] != len(names):
-        raise InputError(f"{path}: rows do not match header")
-    finite = np.isfinite(data).all(axis=0)
-    if not finite.all():
-        bad = names[int(np.argmin(finite))]
-        raise InputError(f"{path}: column {bad!r} holds a non-finite value")
     return {name: data[:, idx] for idx, name in enumerate(names)}
 
 
@@ -355,17 +422,27 @@ def _job_coeffs(scenario: Scenario, out_dir: Path):
 
 def _job_simulate(scenario: Scenario, out_dir: Path):
     """Simulate only the samples the job reads, each bit for bit the full
-    run's. First the summary's channels on the late half, reduced to their
-    means and dropped: a grid too large to allocate fails there, before
-    any file is written. Then the CSV's channels (checked against the mode
-    at parse time) on every stride-th sample."""
+    run's: the CSV's channels (checked against the mode at parse time) on
+    every stride-th sample. The summary's means are of the late half of
+    its channels. A CSV of every sample and every summary channel holds
+    them; otherwise they are simulated first, reduced to their means and
+    dropped. Either way a grid too large to allocate fails before any
+    file is written."""
     n = _grid_size(scenario.sim)
-    late = _simulate(scenario, _SUMMARY_CHANNELS, slice(n // 2, None))
-    t_end = late.t[-1]
-    means = [np.mean(late.channels[name]) for name in _SUMMARY_CHANNELS]
-    del late
+    whole = scenario.stride == 1 and (
+        scenario.channels is None  # every channel of the mode
+        or set(_SUMMARY_CHANNELS) <= set(scenario.channels))
+    if not whole:
+        late = _simulate(scenario, _SUMMARY_CHANNELS, slice(n // 2, None))
+        t_end = late.t[-1]
+        means = [np.mean(late.channels[name]) for name in _SUMMARY_CHANNELS]
+        del late
     ts = _simulate(scenario, scenario.channels,
                    slice(0, None, scenario.stride))
+    if whole:
+        t_end = ts.t[-1]
+        means = [np.mean(ts.channels[name][n // 2:])
+                 for name in _SUMMARY_CHANNELS]
     csv_path = out_dir / scenario.csv_name
     write_csv(ts, csv_path)
     entries = [

@@ -323,6 +323,19 @@ def read_outcome(path):
     return {name: column.tobytes() for name, column in data.items()}
 
 
+def set_cells(path, cells):
+    """Rewrite the cells of ``path`` that ``cells`` keys by (file line,
+    column name), the header being line 1, to the text it maps them to."""
+    lines = path.read_bytes().split(b"\n")
+    names = lines[0].split(b",")
+    for (line, name), token in cells.items():
+        row = lines[line - 1].split(b",")
+        row[names.index(name.encode())] = token.encode()
+        lines[line - 1] = b",".join(row)
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
 def token_csv(path, tokens, cols=5):
     """Write ``tokens`` row by row as the cells of a CSV of ``cols``
     columns, padded with zeros."""
@@ -408,8 +421,9 @@ class TestCsvReading:
         taken = []
 
         def spy(*args):
+            taken.append(True)  # stays True where the fast path raises
             rows = original(*args)
-            taken.append(rows is not None)
+            taken[-1] = rows is not None
             return rows
         original = cli._read_rows
         with monkeypatch.context() as patch, warnings.catch_warnings(), \
@@ -546,6 +560,80 @@ class TestCsvReading:
         with pytest.raises(InputError, match=message):
             read_csv(path)
 
+    def test_non_finite_first_row_stops_at_the_first_block(
+            self, tmp_path, monkeypatch):
+        # The fast path raises in the block that holds the cell; the
+        # blocks after it are never parsed.
+        monkeypatch.setattr(cli, "_READ_BYTES", 4096)
+        path = tmp_path / "series.csv"
+        write_csv(small_series(2000), path)
+        set_cells(path, {(2, "v_a"): "nan"})
+        assert path.stat().st_size > 4 * 4096
+        parsed, fromstring = [], np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: (
+            parsed.append(args) or fromstring(*args, **kwargs)))
+        assert self.check(path, monkeypatch) == (
+            f"{path}: column 'v_a' holds a non-finite value at line 2")
+        assert len(parsed) == 1
+
+    @pytest.mark.parametrize("read_bytes", [4096, cli._READ_BYTES])
+    def test_first_non_finite_cell_in_file_order(self, tmp_path, monkeypatch,
+                                                 read_bytes):
+        # Not the first column in header order: i_a comes before v_a.
+        monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
+        path = tmp_path / "two.csv"
+        write_csv(small_series(2000), path)
+        set_cells(path, {(1500, "i_a"): "nan", (5, "v_a"): "inf"})
+        assert self.check(path, monkeypatch) == (
+            f"{path}: column 'v_a' holds a non-finite value at line 5")
+
+    def test_non_finite_cell_before_a_cell_that_does_not_parse(
+            self, tmp_path, monkeypatch):
+        # The fast path stops at the nan, in the first block; loadtxt
+        # reads the whole file and refuses the x first.
+        monkeypatch.setattr(cli, "_READ_BYTES", 4096)
+        path = tmp_path / "nan-then-x.csv"
+        write_csv(small_series(2000), path)
+        set_cells(path, {(2, "v_a"): "nan", (1500, "i_a"): "x"})
+        assert read_outcome(path) == (
+            f"{path}: column 'v_a' holds a non-finite value at line 2")
+        monkeypatch.setattr(cli, "_X87_LONG_DOUBLE", False)
+        assert read_outcome(path) == (
+            f"{path}: could not convert string 'x' to float64 at row 1498, "
+            "column 3.")
+
+    @pytest.mark.parametrize("body, line", [
+        ("1,2,3\n4,nan,6\n", 3), ("1,2,3\n\n\n4,nan,6\n", 5),
+        ("\n1,inf,3\n\n", 3), ("1,2,3\r\n\r\n4,5,-inf\r\n", 4),
+        ("1,2,3\r4,nan,6\r", 3), ("1,2,3\n4,5,1e400", 3),
+    ], ids=lambda x: repr(x))
+    def test_line_of_a_non_finite_cell(self, tmp_path, monkeypatch, body,
+                                       line):
+        # Lines count from the header's 1, empty lines and CR line ends
+        # included, though loadtxt reads no row from an empty line.
+        path = tmp_path / "rows.csv"
+        path.write_text("a,b,c\n" + body, newline="")
+        assert self.check(path, monkeypatch, fast=None).endswith(
+            f"holds a non-finite value at line {line}")
+
+    @pytest.mark.parametrize("text, message", [
+        (b"t," + b"x" * 20_000 + b"\xff\n1,2\n",
+         "byte 0xff in position 20002: invalid start byte"),
+        (b"t,v\n" + b"1,2\n" * 5000 + b"\xff3,4\n",
+         "byte 0xff in position 20004: invalid start byte"),
+        (b"t,v\n" + b"1,2\n" * 5000 + b"3,\xe2\x82\n",
+         "bytes in position 20006-20007: invalid continuation byte"),
+        (b"t,v\n" + b"1,2\n" * 5000 + b"3,\xe2\x82",
+         "bytes in position 20006-20007: unexpected end of data"),
+    ], ids=["header", "body", "cut-sequence", "cut-at-the-end"])
+    def test_decode_error_at_its_file_offset(self, tmp_path, monkeypatch,
+                                             text, message):
+        # The text decoder counts from the start of its 8 KB chunk.
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(text)
+        assert self.check(path, monkeypatch, fast=False) == (
+            f"{path}: 'utf-8' codec can't decode {message}")
+
     def test_peak_memory_is_the_rows_and_one_block(self, tmp_path):
         path = tmp_path / "large.csv"
         rows = 20_001
@@ -676,6 +764,22 @@ class TestSimulateJob:
         assert header == "t,theta,i_d,i_q"
         data = read_csv(out / "timeseries.csv")
         assert data["t"].size == math.ceil(3001 / 5)
+
+    @pytest.mark.parametrize("outputs, runs", [
+        ("", 1), ("channels = t_e, v_d, i_q, i_d\n", 1),
+        ("channels = i_d, i_q\n", 2), ("stride = 2\n", 2),
+    ])
+    def test_late_half_is_simulated_once(self, tmp_path, monkeypatch,
+                                         outputs, runs):
+        # A CSV of every sample and every summary channel holds the late
+        # half, so the summary's means come from it.
+        calls, simulate = [], cli._simulate
+        monkeypatch.setattr(cli, "_simulate", lambda *args: (
+            calls.append(args) or simulate(*args)))
+        text = MACHINE + OP_SIM + "[outputs]\n" + outputs
+        assert main(["simulate", "--scenario", write_scenario(
+            tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == runs
 
     def test_repeated_channel_exits_2(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + "[outputs]\nchannels = v_d, v_d, i_a\n"
