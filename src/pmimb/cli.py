@@ -366,6 +366,7 @@ def read_csv(path):
                 raise _decode_error(path, handle, exc) from None
             except ValueError as exc:
                 raise InputError(f"{path}: {exc}") from None
+            # An empty body is reported as having no data rows, below.
             if data.shape[0] and data.shape[1] != len(names):
                 raise InputError(f"{path}: rows do not match header")
             _reject_non_finite(path, names, data, 2, skipped)
