@@ -10,7 +10,8 @@ unknown key in each section; with one of nine sections appended; and
 with one whole value set to each of 1e300, -1e300, 1e-300, 5e-324 and
 1e150. It also holds the sample-selection edges of each shipped text:
 [outputs] stride set to 2, 7 and 10**9, and [sim] duration set equal to
-its dt (a grid of 2 samples). Last comes append:4:no-compare, the text
+its dt (a grid of 2 samples) and to 16384 times its dt (one simulation
+block plus one sample). Last comes append:4:no-compare, the text
 of append:4 ([identify] source_csv = timeseries.csv) run as coeffs,
 simulate, identify: there identify reads the CSV simulate wrote, which
 in append:4 compare overwrites first. Then come the csv:<edit> variants,
@@ -47,6 +48,7 @@ import warnings
 from pathlib import Path
 
 from pmimb.cli import main as pmimb_main
+from pmimb.refsim import _BLOCK
 from pmimb.scenario import _SCHEMA
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -141,6 +143,8 @@ def corpus(text):
     parser.read_string(text)
     dt = parser.get("sim", "dt", fallback=_SCHEMA["sim"]["dt"][1])
     yield "edge:duration=dt", with_key(lines, "sim", "duration", dt)
+    yield "edge:duration=block", with_key(lines, "sim", "duration",
+                                          repr(_BLOCK * float(dt)))
     yield "append:4:no-compare", text + "\n" + APPENDED[4]
     for variant in CSV_EDITS:
         yield variant, text + "\n" + APPENDED[4]
