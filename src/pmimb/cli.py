@@ -14,9 +14,9 @@ included. Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import functools
+import io
 import os
 import sys
 import warnings
@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .harmonics import compare_waveforms
+# compare_waveforms is bound for perfbench/tracing.py alone: the compare
+# job folds its blocks itself.
+from .harmonics import _BLOCK, _comparison, _error_sums, compare_waveforms
 from .identify import _INVERTIBLE, fit_flux, fit_resistance
 # Bound for perfbench/tracing.py alone: closed_form_dq calls compose_total
 # through imbalance, and nothing calls the delta functions.
@@ -34,7 +36,7 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import (TimeSeries, _blocked, _grid_size, run_current_fed,
+from .refsim import (TimeSeries, _grid_size, _sample_grid, run_current_fed,
                      run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
@@ -285,24 +287,25 @@ def _reject_non_finite(path, names, rows, line, skipped=()):
                      f"value at line {line}")
 
 
+class _CountedFile(io.FileIO):
+    """An unbuffered file, read-only, that counts the bytes read from it:
+    TextIOWrapper reads a raw file through ``read``."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
 def _decode_error(path, handle, exc):
     """InputError for ``exc``, met decoding ``handle``'s text, with the
-    positions of its bytes counted from the file's first byte: the decoder
-    counts from the start of the chunk it was given. The file is decoded
-    again, a block at a time, to its first error; a pipe cannot be read
-    again and keeps the decoder's positions."""
-    shift = 0
-    if handle.seekable():
-        decoder, pos = codecs.getincrementaldecoder("utf-8")(), 0
-        handle.buffer.seek(0)
-        try:
-            while block := handle.buffer.read(_READ_BYTES):
-                decoder.decode(block)
-                pos += len(block)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as first:
-            # Positions count from the bytes the decoder held back.
-            exc, shift = first, pos - len(decoder.getstate()[0])
+    positions of its bytes counted from the file's first byte, pipes
+    included. The decoder counts from the start of the bytes it was last
+    given, the bytes it held back and then the last chunk read, so those
+    end where the file's bytes read so far end."""
+    shift = handle.buffer.bytes_read - len(exc.object)
     start, end = exc.start + shift, exc.end + shift
     where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
              if end == start + 1 else f"bytes in position {start}-{end - 1}")
@@ -317,8 +320,9 @@ def read_csv(path):
     without data rows, ragged rows and non-finite cells. ``#`` is not a
     comment: a cell or row holding one is rejected, not cut short. A
     UTF-8 byte-order mark before the header is dropped. A decode error
-    names its bytes by their offset in the file; a non-finite cell is
-    named by its column and file line, the header being line 1.
+    names its bytes by their offset in the file, a named pipe's too; a
+    non-finite cell is named by its column and file line, the header
+    being line 1.
 
     A body of only the bytes write_csv writes (``_CSV_ALPHABET``), with
     the header's number of cells in every row and a final newline, is
@@ -337,7 +341,7 @@ def read_csv(path):
     non-finite cell, where the fast path reports a non-finite cell before
     any fault in a later block.
     """
-    with open(path, encoding="utf-8") as handle:
+    with io.TextIOWrapper(_CountedFile(path), encoding="utf-8") as handle:
         try:
             line = handle.readline()
         except UnicodeDecodeError as exc:
@@ -458,25 +462,44 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
-    ts = _simulate(scenario, _VOLTAGES_DQ)
+    """Compare the closed form with the simulated v_d, v_q a block of
+    ``_BLOCK`` samples at a time. Each block is simulated, bit for bit the
+    full run's, and modelled; its errors are folded as
+    ``compare_waveforms`` folds them, and the rows the CSV keeps, every
+    stride-th sample, are copied out. So the job holds those rows plus
+    one block's working set. The CSV is written after the last block, so
+    a job that fails writes none."""
+    n, stride = _grid_size(scenario.sim), scenario.stride
+    # The kept rows' times and angles, bit for bit the grid's. A step too
+    # coarse for the speed is refused here, before any block runs.
+    t, theta = _sample_grid(scenario.sim, scenario.omega_e,
+                            range(0, n, stride))
+    out = {name: np.empty(t.size) for name in
+           ("v_d_sim", "v_q_sim", "v_d_model", "v_q_model")}
     drive = (scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0)
-    model = _blocked(ts.t.size, ("v_d_model", "v_q_model"), lambda part: (
-        closed_form_dq(scenario.machine,
-                       OperatingPoint(ts.theta[part], *drive))))
-    metrics_d = compare_waveforms(ts.channels["v_d"], model["v_d_model"])
-    metrics_q = compare_waveforms(ts.channels["v_q"], model["v_q_model"])
+    sums = {"v_d": [], "v_q": []}
+    for start in range(0, n, _BLOCK):
+        ts = _simulate(scenario, _VOLTAGES_DQ, slice(start, start + _BLOCK))
+        sim = ts.channels["v_d"], ts.channels["v_q"]
+        model = closed_form_dq(scenario.machine,
+                               OperatingPoint(ts.theta, *drive))
+        for axis_sums, a, b in zip(sums.values(), sim, model):
+            axis_sums.append(_error_sums(a, b))
+        # The block's first kept sample and its row in the CSV.
+        first, row = -start % stride, -(-start // stride)
+        for column, values in zip(out.values(), (*sim, *model)):
+            kept = values[first::stride]
+            column[row:row + kept.size] = kept
+    metrics = {axis: _comparison(axis_sums)
+               for axis, axis_sums in sums.items()}
 
     csv_path = out_dir / scenario.csv_name
-    out = {"v_d_sim": ts.channels["v_d"], "v_q_sim": ts.channels["v_q"],
-           **model}
-    rows = slice(None, None, scenario.stride)
-    write_csv(TimeSeries(ts.t[rows], ts.theta[rows], {
-        name: column[rows] for name, column in out.items()}), csv_path)
+    write_csv(TimeSeries(t, theta, out), csv_path)
 
     entries = [(f"compare.{axis}.{key}",
                 "n/a" if value is None else _fmt(value))
-               for axis, metrics in (("v_d", metrics_d), ("v_q", metrics_q))
-               for key, value in vars(metrics).items()]
+               for axis, axis_metrics in metrics.items()
+               for key, value in vars(axis_metrics).items()]
     return entries + _coefficient_entries(scenario), [csv_path]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, InputError, _require_finite
 # demodulate and the delta functions are not called here; they stay bound
 # because perfbench/tracing.py looks them up under this module's names.
-from .harmonics import demodulate
+from .harmonics import _BLOCK, demodulate
 from .imbalance import (_FAMILIES, _terms, flux_delta, inductance_delta,
                         resistance_delta)
 from .machine import (MachineParameters, OperatingPoint, decompose,
@@ -32,10 +32,6 @@ from .transforms import _phase_basis, park_forward, park_inverse, phase_angles
 
 # Resolution guard: at least this many samples per electrical period.
 MIN_STEPS_PER_PERIOD = 200
-
-# Samples per block: the per-block Python calls vanish against the array
-# work, and a block's few dozen temporary rows stay within a CPU cache.
-_BLOCK = 16384
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@ import contextlib
 import decimal
 import io
 import math
+import os
 import runpy
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -633,6 +635,32 @@ class TestCsvReading:
         path.write_bytes(text)
         assert self.check(path, monkeypatch, fast=False) == (
             f"{path}: 'utf-8' codec can't decode {message}")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("tail, message", [
+        (b"\xff3,4\n", "byte 0xff in position 150000: invalid start byte"),
+        (b"3,\xe2\x82",
+         "bytes in position 150002-150003: unexpected end of data"),
+    ], ids=["body", "cut-at-the-end"])
+    def test_decode_error_in_a_pipe_at_its_file_offset(self, tmp_path, tail,
+                                                      message):
+        # A pipe is read once, so the offset comes from the bytes read
+        # before the error, not from a second pass.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), \
+                    open(path, "wb") as pipe:
+                pipe.write(b"t,v\n" + b"1,2\n" * 37_499 + tail)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = read_outcome(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == f"{path}: 'utf-8' codec can't decode {message}"
 
     def test_peak_memory_is_the_rows_and_one_block(self, tmp_path):
         path = tmp_path / "large.csv"

@@ -16,6 +16,7 @@ from pmimb import (
     resistance_coeffs,
     resistance_delta,
 )
+from pmimb.harmonics import _BLOCK
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
 
@@ -203,3 +204,32 @@ class TestCompareWaveforms:
     def test_empty_waveforms_compare_as_equal(self):
         # No sample differs, and no reference RMS exists to normalize by.
         assert compare_waveforms([], []) == WaveformComparison(0.0, 0.0, None)
+
+    @staticmethod
+    def waveforms(size):
+        rng = np.random.default_rng(size)
+        a = 300.0 * rng.standard_normal(size)
+        return a, a + 1e-3 * rng.standard_normal(size)
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 129, 1000, _BLOCK])
+    def test_one_block_is_np_mean_bit_for_bit(self, size):
+        a, b = self.waveforms(size)
+        out = compare_waveforms(a, b)
+        rms = np.sqrt(np.mean(np.square(b - a)))
+        assert out.max_abs_error == np.max(np.abs(b - a))
+        assert out.rms_error == rms
+        assert out.relative_rms == rms / np.sqrt(np.mean(np.square(a)))
+
+    @pytest.mark.parametrize("size", [_BLOCK + 1, 3 * _BLOCK + 7,
+                                      40 * _BLOCK])
+    def test_blocks_stay_near_the_exact_sum(self, size):
+        # Pairwise within a block, then block by block: a few ulp per
+        # block at most, against the correctly rounded sum.
+        a, b = self.waveforms(size)
+        out = compare_waveforms(a, b)
+        rms = math.sqrt(math.fsum(np.square(b - a)) / size)
+        ref_rms = math.sqrt(math.fsum(np.square(a)) / size)
+        assert out.max_abs_error == np.max(np.abs(b - a))
+        assert out.rms_error == pytest.approx(rms, rel=1e-13, abs=0.0)
+        assert out.relative_rms == pytest.approx(rms / ref_rms, rel=1e-13,
+                                                 abs=0.0)

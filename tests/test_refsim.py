@@ -33,8 +33,9 @@ from pmimb import (
     steady_state_currents,
     transient_window,
 )
-from pmimb import parse_scenario, refsim
+from pmimb import cli, parse_scenario, refsim
 from pmimb.cli import run_scenario
+from pmimb.harmonics import _BLOCK
 from pmimb.refsim import CURRENT_FED_CHANNELS, VOLTAGE_FED_CHANNELS
 
 
@@ -711,9 +712,9 @@ duration = {duration!r}
 
 
 class TestBlockSizeInvariance:
-    # The runs and the compare job evaluate their samples a block of
-    # refsim._BLOCK at a time. Any block size must give the bits of one
-    # block over the whole grid, signed zeros included.
+    # The runs evaluate their samples a block of refsim._BLOCK at a time,
+    # within the compare job's blocks too. Any block size must give the
+    # bits of one block over the whole grid, signed zeros included.
     @pytest.mark.parametrize("selection", [None, "compare", "ripple-study"])
     @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
     @pytest.mark.parametrize("block, size", BLOCK_GRIDS)
@@ -754,6 +755,28 @@ class TestBlockSizeInvariance:
         assert csv_text.startswith("t,theta,v_d_sim,v_q_sim,v_d_model,")
         assert csv_text.count("\n") == size + 1
         assert artifacts[block] == artifacts[size]
+
+
+@pytest.mark.parametrize("size", [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
+                         ids=["two", "block", "lone-last", "three-blocks"])
+def test_compare_job_summary_is_compare_waveforms_of_the_grid(tmp_path,
+                                                              size):
+    # The job folds each block as it is simulated; compare_waveforms folds
+    # the whole grid's arrays the same way, so the two give the same bits.
+    path = tmp_path / "compare.ini"
+    path.write_text(COMPARE_SCENARIO.format(duration=(size - 1) * 1e-5))
+    scenario = parse_scenario(path)
+    summary = run_scenario(scenario, "compare", tmp_path / "out")[-1]
+    entries = dict(line.split(": ", 1)
+                   for line in summary.read_text().splitlines())
+    ts = cli._simulate(scenario, ("v_d", "v_q"))
+    assert ts.t.size == size
+    model = closed_form_dq(scenario.machine, OperatingPoint(
+        ts.theta, scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0))
+    for axis, b in zip(("v_d", "v_q"), model):
+        metrics = compare_waveforms(ts.channels[axis], b)
+        for key, value in vars(metrics).items():
+            assert entries[f"compare.{axis}.{key}"] == repr(value)
 
 
 RIPPLE_SCENARIO = """\
@@ -847,6 +870,30 @@ class TestPeakMemory:
         assert written[0].read_text().count("\n") == 1 + 10_001
         assert peak / (8 * self.N) <= 5
 
+    def test_compare_job_holds_its_rows_and_one_block(self, tmp_path):
+        # The compare-sweep job: v_d, v_q simulated, modelled and folded a
+        # block at a time, every 50th row kept for the CSV. Less those
+        # rows, the peak is one block's working set, whatever the grid.
+        text = COMPARE_SCENARIO + "\n[outputs]\nstride = 50\n"
+        excess = []
+        for size in (2001, self.N, 4 * self.N - 3):
+            path = tmp_path / f"{size}.ini"
+            path.write_text(text.format(duration=(size - 1) * 1e-5))
+            scenario = parse_scenario(path)
+            tracemalloc.start()
+            try:
+                written = run_scenario(scenario, "compare",
+                                       tmp_path / str(size))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = len(range(0, size, 50))
+            assert written[0].read_text().count("\n") == 1 + rows
+            excess.append(peak - 8 * 6 * rows)
+        # The first run warms up first-call imports and caches.
+        assert excess[2] == pytest.approx(excess[1], rel=0.03)
+        assert excess[1] / (8 * self.N) <= 3
+
     def peak_bytes(self, nominal, mode, drive, size, channels=None):
         """Peak traced bytes of one run and the bytes its result keeps."""
         p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
@@ -865,10 +912,10 @@ class TestPeakMemory:
         return peak, 8 * size * (2 + len(ts.channels))
 
 
-def test_compare_waveforms_peak_in_grid_columns():
-    # The compare job's metrics take one grid-sized scratch array, not a
-    # temporary per metric, so they add no more than one column to the
-    # job's peak.
+def test_compare_waveforms_peak_is_one_block_of_scratch():
+    # The metrics are folded a block at a time through one block-sized
+    # scratch array, not a temporary per metric, so a 200 001-sample grid
+    # costs one block's scratch plus the per-block sums.
     n = TestPeakMemory.N
     a = np.cos(np.linspace(0.0, 40.0, n))
     b = a + 1e-3 * np.sin(np.linspace(0.0, 7.0, n))
@@ -879,7 +926,7 @@ def test_compare_waveforms_peak_in_grid_columns():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) <= 1.1
+    assert peak <= 1.05 * 8 * _BLOCK
 
 
 class TestRipplePrediction:
