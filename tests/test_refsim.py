@@ -757,14 +757,23 @@ class TestBlockSizeInvariance:
         assert artifacts[block] == artifacts[size]
 
 
+# flux_compare.ini on a grid of any length. On one block plus one sample
+# its v_d rms differs from a single pairwise sum over the grid.
+FLUX_COMPARE_SCENARIO = (
+    SCRIPTS.parent / "scenarios" / "flux_compare.ini").read_text().replace(
+        "duration = 0.03", "duration = {duration!r}")
+
+
+@pytest.mark.parametrize("text", [COMPARE_SCENARIO, FLUX_COMPARE_SCENARIO],
+                         ids=["combined", "flux"])
 @pytest.mark.parametrize("size", [2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
                          ids=["two", "block", "lone-last", "three-blocks"])
 def test_compare_job_summary_is_compare_waveforms_of_the_grid(tmp_path,
-                                                              size):
+                                                              text, size):
     # The job folds each block as it is simulated; compare_waveforms folds
     # the whole grid's arrays the same way, so the two give the same bits.
     path = tmp_path / "compare.ini"
-    path.write_text(COMPARE_SCENARIO.format(duration=(size - 1) * 1e-5))
+    path.write_text(text.format(duration=(size - 1) * 1e-5))
     scenario = parse_scenario(path)
     summary = run_scenario(scenario, "compare", tmp_path / "out")[-1]
     entries = dict(line.split(": ", 1)
