@@ -468,7 +468,7 @@ def _job_compare(scenario: Scenario, out_dir: Path):
     ``compare_waveforms`` folds them, and the rows the CSV keeps, every
     stride-th sample, are copied out. So the job holds those rows plus
     one block's working set. The CSV is written after the last block, so
-    a job that fails writes none."""
+    a block that fails leaves none."""
     n, stride = _grid_size(scenario.sim), scenario.stride
     # The kept rows' times and angles, bit for bit the grid's. A step too
     # coarse for the speed is refused here, before any block runs.
@@ -490,16 +490,13 @@ def _job_compare(scenario: Scenario, out_dir: Path):
         for column, values in zip(out.values(), (*sim, *model)):
             kept = values[first::stride]
             column[row:row + kept.size] = kept
-    metrics = {axis: _comparison(axis_sums)
-               for axis, axis_sums in sums.items()}
+    entries = [(f"compare.{axis}.{key}",
+                "n/a" if value is None else _fmt(value))
+               for axis, axis_sums in sums.items()
+               for key, value in vars(_comparison(axis_sums)).items()]
 
     csv_path = out_dir / scenario.csv_name
     write_csv(TimeSeries(t, theta, out), csv_path)
-
-    entries = [(f"compare.{axis}.{key}",
-                "n/a" if value is None else _fmt(value))
-               for axis, axis_metrics in metrics.items()
-               for key, value in vars(axis_metrics).items()]
     return entries + _coefficient_entries(scenario), [csv_path]
 
 
