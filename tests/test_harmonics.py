@@ -223,8 +223,8 @@ class TestCompareWaveforms:
     @pytest.mark.parametrize("size", [_BLOCK + 1, 3 * _BLOCK + 7,
                                       40 * _BLOCK])
     def test_blocks_stay_near_the_exact_sum(self, size):
-        # Pairwise within a block, then block by block: a few ulp per
-        # block at most, against the correctly rounded sum.
+        # Pairwise within a block, then over the blocks: close to the
+        # correctly rounded sum of the same squares.
         a, b = self.waveforms(size)
         out = compare_waveforms(a, b)
         rms = math.sqrt(math.fsum(np.square(b - a)) / size)
