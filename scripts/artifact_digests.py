@@ -19,8 +19,9 @@ the same text run as simulate, then identify on the CSV simulate wrote
 after one rewrite of it: one v_d cell of the middle row set to each of
 CSV_TOKENS, CRLF line ends, a blank line, no final newline, a row one
 cell short, one byte that is not UTF-8, the first row's v_d set to nan,
-and that nan with the middle row's v_d set to x. The identify line's
-digest covers the rewritten CSV.
+that nan with the middle row's v_d set to x, the middle row's v_d set to
+1 after a no-break space, and a line of a blank and a tab after the
+middle row. The identify line's digest covers the rewritten CSV.
 
 Each text runs in a fresh working directory, with relative paths for the
 scenario and for --out, and the four jobs share that --out as a user
@@ -105,6 +106,9 @@ CSV_EDITS = {
     "csv:nan-first-row": _set_v_d("nan", first=True),
     "csv:nan-then-x": lambda data: _set_v_d("x")(
         _set_v_d("nan", first=True)(data)),
+    "csv:nbsp": _set_v_d("\xa01"),
+    "csv:whitespace-line": _middle_row(lambda names, cells: [
+        b",".join(cells), b" \t"]),
 }
 # Variants run with a job order of their own.
 JOB_ORDERS = {"append:4:no-compare": ("coeffs", "simulate", "identify"),
