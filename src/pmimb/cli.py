@@ -17,9 +17,10 @@ import argparse
 import contextlib
 import functools
 import io
+import math
 import os
+import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,168 +186,183 @@ def write_csv(ts: TimeSeries, path):
         handle.write(b"\n")
 
 
-# The bytes of a data row write_csv writes. A body of nothing else, every
-# row holding the header's number of cells, takes read_csv's fast path.
+# The bytes of a data row write_csv writes. A block of nothing else,
+# each line a row of the header's number of cells, is parsed as it is.
 _CSV_ALPHABET = b"0123456789.e+-naif,\n"
-# Body bytes per fast-path read, cut back to whole lines.
+# Body bytes per read, cut back to whole lines.
 _READ_BYTES = 1 << 18
-# The fast path reads x87 extended precision's 64-bit significand and
-# 15-bit exponent, with os.preadv.
+# strtold parses into x87 extended precision's 64-bit significand and
+# 15-bit exponent where long double is that, else numpy parses doubles.
 _X87_LONG_DOUBLE = (np.finfo(np.longdouble).nmant == 63
-                    and sys.byteorder == "little" and hasattr(os, "preadv"))
+                    and sys.byteorder == "little")
+# Blanks and tabs between a cell's text and its edges. A cell of blanks
+# keeps them, so a line of blanks stays a ragged row.
+_BLANKS = re.compile(rb"(?<![^,\n])[ \t]+(?=[^ \t,\n])"
+                     rb"|(?<=[^ \t,\n])[ \t]+(?=[,\n])")
 
 
-def _read_rows(path, handle, line, names):
-    """The rows after the header ``line`` of ``handle``'s file as a
-    (rows, len(names)) array, for text write_csv writes; otherwise None.
-    Raises at the first block that holds a non-finite cell. Reads with
-    os.preadv, so the handle's own position stays where it is."""
-    if not (_X87_LONG_DOUBLE and handle.seekable()):  # a pipe reads once
+def _blocks(source, pos):
+    """(file offset, bytes) of ``source``'s whole lines from offset
+    ``pos`` on, about _READ_BYTES at a time. The last block may end
+    without a line end; no block ends between a CR and its LF."""
+    size = _READ_BYTES
+    source.seek(pos)
+    while data := source.read(size):
+        if len(data) == size:  # cut back to whole lines
+            data = data[:max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1]
+        if data:
+            yield pos, data
+            pos += len(data)
+        else:  # a line longer than the read
+            size *= 2
+        source.seek(pos)
+
+
+def _line_ends(data):
+    """The line ends in ``data``, a CRLF counted once."""
+    lone_crs = data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0
+    return lone_crs + np.count_nonzero(np.frombuffer(data, np.uint8)
+                                       == ord("\n"))
+
+
+def _decoded(path, data, offset):
+    """``data``, the bytes from file offset ``offset`` on, as UTF-8 text.
+    A decode error names its bytes by their position in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start, end = exc.start + offset, exc.end + offset
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                 if end == start + 1
+                 else f"bytes in position {start}-{end - 1}")
+        raise InputError(f"{path}: '{exc.encoding}' codec can't decode "
+                         f"{where}: {exc.reason}") from None
+
+
+def _parse(block, cols):
+    """``block``'s cells as doubles where it holds only _CSV_ALPHABET,
+    each line a row of ``cols`` cells ending in a newline, and every
+    cell parses; else None. strtold parses into long double, whose cast
+    to double is exact but where ``float()`` reads the cell again."""
+    text = np.frombuffer(block, np.uint8)
+    newlines = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    # Each row's cols - 1 commas lie between its newlines.
+    if (commas.size != newlines.size * (cols - 1)
+            or (np.searchsorted(commas, newlines) != (cols - 1) * np.arange(
+                1, newlines.size + 1)).any()
+            or block.translate(None, _CSV_ALPHABET)):
         return None
-    fd, buf, cols = handle.fileno(), bytearray(_READ_BYTES), len(names)
-    start = buf.find(b"\n", 0, os.preadv(fd, [buf], 0)) + 1
-    if buf[:start].decode("utf-8", "replace") != line:
-        return None  # CRLF or a lone CR, or a header past the first read
-    pos, rows = start, 0
-    while size := os.preadv(fd, [buf], pos):
-        rows += np.count_nonzero(np.frombuffer(buf, np.uint8, size)
-                                 == ord("\n"))
-        pos += size
-    out = np.empty((rows, cols))
-    flat, done, pos = out.reshape(-1), 0, start
-    while size := os.preadv(fd, [buf], pos):
-        end = buf.rfind(b"\n", 0, size) + 1
-        if not end:  # a line longer than a read, or no final newline
-            return None
-        pos += end
-        text = np.frombuffer(buf, np.uint8, end)
-        newlines = np.flatnonzero(text == ord("\n"))
-        commas = np.flatnonzero(text == ord(","))
-        if commas.size != newlines.size * (cols - 1):
-            return None
-        # Each row's cols - 1 commas lie between its newlines.
-        commas = commas.reshape(-1, max(cols - 1, 1))
-        if cols > 1 and ((commas[:, -1] > newlines).any()
-                         or (commas[1:, 0] < newlines[:-1]).any()):
-            return None
-        text[newlines] = ord(",")
-        block = bytes(buf[:end])
-        if block.translate(None, _CSV_ALPHABET):
-            return None
-        try:  # numpy >= 2.4 raises where a cell does not parse
-            wide = np.fromstring(block, np.longdouble, sep=",")
-        except ValueError:
-            return None
-        if wide.size != newlines.size * cols or done + wide.size > flat.size:
-            return None
-        with np.errstate(all="ignore"):  # 1e400 overflows a double
-            flat[done:done + wide.size] = wide
-        # A significand on a double's midpoint rounds twice; a value
-        # outside the normal doubles (biased exponents 15361 to 17406)
-        # rounds at another bit, or not at all.
-        bits = wide.view(np.uint64)
-        significand, exponent = bits[::2], bits[1::2] & 0x7FFF
-        again = np.flatnonzero(((significand & 0x7FF) == 0x400)
-                               | ((exponent - 15361 >= 2046)
-                                  & (significand != 0)))
-        for cell in again.tolist():  # as loadtxt reads it
-            row, col = divmod(cell, cols)
-            first = newlines[row - 1] + 1 if row else 0
-            flat[done + cell] = float(
-                block[first:newlines[row]].split(b",")[col])
-        # Every row is one line here, the first at line 2.
-        _reject_non_finite(path, names, flat[done:done + wide.size],
-                           2 + done // cols)
-        done += wide.size
-    return out if done == flat.size else None
+    try:  # numpy >= 2.4 raises where a cell does not parse
+        wide = np.fromstring(block.replace(b"\n", b","), np.longdouble
+                             if _X87_LONG_DOUBLE else np.float64, sep=",")
+    except ValueError:
+        return None
+    if wide.size != newlines.size * cols:
+        return None
+    if not _X87_LONG_DOUBLE:
+        return wide
+    with np.errstate(all="ignore"):  # 1e400 overflows a double
+        values = wide.astype(np.float64)
+    # A significand on a double's midpoint rounds twice; a value outside
+    # the normal doubles (biased exponents 15361 to 17406) rounds at
+    # another bit, or not at all.
+    bits = wide.view(np.uint64)
+    significand, exponent = bits[::2], bits[1::2] & 0x7FFF
+    again = np.flatnonzero(((significand & 0x7FF) == 0x400)
+                           | ((exponent - 15361 >= 2046)
+                              & (significand != 0)))
+    for cell in again.tolist():  # as float() reads it
+        row, col = divmod(cell, cols)
+        first = newlines[row - 1] + 1 if row else 0
+        values[cell] = float(block[first:newlines[row]].split(b",")[col])
+    return values
 
 
-def _lines(handle, skipped):
-    """``handle``'s lines after the header, noting in ``skipped`` the file
-    line of each empty one: loadtxt reads no row from those."""
-    for number, text in enumerate(handle, 2):
-        if text == "\n":
-            skipped.append(number)
-        yield text
+def _mapped(block):
+    """``block`` with what else loadtxt reads mapped onto _CSV_ALPHABET:
+    CR and CRLF line ends, upper case, ``infinity``, blanks and tabs
+    around a cell, empty lines and a missing final newline."""
+    text = (block.replace(b"\r\n", b"\n").replace(b"\r", b"\n").lower()
+            .replace(b"infinity", b"inf") + b"\n")
+    if b" " in text or b"\t" in text:
+        text = _BLANKS.sub(b"", text)
+    return re.sub(rb"\n\n+", b"\n", text).lstrip(b"\n")
 
 
-def _reject_non_finite(path, names, rows, line, skipped=()):
-    """Raise InputError naming the first non-finite cell of ``rows`` in
-    file order, by its column and file line. ``rows`` (of len(names)
-    cells, possibly flat) are the file's lines from ``line`` on, less the
-    empty lines ``skipped`` lists in order."""
-    finite = np.isfinite(rows).reshape(-1)
-    if finite.all():
-        return
-    row, col = divmod(int(np.argmin(finite)), len(names))
-    line += row
-    for empty in skipped:
-        if empty <= line:
-            line += 1
-    raise InputError(f"{path}: column {names[col]!r} holds a non-finite "
-                     f"value at line {line}")
+def _cell_rows(path, names, block, offset, line):
+    """``block``'s cells, one at a time, from file offset ``offset`` and
+    file line ``line`` on. Raises InputError at its first fault: bytes
+    that are not UTF-8, else the first ragged line or cell that is not a
+    finite number."""
+    values, text = [], _decoded(path, block, offset)
+    for number, row in enumerate(re.split(r"\r\n?|\n", text), line):
+        if not row:  # an empty line holds no row
+            continue
+        row = row.split(",")
+        if len(row) != len(names):
+            raise InputError(f"{path}: line {number} has " + (
+                f"no cell for column {names[len(row)]!r}"
+                if len(row) < len(names)
+                else f"a cell past the last column {names[-1]!r}"))
+        for name, cell in zip(names, row):
+            value, text = None, cell.strip()
+            if text.isascii() and "_" not in text:
+                with contextlib.suppress(ValueError):
+                    value = float(text)
+            if value is None or not math.isfinite(value):
+                what = (f"{cell!r}, not a number," if value is None
+                        else "a non-finite value")
+                raise InputError(f"{path}: column {name!r} holds {what} at "
+                                 f"line {number}")
+            values.append(value)
+    return np.array(values)
 
 
-class _CountedFile(io.FileIO):
-    """An unbuffered file, read-only, that counts the bytes read from it:
-    TextIOWrapper reads a raw file through ``read``."""
-
-    bytes_read = 0
-
-    def read(self, size=-1):
-        data = super().read(size)
-        self.bytes_read += len(data)
-        return data
-
-
-def _decode_error(path, handle, exc):
-    """InputError for ``exc``, met decoding ``handle``'s text, with the
-    positions of its bytes counted from the file's first byte, pipes
-    included. The decoder counts from the start of the bytes it was last
-    given, the bytes it held back and then the last chunk read, so those
-    end where the file's bytes read so far end."""
-    shift = handle.buffer.bytes_read - len(exc.object)
-    start, end = exc.start + shift, exc.end + shift
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-             if end == start + 1 else f"bytes in position {start}-{end - 1}")
-    return InputError(f"{path}: '{exc.encoding}' codec can't decode "
-                      f"{where}: {exc.reason}")
+def _read_rows(path, source, pos, names):
+    """The rows of ``source``'s lines from offset ``pos`` on, file line 2
+    on, as a (rows, len(names)) array; raises at the first fault."""
+    # One row a line at most, and a last line may lack its line end.
+    cols = len(names)
+    out = np.empty((1 + sum(_line_ends(block)
+                            for _, block in _blocks(source, pos)), cols))
+    flat, done, line = out.reshape(-1), 0, 2
+    for offset, block in _blocks(source, pos):
+        values = _parse(block, cols)
+        ends = _line_ends(block) if values is None else values.size // cols
+        if values is None:  # other line ends, case or blanks, or a fault
+            values = _parse(_mapped(block), cols)
+        if values is None or not np.isfinite(values).all():
+            values = _cell_rows(path, names, block, offset, line)
+        if done + values.size > flat.size:
+            raise InputError(f"{path}: the file grew while it was read")
+        flat[done:done + values.size] = values
+        done += values.size
+        line += ends
+    return out[:done // cols]
 
 
 def read_csv(path):
     """Read a write_csv file back as {column name: array}.
 
-    Rejects text that is not UTF-8, blank or repeated header names, files
-    without data rows, ragged rows and non-finite cells. ``#`` is not a
-    comment: a cell or row holding one is rejected, not cut short. A
-    UTF-8 byte-order mark before the header is dropped. A decode error
-    names its bytes by their offset in the file, a named pipe's too; a
-    non-finite cell is named by its column and file line, the header
-    being line 1.
-
-    A body of only the bytes write_csv writes (``_CSV_ALPHABET``), with
-    the header's number of cells in every row and a final newline, is
-    read a block of rows at a time by strtold into long double and cast
-    to double. The cast is exact except on a double's midpoint or outside
-    the normal doubles, where ``float()`` reads the cell again, so every
-    value is loadtxt's bit for bit. Each block is checked for non-finite
-    cells once parsed, and the first one ends the read: no later block
-    is parsed. Other text, and all text where long double is not x87's,
-    goes to ``np.loadtxt``, whose whole result is then checked the same
-    way.
-
-    So both paths report the first non-finite cell in file order (row by
-    row), but not the same fault in every file: loadtxt reports a cell it
-    cannot parse, or a ragged row, anywhere in the file before any
-    non-finite cell, where the fast path reports a non-finite cell before
-    any fault in a later block.
+    Reads UTF-8 text as ``np.loadtxt(..., delimiter=",",
+    comments=None)`` reads it with universal newlines, to the bit: a
+    cell is what ``float()`` reads of it, blanks around it dropped, in
+    ASCII without ``_``; an empty line holds no row; ``#`` is no
+    comment. A UTF-8 byte-order mark before the header is dropped. A
+    pipe is read into memory first. Blocks of whole lines are parsed
+    whole (``_parse``), once mapped onto write_csv's bytes if need be
+    (``_mapped``), else a cell at a time (``_cell_rows``). The first
+    fault raises InputError: text that is not UTF-8, by its file offset;
+    a blank or repeated header name; no data rows; a ragged row or a
+    cell that is not a finite number, by its column and file line, the
+    header being line 1.
     """
-    with io.TextIOWrapper(_CountedFile(path), encoding="utf-8") as handle:
-        try:
-            line = handle.readline()
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, handle, exc) from None
-        header = line.removeprefix("\ufeff").strip()
+    with open(path, "rb", buffering=0) as handle:
+        source = handle if handle.seekable() else io.BytesIO(handle.read())
+        head = next(_blocks(source, 0), (0, b""))[1]
+        end = re.search(rb"\r\n?|\n|\Z", head).end()
+        header = _decoded(path, head[:end], 0).removeprefix("\ufeff").strip()
         if not header:
             raise InputError(f"{path}: empty file")
         names = header.split(",")
@@ -356,24 +372,7 @@ def read_csv(path):
             if name in names[:idx]:
                 raise InputError(f"{path}: column {name!r} appears more "
                                  "than once in the header")
-        data = _read_rows(path, handle, line, names)
-        if data is None:
-            skipped = []
-            try:
-                with warnings.catch_warnings():
-                    # An empty body is reported below, not as a numpy
-                    # warning.
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(_lines(handle, skipped), delimiter=",",
-                                      ndmin=2, comments=None)
-            except UnicodeDecodeError as exc:
-                raise _decode_error(path, handle, exc) from None
-            except ValueError as exc:
-                raise InputError(f"{path}: {exc}") from None
-            # An empty body is reported as having no data rows, below.
-            if data.shape[0] and data.shape[1] != len(names):
-                raise InputError(f"{path}: rows do not match header")
-            _reject_non_finite(path, names, data, 2, skipped)
+        data = _read_rows(path, source, end, names)
     if data.shape[0] == 0:
         raise InputError(f"{path}: no data rows")
     return {name: data[:, idx] for idx, name in enumerate(names)}

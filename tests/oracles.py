@@ -3,12 +3,13 @@
 Everything here is rebuilt from first principles: explicit transform
 matrices, explicit phase-frame voltage evaluation, quadrature co-energy,
 fixed-step RK4 integration of the voltage-fed windings, value-by-value
-CSV formatting.
+CSV formatting, CSV reading by ``np.loadtxt``.
 Deliberately redundant with the package so each side checks the other;
 nothing in this module calls package code.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -195,3 +196,32 @@ def csv_text(names, columns, stride=1):
     for row in zip(*(np.asarray(col)[::stride] for col in columns)):
         lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
     return "".join(lines)
+
+
+def loadtxt_outcome(path):
+    """What ``np.loadtxt`` reads of a CSV under the package's reader
+    contract: {column name: the bytes of its float64 values}, or the
+    reason it refuses the file.
+
+    The text is UTF-8, read with universal newlines; a byte-order mark
+    before the header is dropped; the header's names are neither blank
+    nor repeated; ``#`` is no comment; there is at least one data row,
+    every row has one cell per name and every cell is finite.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().removeprefix("\ufeff").strip()
+            names = header.split(",")
+            if (not header or not all(name.strip() for name in names)
+                    or len(set(names)) < len(names)):
+                return "header"
+            with warnings.catch_warnings():  # an empty body warns
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                                  comments=None)
+    except (UnicodeDecodeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if (not data.shape[0] or data.shape[1] != len(names)
+            or not np.isfinite(data).all()):
+        return "rows"
+    return {name: data[:, idx].tobytes() for idx, name in enumerate(names)}

@@ -199,16 +199,19 @@ class TestCsvInputOutput:
         with pytest.raises(InputError, match="column 2 is blank"):
             read_csv(path)
 
-    @pytest.mark.parametrize("body", ["0,2#junk\n1,3\n",
-                                      "# note\n0,2\n1,3\n",
-                                      "0,2\n#1,3\n"],
-                             ids=["cell", "row", "commented-row"])
-    def test_read_rejects_hash_instead_of_skipping_it(self, tmp_path, body):
+    @pytest.mark.parametrize("body, message", [
+        ("0,2#junk\n1,3\n", "column 'theta' holds '2#junk', not a number, "
+                            "at line 2"),
+        ("# note\n0,2\n1,3\n", "line 2 has no cell for column 'theta'"),
+        ("0,2\n#1,3\n", "column 't' holds '#1', not a number, at line 3"),
+    ], ids=["cell", "row", "commented-row"])
+    def test_read_rejects_hash_instead_of_skipping_it(self, tmp_path, body,
+                                                      message):
         # loadtxt's default comments="#" once read 2#junk as 2 and
         # skipped a row starting with #.
         path = tmp_path / "bad.csv"
         path.write_text("t,theta\n" + body)
-        with pytest.raises(InputError, match="could not convert string"):
+        with pytest.raises(InputError, match=message):
             read_csv(path)
 
     @pytest.mark.filterwarnings("error")
@@ -401,50 +404,68 @@ HARD_DOUBLES = (2.0**53, 1.0, 2.0**-1022, 2.0**1023, 0.0, 5e-324,
                 *TURNING_POINTS)
 HARD_TOKENS = ("9007199254740993", "2.4703282292062327e-324",
                "2.4703282292062328e-324", "1.7976931348623158e308")
-# The digest script's CSV rewrites, and those that leave the text in the
-# fast path's alphabet and row structure, every cell parsing.
+# The digest script's CSV rewrites, and those whose blocks are parsed
+# whole: every cell a finite number, once mapped onto write_csv's bytes.
 CSV_EDITS = runpy.run_path(str(Path(__file__).resolve().parent.parent
                                / "scripts" / "artifact_digests.py"))[
     "CSV_EDITS"]
-FAST_EDITS = ("csv:nan", "csv:inf", "csv:-0", "csv:+1", "csv:.5",
-              "csv:1e400", "csv:5e-324", "csv:nan-first-row")
+BLOCK_EDITS = ("csv:-0", "csv:+1", "csv:.5", "csv:1E5", "csv: 1",
+               "csv:5e-324", "csv:crlf", "csv:blank-line",
+               "csv:no-final-newline")
+
+
+def read_through_a_pipe(path, data):
+    """read_outcome of ``data`` fed to read_csv through a named pipe."""
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+            pipe.write(data)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_outcome(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestCsvReading:
-    """read_csv's fast path against np.loadtxt, the path any other text
-    takes: the same bits, or the same InputError."""
+    """read_csv against np.loadtxt (``oracles.loadtxt_outcome``): the same
+    bits, or both refuse."""
 
     @staticmethod
-    def check(path, monkeypatch, fast=True):
-        """read_csv's outcome on ``path``, once as it reads and once with
-        the fast path off, under main()'s errstate and with warnings as
-        errors. Requires them equal, and the fast path taken iff ``fast``
+    def check(path, monkeypatch, cells=False):
+        """read_csv's outcome on ``path``, once as it runs and once with
+        the float64 conversion (``_X87_LONG_DOUBLE`` off), under main()'s
+        errstate and with warnings as errors. Requires both to give one
+        outcome, loadtxt's bits where it accepts the file and a refusal
+        where it refuses it, and a block read cell by cell iff ``cells``
         (None: either way)."""
-        taken = []
+        read = []
 
         def spy(*args):
-            taken.append(True)  # stays True where the fast path raises
-            rows = original(*args)
-            taken[-1] = rows is not None
-            return rows
-        original = cli._read_rows
+            read.append(args)
+            return original(*args)
+        original = cli._cell_rows
         with monkeypatch.context() as patch, warnings.catch_warnings(), \
                 np.errstate(over="raise", invalid="raise", divide="raise"):
             warnings.simplefilter("error")
-            patch.setattr(cli, "_read_rows", spy)
+            patch.setattr(cli, "_cell_rows", spy)
             got = read_outcome(path)
-            fast_taken, taken[:] = any(taken), []
             patch.setattr(cli, "_X87_LONG_DOUBLE", False)
-            want = read_outcome(path)
-        assert got == want
-        assert not any(taken) and fast in (None, fast_taken)
+            assert read_outcome(path) == got
+        want = oracles.loadtxt_outcome(path)
+        assert got == want if isinstance(want, dict) else isinstance(got, str)
+        assert cells in (None, bool(read))
         return got
 
     def test_written_raw_bit_sweep(self, tmp_path, monkeypatch):
         values = raw_bits_sweep(50_000, 24)
         path = tmp_path / "sweep.csv"
         write_csv(values_series(values), path)
-        assert "holds a non-finite value" in self.check(path, monkeypatch)
+        assert "holds a non-finite value" in self.check(path, monkeypatch,
+                                                        cells=True)
         finite = values[np.isfinite(values)]
         write_csv(values_series(finite), path)
         got = self.check(path, monkeypatch)
@@ -469,7 +490,7 @@ class TestCsvReading:
         assert overflow
         for token in overflow[:5]:
             assert "non-finite" in self.check(
-                token_csv(tmp_path / "inf.csv", [token]), monkeypatch)
+                token_csv(tmp_path / "inf.csv", [token]), monkeypatch, None)
 
     def test_midpoints_and_their_neighbours(self, tmp_path, monkeypatch,
                                             rng):
@@ -483,7 +504,7 @@ class TestCsvReading:
             [float(token) for token in finite]).tobytes()
         for token in set(tokens) - set(finite):  # past the largest double
             assert "non-finite" in self.check(
-                token_csv(tmp_path / "inf.csv", [token]), monkeypatch)
+                token_csv(tmp_path / "inf.csv", [token]), monkeypatch, None)
 
     def test_random_text_of_the_alphabet(self, tmp_path, monkeypatch, rng):
         # strtold must accept no cell float() refuses.
@@ -494,7 +515,7 @@ class TestCsvReading:
             if rng.random() < 0.3:
                 cell = rng.choice(["nan", "inf", "-inf", "+nan"]) + cell[1:]
             got = self.check(token_csv(tmp_path / "cell.csv", [cell, "1"],
-                                       cols=2), monkeypatch, fast=None)
+                                       cols=2), monkeypatch, cells=None)
             accepted += isinstance(got, dict)
         assert accepted > 10
 
@@ -504,19 +525,46 @@ class TestCsvReading:
         write_csv(TimeSeries(np.arange(40.0), np.zeros(40), {
             "v_d": np.linspace(-1, 1, 40), "v_q": np.ones(40)}), path)
         path.write_bytes(CSV_EDITS[edit](path.read_bytes()))
-        self.check(path, monkeypatch, fast=edit in FAST_EDITS)
+        self.check(path, monkeypatch, cells=edit not in BLOCK_EDITS)
 
-    @pytest.mark.parametrize("body, fast", [
-        ("", True), ("1,2,3\n", True), ("1,2,3", False), ("\n1,2,3\n", False),
-        ("1,2,3\n\n", False), ("1,2\n3,4,5,6\n", False),
-        ("1,2,3\n4,5\n6,7,8,9\n", False), ("1,2,3,\n", False),
-        ("1,,3\n", False), ("1,2,3\r\n", False), ("1e5,2,3\n", True),
-        ("1 ,2,3\n", False), ("1,2,0x3\n", False), ("1,2,infinity\n", False),
+    @pytest.mark.parametrize("body, cells", [
+        ("", False), ("1,2,3\n", False), ("1,2,3", False),
+        ("\n1,2,3\n", False), ("1,2,3\n\n", False),
+        ("1,2\n3,4,5,6\n", True), ("1,2,3\n4,5\n6,7,8,9\n", True),
+        ("1,2,3,\n", True), ("1,2,\n", True), ("1,,3\n", True),
+        ("1,2,3\r\n", False), ("1,2\r3,4\r", True), ("1e5,2,3\n", False),
+        ("1E5,2.5E-3,3\n", False), ("1 ,2,3\n", False), ("1,2,3 \n", False),
+        ("\t1 ,\t2\t,  3\r\n", False), ("1,2,0x3\n", True),
+        ("1,2,infinity\n", True), ("NaN,1,2\n", True), ("1E5,-INF,3\n", True),
+        ("\xa0 1,2,3\n", True), ("\x0b1,2,\u20033\x0c\n", True),
+        ("1 2,2,3\n", True), ("1_0,2,3\n", True), ("\uff11,2,3\n", True),
+        ("\u0661,2,3\n", True), ("1,2,1d5\n", True), ("1,2,1e\n", True),
+        ("1,2,3\n \n4,5,6\n", True), ("1,2,3\n\t\n", True),
     ], ids=lambda x: repr(x))
-    def test_row_structure(self, tmp_path, monkeypatch, body, fast):
+    def test_row_structure(self, tmp_path, monkeypatch, body, cells):
+        path = tmp_path / "rows.csv"
+        path.write_text("a,b,c\n" + body, encoding="utf-8", newline="")
+        self.check(path, monkeypatch, cells=cells)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,3\n4,x,6\n", "column 'b' holds 'x', not a number, at line 3"),
+        ("1,2,3\n\n4, 1e ,6\n",
+         "column 'b' holds ' 1e ', not a number, at line 4"),
+        ("1,2,3\r\n\r\n4,5\r\n", "line 4 has no cell for column 'c'"),
+        ("1,2,3\r\r \r", "line 4 has no cell for column 'b'"),
+        ("1,2,3\n4,5,6,7\n", "line 3 has a cell past the last column 'c'"),
+        ("1,2,3\n4,nan,x\n",
+         "column 'b' holds a non-finite value at line 3"),
+    ], ids=lambda x: repr(x))
+    def test_fault_names_its_file_line_and_column(self, tmp_path,
+                                                  monkeypatch, body,
+                                                  message):
+        # Lines count from the header's 1, empty lines and CR line ends
+        # included; the first fault in the line comes first.
         path = tmp_path / "rows.csv"
         path.write_text("a,b,c\n" + body, newline="")
-        self.check(path, monkeypatch, fast=fast)
+        assert self.check(path, monkeypatch, cells=True) == (
+            f"{path}: {message}")
 
     def test_single_column(self, tmp_path, monkeypatch):
         path = tmp_path / "one.csv"
@@ -524,18 +572,24 @@ class TestCsvReading:
         assert self.check(path, monkeypatch)["t"] == np.array(
             [1.0, 2.0]).tobytes()
         path.write_text("t\n1\n\n2\n")
-        self.check(path, monkeypatch, fast=False)
+        self.check(path, monkeypatch)
+        path.write_text("t\n1\n \n2\n")
+        assert self.check(path, monkeypatch, cells=True).endswith(
+            "column 't' holds ' ', not a number, at line 3")
 
     @pytest.mark.parametrize("read_bytes", [40, 4096])
     def test_blocks_of_whole_lines(self, tmp_path, monkeypatch, read_bytes):
         # Short reads cut more rows across reads; a line longer than a
-        # read goes to loadtxt.
+        # read is read whole by a larger buffer.
         monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
         path = tmp_path / "series.csv"
         write_csv(awkward_series(300), path)
         rows = path.read_bytes().replace(b"nan", b"1").replace(b"inf", b"2")
         path.write_bytes(rows)
-        self.check(path, monkeypatch, fast=read_bytes > 100)
+        got = self.check(path, monkeypatch)
+        # No block ends between a CR and its LF.
+        path.write_bytes(rows.replace(b"\n", b"\r\n"))
+        assert self.check(path, monkeypatch) == got
 
     def test_header_only_file(self, tmp_path, monkeypatch):
         path = tmp_path / "header.csv"
@@ -564,8 +618,8 @@ class TestCsvReading:
 
     def test_non_finite_first_row_stops_at_the_first_block(
             self, tmp_path, monkeypatch):
-        # The fast path raises in the block that holds the cell; the
-        # blocks after it are never parsed.
+        # The read raises in the block that holds the cell; the blocks
+        # after it are never parsed.
         monkeypatch.setattr(cli, "_READ_BYTES", 4096)
         path = tmp_path / "series.csv"
         write_csv(small_series(2000), path)
@@ -574,9 +628,9 @@ class TestCsvReading:
         parsed, fromstring = [], np.fromstring
         monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: (
             parsed.append(args) or fromstring(*args, **kwargs)))
-        assert self.check(path, monkeypatch) == (
+        assert self.check(path, monkeypatch, cells=True) == (
             f"{path}: column 'v_a' holds a non-finite value at line 2")
-        assert len(parsed) == 1
+        assert len(parsed) == 2  # one block, in each conversion
 
     @pytest.mark.parametrize("read_bytes", [4096, cli._READ_BYTES])
     def test_first_non_finite_cell_in_file_order(self, tmp_path, monkeypatch,
@@ -586,23 +640,20 @@ class TestCsvReading:
         path = tmp_path / "two.csv"
         write_csv(small_series(2000), path)
         set_cells(path, {(1500, "i_a"): "nan", (5, "v_a"): "inf"})
-        assert self.check(path, monkeypatch) == (
+        assert self.check(path, monkeypatch, cells=True) == (
             f"{path}: column 'v_a' holds a non-finite value at line 5")
 
     def test_non_finite_cell_before_a_cell_that_does_not_parse(
             self, tmp_path, monkeypatch):
-        # The fast path stops at the nan, in the first block; loadtxt
-        # reads the whole file and refuses the x first.
+        # The read stops at the nan, in the first block, in both
+        # conversions; loadtxt reads the whole file and refuses the x.
         monkeypatch.setattr(cli, "_READ_BYTES", 4096)
         path = tmp_path / "nan-then-x.csv"
         write_csv(small_series(2000), path)
         set_cells(path, {(2, "v_a"): "nan", (1500, "i_a"): "x"})
-        assert read_outcome(path) == (
+        assert self.check(path, monkeypatch, cells=True) == (
             f"{path}: column 'v_a' holds a non-finite value at line 2")
-        monkeypatch.setattr(cli, "_X87_LONG_DOUBLE", False)
-        assert read_outcome(path) == (
-            f"{path}: could not convert string 'x' to float64 at row 1498, "
-            "column 3.")
+        assert "'x'" in oracles.loadtxt_outcome(path)
 
     @pytest.mark.parametrize("body, line", [
         ("1,2,3\n4,nan,6\n", 3), ("1,2,3\n\n\n4,nan,6\n", 5),
@@ -615,7 +666,7 @@ class TestCsvReading:
         # included, though loadtxt reads no row from an empty line.
         path = tmp_path / "rows.csv"
         path.write_text("a,b,c\n" + body, newline="")
-        assert self.check(path, monkeypatch, fast=None).endswith(
+        assert self.check(path, monkeypatch, cells=True).endswith(
             f"holds a non-finite value at line {line}")
 
     @pytest.mark.parametrize("text, message", [
@@ -630,10 +681,11 @@ class TestCsvReading:
     ], ids=["header", "body", "cut-sequence", "cut-at-the-end"])
     def test_decode_error_at_its_file_offset(self, tmp_path, monkeypatch,
                                              text, message):
-        # The text decoder counts from the start of its 8 KB chunk.
+        # Each block is decoded on its own, from its own file offset.
+        monkeypatch.setattr(cli, "_READ_BYTES", 4096)
         path = tmp_path / "bytes.csv"
         path.write_bytes(text)
-        assert self.check(path, monkeypatch, fast=False) == (
+        assert self.check(path, monkeypatch, cells=None) == (
             f"{path}: 'utf-8' codec can't decode {message}")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -644,23 +696,20 @@ class TestCsvReading:
     ], ids=["body", "cut-at-the-end"])
     def test_decode_error_in_a_pipe_at_its_file_offset(self, tmp_path, tail,
                                                       message):
-        # A pipe is read once, so the offset comes from the bytes read
-        # before the error, not from a second pass.
-        path = tmp_path / "pipe.csv"
-        os.mkfifo(path)
+        # A pipe is read into memory once, then read as a file is.
+        got = read_through_a_pipe(tmp_path / "pipe.csv",
+                                  b"t,v\n" + b"1,2\n" * 37_499 + tail)
+        assert got == f"{tmp_path / 'pipe.csv'}: 'utf-8' codec can't decode "\
+            f"{message}"
 
-        def feed():
-            with contextlib.suppress(BrokenPipeError), \
-                    open(path, "wb") as pipe:
-                pipe.write(b"t,v\n" + b"1,2\n" * 37_499 + tail)
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        try:
-            got = read_outcome(path)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert got == f"{path}: 'utf-8' codec can't decode {message}"
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_reads_the_bits_of_the_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(awkward_series(3000), path)
+        rows = path.read_bytes().replace(b"nan", b"1").replace(b"inf", b"2")
+        path.write_bytes(rows)
+        got = read_through_a_pipe(tmp_path / "pipe.csv", rows)
+        assert isinstance(got, dict) and got == read_outcome(path)
 
     def test_peak_memory_is_the_rows_and_one_block(self, tmp_path):
         path = tmp_path / "large.csv"
