@@ -219,10 +219,9 @@ def _blocks(source, pos):
 
 
 def _line_ends(data):
-    """The line ends in ``data``, a CRLF counted once."""
-    lone_crs = data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0
-    return lone_crs + np.count_nonzero(np.frombuffer(data, np.uint8)
-                                       == ord("\n"))
+    """The line ends in ``data``: its LFs and the CRs no LF follows."""
+    crs = len(re.findall(rb"\r(?!\n)", data)) if b"\r" in data else 0
+    return crs + np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n"))
 
 
 def _decoded(path, data, offset):
@@ -244,14 +243,15 @@ def _parse(block, cols):
     each line a row of ``cols`` cells ending in a newline, and every
     cell parses; else None. strtold parses into long double, whose cast
     to double is exact but where ``float()`` reads the cell again."""
+    if block.translate(None, _CSV_ALPHABET):
+        return None
     text = np.frombuffer(block, np.uint8)
     newlines = np.flatnonzero(text == ord("\n"))
     commas = np.flatnonzero(text == ord(","))
     # Each row's cols - 1 commas lie between its newlines.
     if (commas.size != newlines.size * (cols - 1)
             or (np.searchsorted(commas, newlines) != (cols - 1) * np.arange(
-                1, newlines.size + 1)).any()
-            or block.translate(None, _CSV_ALPHABET)):
+                1, newlines.size + 1)).any()):
         return None
     try:  # numpy >= 2.4 raises where a cell does not parse
         wide = np.fromstring(block.replace(b"\n", b","), np.longdouble
@@ -281,20 +281,20 @@ def _parse(block, cols):
 
 def _mapped(block):
     """``block`` with what else loadtxt reads mapped onto _CSV_ALPHABET:
-    CR and CRLF line ends, upper case, ``infinity``, blanks and tabs
-    around a cell, empty lines and a missing final newline."""
-    text = (block.replace(b"\r\n", b"\n").replace(b"\r", b"\n").lower()
-            .replace(b"infinity", b"inf") + b"\n")
+    CR and CRLF line ends, upper case, blanks and tabs around a cell,
+    empty lines and a missing final newline. (``infinity`` is not a
+    finite number, so a block that holds it is read cell by cell.)"""
+    text = block.replace(b"\r", b"\n").lower() + b"\n"
     if b" " in text or b"\t" in text:
         text = _BLANKS.sub(b"", text)
+    # A CRLF is now a line end and an empty line.
     return re.sub(rb"\n\n+", b"\n", text).lstrip(b"\n")
 
 
 def _cell_rows(path, names, block, offset, line):
     """``block``'s cells, one at a time, from file offset ``offset`` and
     file line ``line`` on. Raises InputError at its first fault: bytes
-    that are not UTF-8, else the first ragged line or cell that is not a
-    finite number."""
+    that are not UTF-8, else a ragged line or a cell no finite number."""
     values, text = [], _decoded(path, block, offset)
     for number, row in enumerate(re.split(r"\r\n?|\n", text), line):
         if not row:  # an empty line holds no row
@@ -311,10 +311,9 @@ def _cell_rows(path, names, block, offset, line):
                 with contextlib.suppress(ValueError):
                     value = float(text)
             if value is None or not math.isfinite(value):
-                what = (f"{cell!r}, not a number," if value is None
-                        else "a non-finite value")
-                raise InputError(f"{path}: column {name!r} holds {what} at "
-                                 f"line {number}")
+                raise InputError(f"{path}: column {name!r} holds " + (
+                    f"{cell!r}, not a number," if value is None
+                    else "a non-finite value") + f" at line {number}")
             values.append(value)
     return np.array(values)
 
@@ -322,23 +321,22 @@ def _cell_rows(path, names, block, offset, line):
 def _read_rows(path, source, pos, names):
     """The rows of ``source``'s lines from offset ``pos`` on, file line 2
     on, as a (rows, len(names)) array; raises at the first fault."""
-    # One row a line at most, and a last line may lack its line end.
-    cols = len(names)
-    out = np.empty((1 + sum(_line_ends(block)
-                            for _, block in _blocks(source, pos)), cols))
-    flat, done, line = out.reshape(-1), 0, 2
-    for offset, block in _blocks(source, pos):
+    # Each block's line ends; a row a line at most, and one more line.
+    cols, ends = len(names), [_line_ends(block)
+                              for _, block in _blocks(source, pos)]
+    out = np.empty((1 + sum(ends), cols))
+    flat, done = out.reshape(-1), 0
+    for index, (offset, block) in enumerate(_blocks(source, pos)):
         values = _parse(block, cols)
-        ends = _line_ends(block) if values is None else values.size // cols
         if values is None:  # other line ends, case or blanks, or a fault
             values = _parse(_mapped(block), cols)
         if values is None or not np.isfinite(values).all():
-            values = _cell_rows(path, names, block, offset, line)
+            values = _cell_rows(path, names, block, offset,
+                                2 + sum(ends[:index]))
         if done + values.size > flat.size:
             raise InputError(f"{path}: the file grew while it was read")
         flat[done:done + values.size] = values
         done += values.size
-        line += ends
     return out[:done // cols]
 
 
