@@ -205,17 +205,15 @@ def _blocks(source, pos):
     """(file offset, bytes) of ``source``'s whole lines from offset
     ``pos`` on, about _READ_BYTES at a time. The last block may end
     without a line end; no block ends between a CR and its LF."""
-    size = _READ_BYTES
-    source.seek(pos)
-    while data := source.read(size):
-        if len(data) == size:  # cut back to whole lines
-            data = data[:max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1]
-        if data:
-            yield pos, data
-            pos += len(data)
-        else:  # a line longer than the read
-            size *= 2
-        source.seek(pos)
+    buf = bytearray(_READ_BYTES)
+    while source.seek(pos) >= 0 and (size := source.readinto(buf)):
+        if size == len(buf):  # cut back to whole lines
+            size = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1
+        if size:
+            yield pos, bytes(memoryview(buf)[:size])
+            pos += size
+        else:  # a line longer than the buffer
+            buf = bytearray(2 * len(buf))
 
 
 def _line_ends(data):
@@ -280,7 +278,8 @@ def _parse(block, cols):
 
 
 def _mapped(block):
-    """``block`` with what else loadtxt reads mapped onto _CSV_ALPHABET:
+    """``block`` with the other text read_csv reads mapped onto
+    _CSV_ALPHABET:
     CR and CRLF line ends, upper case, blanks and tabs around a cell,
     empty lines and a missing final newline. (``infinity`` is not a
     finite number, so a block that holds it is read cell by cell.)"""
@@ -306,10 +305,10 @@ def _cell_rows(path, names, block, offset, line):
                 if len(row) < len(names)
                 else f"a cell past the last column {names[-1]!r}"))
         for name, cell in zip(names, row):
-            value, text = None, cell.strip()
-            if text.isascii() and "_" not in text:
+            value, bare = None, cell.strip()
+            if bare.isascii() and "_" not in bare:
                 with contextlib.suppress(ValueError):
-                    value = float(text)
+                    value = float(bare)
             if value is None or not math.isfinite(value):
                 raise InputError(f"{path}: column {name!r} holds " + (
                     f"{cell!r}, not a number," if value is None
@@ -343,12 +342,11 @@ def _read_rows(path, source, pos, names):
 def read_csv(path):
     """Read a write_csv file back as {column name: array}.
 
-    Reads UTF-8 text as ``np.loadtxt(..., delimiter=",",
-    comments=None)`` reads it with universal newlines, to the bit: a
-    cell is what ``float()`` reads of it, blanks around it dropped, in
-    ASCII without ``_``; an empty line holds no row; ``#`` is no
-    comment. A UTF-8 byte-order mark before the header is dropped. A
-    pipe is read into memory first. Blocks of whole lines are parsed
+    Reads UTF-8 text with LF, CRLF or CR line ends, a pipe once read
+    into memory as a file is. A cell is what ``float()`` reads of it, to
+    the bit, whitespace around it dropped, in ASCII without ``_``; an
+    empty line holds no row; ``#`` is no comment. A UTF-8 byte-order
+    mark before the header is dropped. Blocks of whole lines are parsed
     whole (``_parse``), once mapped onto write_csv's bytes if need be
     (``_mapped``), else a cell at a time (``_cell_rows``). The first
     fault raises InputError: text that is not UTF-8, by its file offset;
