@@ -206,7 +206,8 @@ def _blocks(source, pos):
     ``pos`` on, about _READ_BYTES at a time. The last block may end
     without a line end; no block ends between a CR and its LF."""
     buf = bytearray(_READ_BYTES)
-    while source.seek(pos) >= 0 and (size := source.readinto(buf)):
+    source.seek(pos)
+    while size := source.readinto(buf):
         if size == len(buf):  # cut back to whole lines
             size = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1
         if size:
@@ -214,6 +215,7 @@ def _blocks(source, pos):
             pos += size
         else:  # a line longer than the buffer
             buf = bytearray(2 * len(buf))
+        source.seek(pos)
 
 
 def _line_ends(data):
@@ -278,11 +280,10 @@ def _parse(block, cols):
 
 
 def _mapped(block):
-    """``block`` with the other text read_csv reads mapped onto
-    _CSV_ALPHABET:
-    CR and CRLF line ends, upper case, blanks and tabs around a cell,
-    empty lines and a missing final newline. (``infinity`` is not a
-    finite number, so a block that holds it is read cell by cell.)"""
+    """``block`` with CR and CRLF line ends, upper case, blanks and tabs
+    around a cell, empty lines and a missing final newline mapped onto
+    _CSV_ALPHABET. (``infinity`` is not a finite number, so a block that
+    holds it is read cell by cell.)"""
     text = block.replace(b"\r", b"\n").lower() + b"\n"
     if b" " in text or b"\t" in text:
         text = _BLANKS.sub(b"", text)
