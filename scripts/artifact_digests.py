@@ -10,7 +10,8 @@ unknown key in each section; with one of nine sections appended; and
 with one whole value set to each of 1e300, -1e300, 1e-300, 5e-324 and
 1e150. It also holds the sample-selection edges of each shipped text:
 [outputs] stride set to 2, 7 and 10**9, and [sim] duration set equal to
-its dt (a grid of 2 samples) and to 16384 times its dt (one simulation
+its dt (a grid of 2 samples), to 16384 times its dt (one simulation
+block plus one sample) and to 32768 times its dt (a late half of one
 block plus one sample). Last comes append:4:no-compare, the text
 of append:4 ([identify] source_csv = timeseries.csv) run as coeffs,
 simulate, identify: there identify reads the CSV simulate wrote, which
@@ -149,6 +150,8 @@ def corpus(text):
     yield "edge:duration=dt", with_key(lines, "sim", "duration", dt)
     yield "edge:duration=block", with_key(lines, "sim", "duration",
                                           repr(_BLOCK * float(dt)))
+    yield "edge:duration=2blocks", with_key(lines, "sim", "duration",
+                                            repr(2 * _BLOCK * float(dt)))
     yield "append:4:no-compare", text + "\n" + APPENDED[4]
     for variant in CSV_EDITS:
         yield variant, text + "\n" + APPENDED[4]

@@ -2,7 +2,7 @@
 
 Runs ``scripts/artifact_digests.py``'s runs for the shipped scenarios
 with their sample-selection edges (``edge:*``) and appended sections
-(``append:*``), then the CSV rewrites (``csv:*``) of one text: 483 lines,
+(``append:*``), then the CSV rewrites (``csv:*``) of one text: 511 lines,
 the subset of the script's full corpus that covers every job's success
 path, the selection edges and what ``read_csv`` accepts and refuses. It
 requires them equal to ``artifact_digests.txt`` beside this file. A
@@ -55,7 +55,7 @@ def test_artifacts_match_the_reference_digests():
     expected = REFERENCE.read_text(encoding="utf-8").splitlines()
     actual = gate_lines()
     changed = [(old, new) for old, new in zip(expected, actual) if old != new]
-    assert len(actual) == len(expected) == 483
+    assert len(actual) == len(expected) == 511
     assert changed == [], (f"{len(changed)} digest lines differ "
                            f"(numpy {np.__version__}); first: {changed[0]}")
 

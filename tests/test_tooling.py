@@ -143,7 +143,9 @@ def test_artifact_digests_repeat(capsys):
     path.name for path in (ROOT / "scenarios").glob("*.ini")))
 def test_artifact_digest_corpus_holds_the_selection_edges(tmp_path, name):
     # Each shipped text, with or without [sim] and [outputs], gets each
-    # edge stride and a duration of one step.
+    # edge stride and a duration of one step, of one block of steps and of
+    # two: grids of 2, one block plus one and two blocks plus one samples,
+    # the last a late half of one block plus one sample.
     script = runpy.run_path(str(ROOT / "scripts" / "artifact_digests.py"))
     text = (ROOT / "scenarios" / name).read_text(encoding="utf-8")
     variants = dict(script["corpus"](text))
@@ -151,9 +153,13 @@ def test_artifact_digest_corpus_holds_the_selection_edges(tmp_path, name):
     for stride in (2, 7, 10**9):
         path.write_text(variants[f"edge:stride={stride}"])
         assert parse_scenario(path).stride == stride
-    path.write_text(variants["edge:duration=dt"])
     shipped = parse_scenario(ROOT / "scenarios" / name).sim
-    assert parse_scenario(path).sim == SimConfig(shipped.dt, shipped.dt)
+    for edge, steps in (("dt", 1), ("block", refsim._BLOCK),
+                        ("2blocks", 2 * refsim._BLOCK)):
+        path.write_text(variants[f"edge:duration={edge}"])
+        sim = parse_scenario(path).sim
+        assert sim == SimConfig(shipped.dt, steps * shipped.dt)
+        assert refsim._grid_size(sim) == steps + 1
 
 
 def test_artifact_digest_identify_reads_the_simulated_csv():
