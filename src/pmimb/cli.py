@@ -37,8 +37,8 @@ from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import (TimeSeries, _grid_size, _sample_grid, run_current_fed,
-                     run_voltage_fed)
+from .refsim import (TimeSeries, _current_fed_plan, _grid_size,
+                     _voltage_fed_plan, run_current_fed, run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
 # Rows formatted per write: large enough that the per-block numpy calls
@@ -417,6 +417,19 @@ def _simulate(scenario: Scenario, channels, samples=slice(None)):
                            channels=channels, samples=samples)
 
 
+def _plan(scenario: Scenario, channels):
+    """The scenario's grid indices and an evaluator of any range of them,
+    computing only ``channels``: the drive checks and the setup run here,
+    once."""
+    if scenario.mode == "voltage-fed":
+        return _voltage_fed_plan(scenario.machine,
+                                 (scenario.v_d, scenario.v_q),
+                                 scenario.omega_e, scenario.sim, channels)
+    return _current_fed_plan(scenario.machine, (scenario.i_d, scenario.i_q),
+                             scenario.omega_e, scenario.sim, scenario.i_0,
+                             channels)
+
+
 def _job_coeffs(scenario: Scenario, out_dir: Path):
     return _coefficient_entries(scenario), []
 
@@ -424,66 +437,67 @@ def _job_coeffs(scenario: Scenario, out_dir: Path):
 def _job_simulate(scenario: Scenario, out_dir: Path):
     """Simulate only the samples the job reads, each bit for bit the full
     run's: the CSV's channels (checked against the mode at parse time) on
-    every stride-th sample. The summary's means are of the late half of
-    its channels. A CSV of every sample and every summary channel holds
-    them; otherwise they are simulated first, reduced to their means and
-    dropped. Either way a grid too large to allocate fails before any
-    file is written."""
+    every stride-th sample, first, so a grid too large to allocate fails
+    before anything else runs. The summary's means are of the late half of
+    its channels, summed ``_BLOCK`` samples at a time as ``_comparison``
+    sums: each block by np.sum, then the block sums by np.sum. A CSV of
+    every sample and every summary channel holds the late half, so its
+    blocks are summed; otherwise one plan evaluates the blocks one at a
+    time, and no grid-length array exists for the summary."""
     n = _grid_size(scenario.sim)
-    whole = scenario.stride == 1 and (
-        scenario.channels is None  # every channel of the mode
-        or set(_SUMMARY_CHANNELS) <= set(scenario.channels))
-    if not whole:
-        late = _simulate(scenario, _SUMMARY_CHANNELS, slice(n // 2, None))
-        t_end = late.t[-1]
-        means = [np.mean(late.channels[name]) for name in _SUMMARY_CHANNELS]
-        del late
     ts = _simulate(scenario, scenario.channels,
                    slice(0, None, scenario.stride))
-    if whole:
-        t_end = ts.t[-1]
-        means = [np.mean(ts.channels[name][n // 2:])
-                 for name in _SUMMARY_CHANNELS]
+    if scenario.stride == 1 and (
+            scenario.channels is None  # every channel of the mode
+            or set(_SUMMARY_CHANNELS) <= set(scenario.channels)):
+        blocks = ({name: ts.channels[name][start:start + _BLOCK]
+                   for name in _SUMMARY_CHANNELS}
+                  for start in range(n // 2, n, _BLOCK))
+    else:
+        grid, evaluate = _plan(scenario, _SUMMARY_CHANNELS)
+        blocks = (evaluate(grid[start:start + _BLOCK])[2]
+                  for start in range(n // 2, n, _BLOCK))
+    sums = [[np.sum(block[name]) for name in _SUMMARY_CHANNELS]
+            for block in blocks]
     csv_path = out_dir / scenario.csv_name
     write_csv(ts, csv_path)
     entries = [
         ("simulate.mode", scenario.mode),
         ("simulate.samples", str(n)),
-        ("simulate.t_end", _fmt(t_end)),
+        # The grid's last time, as every run computes it.
+        ("simulate.t_end", _fmt((n - 1) * scenario.sim.dt)),
         ("simulate.csv", csv_path.name),
     ]
-    entries += [(f"simulate.mean_{name}", _fmt(mean))
-                for name, mean in zip(_SUMMARY_CHANNELS, means)]
+    entries += [(f"simulate.mean_{name}", _fmt(np.sum(column) / (n - n // 2)))
+                for name, column in zip(_SUMMARY_CHANNELS, zip(*sums))]
     return entries, [csv_path]
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
     """Compare the closed form with the simulated v_d, v_q a block of
-    ``_BLOCK`` samples at a time. Each block is simulated, bit for bit the
-    full run's, and modelled; its errors are folded as
-    ``compare_waveforms`` folds them, and the rows the CSV keeps, every
-    stride-th sample, are copied out. So the job holds those rows plus
-    one block's working set. The CSV is written after the last block, so
-    a block that fails leaves none."""
-    n, stride = _grid_size(scenario.sim), scenario.stride
-    # The kept rows' times and angles, bit for bit the grid's. A step too
-    # coarse for the speed is refused here, before any block runs.
-    t, theta = _sample_grid(scenario.sim, scenario.omega_e,
-                            range(0, n, stride))
-    out = {name: np.empty(t.size) for name in
-           ("v_d_sim", "v_q_sim", "v_d_model", "v_q_model")}
+    ``_BLOCK`` samples at a time, all through one plan. Each block is
+    evaluated, bit for bit the full run's, and modelled; its errors are
+    folded as ``compare_waveforms`` folds them, and the rows the CSV keeps,
+    every stride-th sample, are copied out. So the job holds those rows
+    plus one block's working set. The CSV is written after the last
+    block, so a block that fails leaves none."""
+    # A step too coarse for the speed is refused here, before any block.
+    grid, evaluate = _plan(scenario, _VOLTAGES_DQ)
+    stride = scenario.stride
+    out = {name: np.empty(len(grid[::stride])) for name in
+           ("t", "theta", "v_d_sim", "v_q_sim", "v_d_model", "v_q_model")}
     drive = (scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0)
     sums = {"v_d": [], "v_q": []}
-    for start in range(0, n, _BLOCK):
-        ts = _simulate(scenario, _VOLTAGES_DQ, slice(start, start + _BLOCK))
-        sim = ts.channels["v_d"], ts.channels["v_q"]
+    for start in range(0, len(grid), _BLOCK):
+        t, theta, sim = evaluate(grid[start:start + _BLOCK])
         model = closed_form_dq(scenario.machine,
-                               OperatingPoint(ts.theta, *drive))
-        for axis_sums, a, b in zip(sums.values(), sim, model):
+                               OperatingPoint(theta, *drive))
+        for axis_sums, a, b in zip(sums.values(), sim.values(), model):
             axis_sums.append(_error_sums(a, b))
         # The block's first kept sample and its row in the CSV.
         first, row = -start % stride, -(-start // stride)
-        for column, values in zip(out.values(), (*sim, *model)):
+        for column, values in zip(out.values(),
+                                  (t, theta, *sim.values(), *model)):
             kept = values[first::stride]
             column[row:row + kept.size] = kept
     entries = [(f"compare.{axis}.{key}",
@@ -492,7 +506,7 @@ def _job_compare(scenario: Scenario, out_dir: Path):
                for key, value in vars(_comparison(axis_sums)).items()]
 
     csv_path = out_dir / scenario.csv_name
-    write_csv(TimeSeries(t, theta, out), csv_path)
+    write_csv(TimeSeries(out.pop("t"), out.pop("theta"), out), csv_path)
     return entries + _coefficient_entries(scenario), [csv_path]
 
 

@@ -6,11 +6,15 @@ basis for the closed-form models). Voltage-fed evaluates the exact
 solution of the winding ODE under constant rotor-frame voltage commands
 and an isolated star point, checked against fixed-step RK4 in
 tests/oracles.py; ``steady_state_currents`` gives its exact dq steady state.
-Both run a block of samples at a time: memory is the kept channels plus a
-fixed block working set. Both are closed form per sample, so either can
-evaluate any slice of its grid alone, bit for bit as the full run does:
-a caller that reads only some samples (every n-th row, the late half)
-pays only for those.
+Each runner is a private plan, made once per run, and ``_blocked``. The
+plan checks the drive, the channel names and the selection, does the
+run's setup and returns an evaluator of any range of grid indices; every
+sample is closed form, so a range evaluated alone is bit for bit the full
+run's there. The runners fill their arrays a block of samples at a time,
+so memory is the kept channels plus a fixed block working set; a caller
+that only reduces the samples (the simulate summary's late-half means,
+the compare job's errors) walks the evaluator block by block and holds
+no grid-length array.
 """
 
 from __future__ import annotations
@@ -46,10 +50,13 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if not (np.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError("duration must be at least one step")
-        # The sample times are one float array; numpy caps its bytes.
-        if not self.duration / self.dt < np.iinfo(np.intp).max // 8 - 1:
-            raise ConfigError("duration / dt gives more samples than an "
-                              "array can hold")
+        # Past 2**53 samples, index * dt repeats sample times. A count
+        # past 2**64 is named to three digits, or as inf.
+        steps = self.duration / self.dt
+        if not steps < 2**53:
+            count = round(steps) + 1 if steps < 2**64 else f"{steps:.3g}"
+            raise ConfigError(f"duration / dt gives {count} grid samples, "
+                              f"more than 2**53")
 
 
 @dataclass
@@ -122,10 +129,8 @@ def _grid_indices(cfg: SimConfig, samples):
     return index
 
 
-def _sample_grid(cfg: SimConfig, omega_e, index):
-    """Times and angles of the grid samples at ``index``, refusing a step
-    too coarse for the speed. Each value is bit for bit the full grid's:
-    its integer index times dt."""
+def _check_step(cfg: SimConfig, omega_e):
+    """Refuse a step too coarse for the speed."""
     if omega_e != 0.0:
         period = 2.0 * math.pi / abs(omega_e)
         if cfg.dt > period / MIN_STEPS_PER_PERIOD:
@@ -133,8 +138,24 @@ def _sample_grid(cfg: SimConfig, omega_e, index):
                 f"dt = {cfg.dt:g} s exceeds 1/{MIN_STEPS_PER_PERIOD} of the "
                 f"electrical period {period:g} s"
             )
-    t = np.arange(index.start, index.stop, index.step) * cfg.dt
-    return t, omega_e * t
+
+
+def _evaluator(cfg: SimConfig, omega_e, block):
+    """An evaluator of any range of grid indices: it returns their times,
+    angles and ``block(t, theta)``'s {name: values}, each bit for bit the
+    full grid's. A time is its integer index times dt. A lone sample's
+    matrix product rounds apart from the same sample's in a block, so a
+    lone sample i runs as the pair [i, i], first kept."""
+    def evaluate(index):
+        size = len(index)
+        # Whole numbers below 2**53, so each is its index exactly.
+        t = np.arange(index.start, index.stop, index.step, dtype=float)
+        t = t.repeat(2) if size == 1 else t
+        t *= cfg.dt
+        theta = omega_e * t
+        return t[:size], theta[:size], {
+            name: values[:size] for name, values in block(t, theta).items()}
+    return evaluate
 
 
 def _steady_phasor(params: MachineParameters, v_d, v_q, omega_e):
@@ -194,21 +215,25 @@ def _assemble(params, basis, names, i_abc, v_abc, **more):
         channels.update(zip(_DQ0_V, park_forward(v_abc, basis)))
     if "t_e" in names:
         channels["t_e"] = torque_abc(params, i_abc, basis)
-    return [channels[name] for name in names]
+    return {name: channels[name] for name in names}
 
 
-def _blocked(size, names, block):
-    """One array of ``size`` samples per name, filled from the values that
-    ``block(part)`` gives, in name order, on each block of positions ``part``.
-    A lone sample's matrix product rounds apart from the same sample's in a
-    block, so a block of one sample i runs as the pair [i, i], first kept."""
-    out = {name: np.empty(size) for name in names}
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        part = slice(start, stop) if stop - start > 1 else [start, start]
-        for array, values in zip(out.values(), block(part)):
-            array[start:stop] = values[:stop - start]
-    return out
+def _blocked(index, evaluate):
+    """The TimeSeries of the grid indices ``index``, its arrays filled from
+    ``evaluate`` a block of ``_BLOCK`` indices at a time."""
+    arrays = None
+    for start in range(0, len(index), _BLOCK):
+        part = slice(start, start + _BLOCK)
+        t, theta, channels = evaluate(index[part])
+        if arrays is None:  # once the names are known
+            names = list(channels)
+            arrays = [np.empty(len(index)) for _ in range(2 + len(names))]
+        for array, values in zip(arrays, (t, theta, *channels.values())):
+            array[part] = values
+        # Freed before the next block is evaluated, not after.
+        del t, theta, channels, values
+    t, theta, *columns = arrays
+    return TimeSeries(t, theta, dict(zip(names, columns)))
 
 
 def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
@@ -254,13 +279,22 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         currents are imposed, so no integration is involved.
 
     """
+    return _blocked(*_current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0,
+                                       channels, samples))
+
+
+def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
+                      samples=slice(None)):
+    """``run_current_fed``'s checks, in its order, then the grid indices
+    ``samples`` selects and an evaluator of any range of grid indices."""
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
     names = _names(channels, CURRENT_FED_CHANNELS)
-    t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
+    index = _grid_indices(cfg, samples)
+    _check_step(cfg, omega_e)
 
-    def block(part):
-        basis = _phase_basis(theta[part])
+    def block(t, theta):
+        basis = _phase_basis(theta)
         i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
         v_abc = None
         if _needs(names, _PHASE_V, _DQ0_V):
@@ -270,7 +304,7 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
                 (omega_e * i_q, -omega_e * i_d, 0.0), basis))
             v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         return _assemble(params, basis, names, i_abc, v_abc)
-    return TimeSeries(t, theta, _blocked(t.size, names, block))
+    return index, _evaluator(cfg, omega_e, block)
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
@@ -331,10 +365,20 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     1e300 beside 0.1), ``InputError`` is raised.
 
     """
+    return _blocked(*_voltage_fed_plan(params, v_dq_cmd, omega_e, cfg,
+                                       channels, samples))
+
+
+def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
+                      samples=slice(None)):
+    """``run_voltage_fed``'s checks, in its order, and its setup, then the
+    grid indices ``samples`` selects and an evaluator of any range of grid
+    indices."""
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
     names = _names(channels, VOLTAGE_FED_CHANNELS)
-    t, theta = _sample_grid(cfg, omega_e, _grid_indices(cfg, samples))
+    index = _grid_indices(cfg, samples)
+    _check_step(cfg, omega_e)
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
     chol = np.linalg.cholesky(l_red)
@@ -345,9 +389,9 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
     start = -(q.T @ chol.T @ x_ss.real)
     x_re, x_im = x_ss.real[:, None], x_ss.imag[:, None]
 
-    def block(part):
-        basis = _phase_basis(theta[part])
-        decay = start[:, None] * np.exp(-rates[:, None] * t[part])
+    def block(t, theta):
+        basis = _phase_basis(theta)
+        decay = start[:, None] * np.exp(-rates[:, None] * t)
         # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
         i_ab = x_re * basis.cos[0] - x_im * basis.sin[0] + modes @ decay
         i_abc = np.vstack([i_ab, -i_ab[0] - i_ab[1]])
@@ -359,7 +403,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         v_n = np.mean(park_inverse((v_d, v_q, 0.0), basis) - v_abc, axis=0)
         return _assemble(params, basis, names, i_abc, v_abc, v_n=v_n)
-    return TimeSeries(t, theta, _blocked(t.size, names, block))
+    return index, _evaluator(cfg, omega_e, block)
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

@@ -20,6 +20,7 @@ import oracles
 from pmimb import ConfigError, InputError, TimeSeries, cli, parse_scenario
 from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
                        write_csv)
+from pmimb.harmonics import _BLOCK
 from pmimb.imbalance import _FAMILIES
 from pmimb.refsim import VOLTAGE_FED_CHANNELS
 
@@ -842,21 +843,36 @@ class TestSimulateJob:
         data = read_csv(out / "timeseries.csv")
         assert data["t"].size == math.ceil(3001 / 5)
 
-    @pytest.mark.parametrize("outputs, runs", [
-        ("", 1), ("channels = t_e, v_d, i_q, i_d\n", 1),
-        ("channels = i_d, i_q\n", 2), ("stride = 2\n", 2),
+    @pytest.mark.parametrize("outputs, plans", [
+        ("", 0), ("channels = t_e, v_d, i_q, i_d\n", 0),
+        ("channels = i_d, i_q\n", 1), ("stride = 2\n", 1),
     ])
     def test_late_half_is_simulated_once(self, tmp_path, monkeypatch,
-                                         outputs, runs):
+                                         outputs, plans):
         # A CSV of every sample and every summary channel holds the late
-        # half, so the summary's means come from it.
-        calls, simulate = [], cli._simulate
+        # half, so the summary's means come from it. Otherwise one plan
+        # evaluates each late sample once, a block at a time: blocks of 512
+        # make the 1501 late samples of the 3001-sample grid three blocks.
+        simulated, planned, evaluated = [], [], []
+        simulate, plan = cli._simulate, cli._plan
+
+        def counted_plan(scenario, channels):
+            planned.append(channels)
+            grid, evaluate = plan(scenario, channels)
+            return grid, lambda index: (evaluated.append(index)
+                                        or evaluate(index))
         monkeypatch.setattr(cli, "_simulate", lambda *args: (
-            calls.append(args) or simulate(*args)))
+            simulated.append(args) or simulate(*args)))
+        monkeypatch.setattr(cli, "_plan", counted_plan)
+        monkeypatch.setattr(cli, "_BLOCK", 512)
         text = MACHINE + OP_SIM + "[outputs]\n" + outputs
         assert main(["simulate", "--scenario", write_scenario(
             tmp_path, text), "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == runs
+        assert len(simulated) == 1
+        assert planned == [("i_d", "i_q", "t_e")] * plans
+        assert [len(index) for index in evaluated] == [512, 512, 477] * plans
+        assert [i for index in evaluated for i in index] == list(
+            range(1500, 3001)) * plans
 
     def test_repeated_channel_exits_2(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + "[outputs]\nchannels = v_d, v_d, i_a\n"
@@ -887,7 +903,7 @@ class TestSimulateJob:
                                                          capsys):
         # A grid too large to allocate must not hide the channel error,
         # which the parse reports before any job runs.
-        text = MACHINE + ("[sim]\ndt = 1\nduration = 1e17\n"
+        text = MACHINE + (f"[sim]\ndt = 1\nduration = {2**52 - 1}\n"
                           "[outputs]\nchannels = v_n\n")
         rc = main(["simulate", "--scenario", write_scenario(tmp_path, text),
                    "--out", str(tmp_path / "out")])
@@ -1496,14 +1512,23 @@ def test_channel_selection_leaves_every_artifact_unchanged(
     # same bytes, messages and exit codes.
     shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
                             capsys)
-    simulate = cli._simulate
+    simulate, plan = cli._simulate, cli._plan
 
     def every_channel(scenario, channels, samples=slice(None)):
         ts = simulate(scenario, None, samples)
         return TimeSeries(ts.t, ts.theta, {
             name: ts.channels[name]
             for name in (ts.channels if channels is None else channels)})
+
+    def every_channel_plan(scenario, channels):
+        grid, evaluate = plan(scenario, None)
+
+        def run(index):
+            t, theta, values = evaluate(index)
+            return t, theta, {name: values[name] for name in channels}
+        return grid, run
     monkeypatch.setattr(cli, "_simulate", every_channel)
+    monkeypatch.setattr(cli, "_plan", every_channel_plan)
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
 
@@ -1517,6 +1542,21 @@ def full_grid_then_slice(simulate):
     return run
 
 
+def full_grid_plan(simulate, plan):
+    """``_plan`` whose evaluator evaluates every grid sample through
+    ``simulate``, then selects the range."""
+    def make(scenario, channels):
+        grid, _ = plan(scenario, channels)
+
+        def run(index):
+            ts = simulate(scenario, channels)
+            pick = slice(index.start, index.stop, index.step)
+            return ts.t[pick], ts.theta[pick], {
+                name: data[pick] for name, data in ts.channels.items()}
+        return grid, run
+    return make
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
 def test_sample_selection_leaves_every_artifact_unchanged(
         tmp_path, monkeypatch, capsys, scenario):
@@ -1525,6 +1565,8 @@ def test_sample_selection_leaves_every_artifact_unchanged(
     # codes.
     shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
                             capsys)
+    monkeypatch.setattr(cli, "_plan", full_grid_plan(cli._simulate,
+                                                     cli._plan))
     monkeypatch.setattr(cli, "_simulate", full_grid_then_slice(cli._simulate))
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
@@ -1576,6 +1618,46 @@ def test_simulate_selection_edges_match_the_full_run(
     for name in ("i_d", "i_q", "t_e"):
         assert summary[f"simulate.mean_{name}"] == repr(
             float(np.mean(full.channels[name][n // 2:])))
+
+
+def block_fold_mean(values):
+    """The mean of ``values`` summed a block of ``_BLOCK`` at a time: each
+    block by np.sum, then the block sums by np.sum."""
+    return np.sum([np.sum(values[start:start + _BLOCK])
+                   for start in range(0, values.size, _BLOCK)]) / values.size
+
+
+# Late halves of one sample, one block, one block and a lone sample, and
+# three blocks and a part of one.
+@pytest.mark.parametrize("late", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
+                         ids=["one", "block", "block-and-one", "three-blocks"])
+@pytest.mark.parametrize("outputs", [
+    "channels = t_e, i_q, i_d\n", "channels = i_q, v_a\nstride = 7\n",
+], ids=["stride-1", "strided-two"])
+@pytest.mark.parametrize("mode", DRIVES)
+def test_simulate_means_are_the_block_fold_of_the_late_half(
+        tmp_path, mode, outputs, late):
+    # A CSV of every sample holds the late half's columns, which the job
+    # folds; a strided CSV of two channels leaves the late half to a plan.
+    # Both fold the same blocks of the same bits.
+    n = 2 * late
+    text = MACHINE + DRIVES[mode] + (
+        f"\n[sim]\nmode = {mode}\ndt = 1e-5\nduration = {(n - 1) * 1e-5!r}\n"
+        f"\n[outputs]\n{outputs}")
+    scenario = parse_scenario(write_scenario(tmp_path, text))
+    summary = read_summary(run_scenario(scenario, "simulate",
+                                        tmp_path / "out")[-1])
+    full = cli._simulate(scenario, ("i_d", "i_q", "t_e"))
+    assert summary["simulate.samples"] == str(full.t.size) == str(n)
+    assert summary["simulate.t_end"] == repr(float(full.t[-1]))
+    for name in ("i_d", "i_q", "t_e"):
+        values = full.channels[name][n // 2:]
+        assert values.size == late
+        assert summary[f"simulate.mean_{name}"] == repr(
+            float(block_fold_mean(values)))
+        if late <= _BLOCK:
+            assert summary[f"simulate.mean_{name}"] == repr(
+                float(np.mean(values)))
 
 
 CORRUPT_CELLS = ("", "x", "nan", "inf", "1e", "--1")
@@ -1851,10 +1933,10 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
 
 
 def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
-    # 1e17 samples pass the intp guard, but their 711 PiB exceed any
-    # address space, so the allocation fails at once.
+    # 2**52 samples pass the 2**53 refusal, but their 32 PiB a column
+    # exceed any address space, so the allocation fails at once.
     scenario = tmp_path / "scenario.ini"
-    scenario.write_text(MACHINE + "[sim]\ndt = 1\nduration = 1e17\n")
+    scenario.write_text(MACHINE + f"[sim]\ndt = 1\nduration = {2**52 - 1}\n")
     assert main(["simulate", "--scenario", str(scenario),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -1863,16 +1945,19 @@ def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_unallocatable_grid_fails_before_a_tiny_csv_selection(tmp_path,
-                                                               capsys):
-    # Every 1e17th sample is a CSV of 2 rows; the summary's late half is
-    # evaluated first, fails to allocate, and nothing is written.
+def test_grid_past_2_53_samples_is_refused(tmp_path, capsys, monkeypatch):
+    # Every 1e17th sample is a CSV of 2 rows, and the summary's late half
+    # is folded a block at a time, so nothing else would stop the run
+    # before it was killed; past 2**53 samples, i * dt repeats times.
+    monkeypatch.setattr(cli, "_plan", None)
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(MACHINE + "[sim]\ndt = 1\nduration = 1e17\n"
                         "[outputs]\nstride = 100000000000000000\n")
     assert main(["simulate", "--scenario", str(scenario),
-                 "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith("error: out of memory: ")
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: sim: duration / dt gives 100000000000000001 grid samples, "
+        "more than 2**53\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1923,6 +2008,7 @@ def test_failed_job_removes_only_the_directories_it_made(
 def test_output_naming_a_directory_exits_2_before_the_job(
         tmp_path, capsys, monkeypatch, job, key, name):
     monkeypatch.setattr(cli, "_simulate", None)
+    monkeypatch.setattr(cli, "_plan", None)
     out = tmp_path / "out"
     if name == "sub":
         (out / "sub").mkdir(parents=True)
@@ -1944,6 +2030,7 @@ def test_output_naming_a_directory_exits_2_before_the_job(
 def test_output_in_a_missing_directory_exits_2_before_the_job(
         tmp_path, capsys, monkeypatch, job, key):
     monkeypatch.setattr(cli, "_simulate", None)
+    monkeypatch.setattr(cli, "_plan", None)
     name = "nosuch/deeper/out.txt"
     text = MACHINE + OP_SIM + f"\n[outputs]\n{key} = {name}\n"
     rc = main([job, "--scenario", write_scenario(tmp_path, text),

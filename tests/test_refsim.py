@@ -92,17 +92,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-3, duration=1e-4)
 
-    # Each duration / dt is refused before np.arange is asked for the grid.
-    @pytest.mark.parametrize("dt, duration", [
-        (5e-324, 0.05),   # duration / dt overflows to inf
-        (1e-300, 0.05),
-        (1e-6, 1e300),
-        (1.0, 2.0 ** 61),  # finite, but 8-byte samples overflow the size
+    # Past 2**53 samples i * dt repeats sample times (2**53 + 1 converts
+    # to 2**53), so each grid is refused, naming its count: exactly below
+    # 2**64, else to three digits.
+    @pytest.mark.parametrize("dt, duration, count", [
+        (5e-324, 0.05, "inf"),   # duration / dt overflows to inf
+        (1e-300, 0.05, "5e+298"),
+        (1e-6, 1e300, "1e+306"),
+        (1.0, 2.0 ** 64, "1.84e+19"),
+        (1.0, 2.0 ** 64 - 2048, 2**64 - 2047),
+        (1.0, 2.0 ** 61, 2**61 + 1),
+        (1.0, 2.0 ** 53, 2**53 + 1),
     ])
-    def test_rejects_a_grid_numpy_cannot_build(self, dt, duration):
-        with pytest.raises(ConfigError, match=r"^duration / dt gives more "
-                                              "samples than an array can hold$"):
+    def test_rejects_a_grid_numpy_cannot_build(self, dt, duration, count):
+        with pytest.raises(ConfigError) as excinfo:
             SimConfig(dt=dt, duration=duration)
+        assert str(excinfo.value) == (f"duration / dt gives {count} grid "
+                                      f"samples, more than 2**53")
+
+    def test_largest_grid_is_2_53_samples(self):
+        cfg = SimConfig(dt=1.0, duration=2.0**53 - 1)
+        assert refsim._grid_size(cfg) == 2**53
 
     def test_resolution_guard(self, nominal):
         p = make_machine(nominal)
@@ -119,8 +129,8 @@ class TestConfigValidation:
     ])
     def test_current_fed_rejects_non_finite_drive(self, nominal, monkeypatch,
                                                   name, drive):
-        # The check comes before the sample grid is built.
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        # The check comes before the step check and the sample grid.
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         args = dict(i_dq_cmd=(0.0, 1.0), omega_e=100.0, i_0=0.0) | drive
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             run_current_fed(make_machine(nominal), cfg=SimConfig(), **args)
@@ -133,7 +143,7 @@ class TestConfigValidation:
     ])
     def test_voltage_fed_rejects_non_finite_drive(self, nominal, monkeypatch,
                                                   name, drive):
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         args = dict(v_dq_cmd=(0.0, 1.0), omega_e=100.0) | drive
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             run_voltage_fed(make_machine(nominal),
@@ -513,7 +523,7 @@ class TestChannelSelection:
     ])
     def test_unavailable_channel_refused_before_the_grid(
             self, nominal, monkeypatch, mode, channels, available):
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         with pytest.raises(ConfigError) as excinfo:
             simulate(nominal, mode, channels)
         bad = channels[-1]
@@ -529,7 +539,7 @@ class TestChannelSelection:
     @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
     def test_repeated_channel_refused_before_the_grid(
             self, nominal, monkeypatch, mode, channels, message):
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         with pytest.raises(ConfigError) as excinfo:
             simulate(nominal, mode, channels)
         assert str(excinfo.value).startswith(message)
@@ -538,7 +548,7 @@ class TestChannelSelection:
     def test_bare_string_refused_before_the_grid(self, nominal, monkeypatch,
                                                  mode):
         # Read one character at a time, 't_e' would ask for channel 't'.
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         with pytest.raises(ConfigError, match=r"^channels must be a "
                                               "collection of names, not the "
                                               "string 't_e'$"):
@@ -649,7 +659,7 @@ class TestSampleSelection:
     @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
     def test_invalid_selection_refused_before_the_grid(
             self, nominal, monkeypatch, mode, samples, message):
-        monkeypatch.setattr("pmimb.refsim._sample_grid", None)
+        monkeypatch.setattr("pmimb.refsim._check_step", None)
         with pytest.raises(ConfigError) as excinfo:
             simulate(nominal, mode, None, samples)
         assert str(excinfo.value) == message
@@ -676,6 +686,60 @@ class TestSampleSelection:
             samples = slice(index, index + 1)
             assert_selection_is_the_full_run(
                 simulate(nominal, mode, None, samples, cfg), full, samples)
+
+
+def plan(nominal, mode, channels, cfg):
+    """``simulate``'s run as its plan: the grid and its evaluator."""
+    p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
+    if mode == "current-fed":
+        return refsim._current_fed_plan(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
+                                        channels=channels)
+    return refsim._voltage_fed_plan(p, (1.0, 20.0), 300.0, cfg,
+                                    channels=channels)
+
+
+class TestPlan:
+    # An evaluator gives any range of grid indices the full run's bits,
+    # signed zeros included: lone samples and pairs, one block and one
+    # block and one more, from mid-grid and at the grid's end, stepping
+    # by 1 or more, whatever the block size of the run.
+    @pytest.mark.parametrize("start, length, step", [
+        (0, 1, 1), (12_345, 1, 1), (40_000, 1, 1), (_BLOCK - 1, 2, 1),
+        (40_000 - 2 * 3, 2, 3), (777, _BLOCK, 1), (3, _BLOCK + 1, 1),
+        (40_001 - _BLOCK - 1, _BLOCK + 1, 1), (101, _BLOCK + 1, 2),
+        (5, 1000, 37),
+    ])
+    @pytest.mark.parametrize("channels", [None, ("t_e", "i_0", "v_d")],
+                             ids=["all", "three"])
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_any_range_is_the_full_run(self, nominal, full_long_runs, mode,
+                                       channels, start, length, step):
+        cfg = SimConfig(dt=1e-6, duration=0.04)
+        full = full_long_runs[mode]
+        grid, evaluate = plan(nominal, mode, channels, cfg)
+        assert grid == range(40_001)
+        index = grid[start:start + length * step:step]
+        assert len(index) == length
+        t, theta, values = evaluate(index)
+        got = TimeSeries(t, theta, values)
+        assert_selection_is_the_full_run(
+            got, full, slice(start, start + length * step, step), channels)
+
+    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
+    def test_plan_refuses_as_its_run_does(self, nominal, monkeypatch, mode):
+        # The checks run when the plan is made, before any evaluation.
+        monkeypatch.setattr(refsim, "_evaluator", None)
+        cfg = SimConfig(dt=1e-3, duration=0.01)
+        with pytest.raises(ConfigError, match="^dt = 0.001 s exceeds"):
+            plan(nominal, mode, None, cfg)
+
+
+@pytest.fixture(scope="module")
+def full_long_runs():
+    """Every channel of each mode's run on a 40 001-sample grid."""
+    cfg = SimConfig(dt=1e-6, duration=0.04)
+    return {mode: simulate(NOMINAL, mode, None, cfg=cfg)
+            for mode in ("current-fed", "voltage-fed")}
 
 
 # Per block size, grids one short of a block, exactly one, two and a lone
@@ -742,19 +806,21 @@ class TestBlockSizeInvariance:
     @pytest.mark.parametrize("block", [7, 1000])
     def test_compare_model_columns_do_not_depend_on_the_block_size(
             self, tmp_path, monkeypatch, block):
+        # The compare job evaluates and models its own blocks; only its
+        # summary's sums are grouped by them.
         size = 2 * block + 7
         path = tmp_path / "compare.ini"
         path.write_text(COMPARE_SCENARIO.format(duration=(size - 1) * 1e-5))
-        artifacts = {}
+        csv = {}
         for run_block in (size, block):
-            monkeypatch.setattr(refsim, "_BLOCK", run_block)
+            monkeypatch.setattr(cli, "_BLOCK", run_block)
             written = run_scenario(parse_scenario(path), "compare",
                                    tmp_path / str(run_block))
-            artifacts[run_block] = [f.read_bytes() for f in written]
-        csv_text = artifacts[block][0].decode()
+            csv[run_block] = written[0].read_bytes()
+        csv_text = csv[block].decode()
         assert csv_text.startswith("t,theta,v_d_sim,v_q_sim,v_d_model,")
         assert csv_text.count("\n") == size + 1
-        assert artifacts[block] == artifacts[size]
+        assert csv[block] == csv[size]
 
 
 # flux_compare.ini on a grid of any length. On one block plus one sample
@@ -878,6 +944,31 @@ class TestPeakMemory:
         assert f"simulate.samples: {self.N}\n" in summary
         assert written[0].read_text().count("\n") == 1 + 10_001
         assert peak / (8 * self.N) <= 5
+
+    def test_simulate_job_holds_its_rows_and_one_block(self, tmp_path):
+        # The ripple-study job again: its summary's late-half means are
+        # folded a block at a time through one plan. Less the CSV's rows
+        # (t, theta and five channels on every 20th sample), the peak is
+        # one block's working set, whatever the grid.
+        warm_up = tmp_path / "warm-up.ini"
+        warm_up.write_text(RIPPLE_SCENARIO.format(duration=1e-3))
+        run_scenario(parse_scenario(warm_up), "simulate", tmp_path / "warm")
+        excess = []
+        for size in (self.N, 4 * self.N - 3):
+            path = tmp_path / f"{size}.ini"
+            path.write_text(RIPPLE_SCENARIO.format(duration=(size - 1) * 1e-6))
+            scenario = parse_scenario(path)
+            tracemalloc.start()
+            try:
+                written = run_scenario(scenario, "simulate",
+                                       tmp_path / str(size))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = len(range(0, size, 20))
+            assert written[0].read_text().count("\n") == 1 + rows
+            excess.append(peak - 8 * 7 * rows)
+        assert excess[1] == pytest.approx(excess[0], rel=0.03)
 
     def test_compare_job_holds_its_rows_and_one_block(self, tmp_path):
         # The compare-sweep job: v_d, v_q simulated, modelled and folded a
