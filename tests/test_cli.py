@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from pmimb import ConfigError, InputError, TimeSeries, cli, parse_scenario
+from pmimb import (ConfigError, InputError, TimeSeries, cli, parse_scenario,
+                   refsim)
 from pmimb.cli import (_BLOCK_ROWS, main, read_csv, run_scenario,
                        write_csv)
 from pmimb.harmonics import _BLOCK
@@ -843,16 +844,18 @@ class TestSimulateJob:
         data = read_csv(out / "timeseries.csv")
         assert data["t"].size == math.ceil(3001 / 5)
 
-    @pytest.mark.parametrize("outputs, plans", [
-        ("", 0), ("channels = t_e, v_d, i_q, i_d\n", 0),
-        ("channels = i_d, i_q\n", 1), ("stride = 2\n", 1),
+    @pytest.mark.parametrize("outputs, runs", [
+        ("", 1), ("channels = t_e, v_d, i_q, i_d\n", 1),
+        ("channels = i_d, i_q\n", 2), ("stride = 2\n", 2),
     ])
     def test_late_half_is_simulated_once(self, tmp_path, monkeypatch,
-                                         outputs, plans):
+                                         outputs, runs):
         # A CSV of every sample and every summary channel holds the late
-        # half, so the summary's means come from it. Otherwise one plan
-        # evaluates each late sample once, a block at a time: blocks of 512
-        # make the 1501 late samples of the 3001-sample grid three blocks.
+        # half, so the summary's means come from it. Otherwise a second
+        # run, one plan, evaluates each late sample once, a block at a
+        # time: blocks of 512 make the 1501 late samples of the
+        # 3001-sample grid three blocks.
+        plans = runs - 1
         simulated, planned, evaluated = [], [], []
         simulate, plan = cli._simulate, cli._plan
 
@@ -1618,6 +1621,44 @@ def test_simulate_selection_edges_match_the_full_run(
     for name in ("i_d", "i_q", "t_e"):
         assert summary[f"simulate.mean_{name}"] == repr(
             float(np.mean(full.channels[name][n // 2:])))
+
+
+# Blocks of 512 make the 3001-sample grid six blocks and its late half
+# three. Each job still makes one plan, and each run checks its drive and
+# its step and does its setup once: compare's one plan; simulate's CSV
+# run and the plan of its late half.
+@pytest.mark.parametrize("job, mode, runs", [
+    ("compare", "current-fed", 1),
+    ("simulate", "current-fed", 2),
+    ("simulate", "voltage-fed", 2),
+])
+def test_a_job_makes_one_plan_however_many_blocks(tmp_path, monkeypatch,
+                                                   job, mode, runs):
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    for module, name in ((cli, "_plan"), (refsim, "_require_finite"),
+                         (refsim, "_check_step"), (refsim, "_steady_phasor"),
+                         (refsim, "_phase_basis")):
+        count(module, name)
+    monkeypatch.setattr(cli, "_BLOCK", 512)
+    text = MACHINE + DRIVES[mode] + (
+        f"\n[sim]\nmode = {mode}\ndt = 1e-5\nduration = 0.03\n"
+        "\n[outputs]\nstride = 2\n")
+    assert main([job, "--scenario", write_scenario(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 0
+    # The CSV run's 1501 rows are one block of refsim's.
+    assert counts == {"_plan": 1, "_require_finite": runs,
+                      "_check_step": runs, "_phase_basis": 6 if job ==
+                      "compare" else 4, **(
+                          {"_steady_phasor": runs}
+                          if mode == "voltage-fed" else {})}
 
 
 def block_fold_mean(values):

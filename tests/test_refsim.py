@@ -95,20 +95,23 @@ class TestConfigValidation:
     # Past 2**53 samples i * dt repeats sample times (2**53 + 1 converts
     # to 2**53), so each grid is refused, naming its count: exactly below
     # 2**64, else to three digits.
-    @pytest.mark.parametrize("dt, duration, count", [
-        (5e-324, 0.05, "inf"),   # duration / dt overflows to inf
-        (1e-300, 0.05, "5e+298"),
-        (1e-6, 1e300, "1e+306"),
-        (1.0, 2.0 ** 64, "1.84e+19"),
-        (1.0, 2.0 ** 64 - 2048, 2**64 - 2047),
-        (1.0, 2.0 ** 61, 2**61 + 1),
-        (1.0, 2.0 ** 53, 2**53 + 1),
-    ])
-    def test_rejects_a_grid_numpy_cannot_build(self, dt, duration, count):
+    GRID_COUNTS = {
+        (5e-324, 0.05): "inf",   # duration / dt overflows to inf
+        (1e-300, 0.05): "5e+298",
+        (1e-6, 1e300): "1e+306",
+        (1.0, 2.0 ** 61): 2**61 + 1,
+        (1.0, 2.0 ** 64): "1.84e+19",
+        (1.0, 2.0 ** 64 - 2048): 2**64 - 2047,
+        (1.0, 2.0 ** 53): 2**53 + 1,
+    }
+
+    @pytest.mark.parametrize("dt, duration", GRID_COUNTS)
+    def test_rejects_a_grid_numpy_cannot_build(self, dt, duration):
         with pytest.raises(ConfigError) as excinfo:
             SimConfig(dt=dt, duration=duration)
-        assert str(excinfo.value) == (f"duration / dt gives {count} grid "
-                                      f"samples, more than 2**53")
+        assert str(excinfo.value) == (
+            f"duration / dt gives {self.GRID_COUNTS[dt, duration]} grid "
+            f"samples, more than 2**53")
 
     def test_largest_grid_is_2_53_samples(self):
         cfg = SimConfig(dt=1.0, duration=2.0**53 - 1)
