@@ -457,10 +457,8 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
         grid, evaluate = _plan(scenario, _SUMMARY_CHANNELS)
         blocks = (evaluate(grid[start:start + _BLOCK])[2]
                   for start in range(n // 2, n, _BLOCK))
-    sums = []
-    for block in blocks:
-        sums.append([np.sum(block[name]) for name in _SUMMARY_CHANNELS])
-        del block  # freed before the next block is evaluated, not after
+    sums = [[np.sum(block[name]) for name in _SUMMARY_CHANNELS]
+            for block in blocks]
     csv_path = out_dir / scenario.csv_name
     write_csv(ts, csv_path)
     entries = [
