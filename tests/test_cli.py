@@ -1653,12 +1653,12 @@ def test_a_job_makes_one_plan_however_many_blocks(tmp_path, monkeypatch,
         "\n[outputs]\nstride = 2\n")
     assert main([job, "--scenario", write_scenario(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 0
-    # The CSV run's 1501 rows are one block of refsim's.
+    # One basis a block: compare's six, or simulate's CSV run (its 1501
+    # rows are one block of refsim's) and its three late blocks.
+    bases = 6 if job == "compare" else 1 + 3
+    setups = {"_steady_phasor": runs} if mode == "voltage-fed" else {}
     assert counts == {"_plan": 1, "_require_finite": runs,
-                      "_check_step": runs, "_phase_basis": 6 if job ==
-                      "compare" else 4, **(
-                          {"_steady_phasor": runs}
-                          if mode == "voltage-fed" else {})}
+                      "_check_step": runs, "_phase_basis": bases, **setups}
 
 
 def block_fold_mean(values):

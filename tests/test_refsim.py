@@ -703,9 +703,9 @@ def plan(nominal, mode, channels, cfg):
 
 class TestPlan:
     # An evaluator gives any range of grid indices the full run's bits,
-    # signed zeros included: lone samples and pairs, one block and one
-    # block and one more, from mid-grid and at the grid's end, stepping
-    # by 1 or more, whatever the block size of the run.
+    # signed zeros included: lone samples, pairs, one block and one block
+    # plus one sample, from mid-grid and at the grid's ends, stepping by 1
+    # or more.
     @pytest.mark.parametrize("start, length, step", [
         (0, 1, 1), (12_345, 1, 1), (40_000, 1, 1), (_BLOCK - 1, 2, 1),
         (40_000 - 2 * 3, 2, 3), (777, _BLOCK, 1), (3, _BLOCK + 1, 1),
