@@ -418,9 +418,9 @@ def _simulate(scenario: Scenario, channels, samples=slice(None)):
 
 
 def _plan(scenario: Scenario, channels):
-    """The scenario's grid indices and an evaluator of any range of them,
-    computing only ``channels``: the drive checks and the setup run here,
-    once."""
+    """The scenario's grid indices, ``channels`` and an evaluator of any
+    range of the indices, computing only those channels: the drive checks
+    and the setup run here, once."""
     if scenario.mode == "voltage-fed":
         return _voltage_fed_plan(scenario.machine,
                                  (scenario.v_d, scenario.v_q),
@@ -454,7 +454,7 @@ def _job_simulate(scenario: Scenario, out_dir: Path):
                    for name in _SUMMARY_CHANNELS}
                   for start in range(n // 2, n, _BLOCK))
     else:
-        grid, evaluate = _plan(scenario, _SUMMARY_CHANNELS)
+        grid, _, evaluate = _plan(scenario, _SUMMARY_CHANNELS)
         blocks = (evaluate(grid[start:start + _BLOCK])[2]
                   for start in range(n // 2, n, _BLOCK))
     sums = [[np.sum(block[name]) for name in _SUMMARY_CHANNELS]
@@ -482,7 +482,7 @@ def _job_compare(scenario: Scenario, out_dir: Path):
     plus one block's working set. The CSV is written after the last
     block, so a block that fails leaves none."""
     # A step too coarse for the speed is refused here, before any block.
-    grid, evaluate = _plan(scenario, _VOLTAGES_DQ)
+    grid, _, evaluate = _plan(scenario, _VOLTAGES_DQ)
     stride = scenario.stride
     out = {name: np.empty(len(grid[::stride])) for name in
            ("t", "theta", "v_d_sim", "v_q_sim", "v_d_model", "v_q_model")}

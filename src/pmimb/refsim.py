@@ -218,16 +218,14 @@ def _assemble(params, basis, names, i_abc, v_abc, **more):
     return {name: channels[name] for name in names}
 
 
-def _blocked(index, evaluate):
-    """The TimeSeries of the grid indices ``index``, its arrays filled from
-    ``evaluate`` a block of ``_BLOCK`` indices at a time."""
-    arrays = None
+def _blocked(index, names, evaluate):
+    """The TimeSeries of the grid indices ``index`` with channels ``names``,
+    its arrays allocated first, then filled from ``evaluate`` a block of
+    ``_BLOCK`` indices at a time."""
+    arrays = [np.empty(len(index)) for _ in range(2 + len(names))]
     for start in range(0, len(index), _BLOCK):
         part = slice(start, start + _BLOCK)
         t, theta, channels = evaluate(index[part])
-        if arrays is None:  # once the names are known
-            names = list(channels)
-            arrays = [np.empty(len(index)) for _ in range(2 + len(names))]
         for array, values in zip(arrays, (t, theta, *channels.values())):
             array[part] = values
         # Freed before the next block is evaluated, not after.
@@ -286,7 +284,8 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
 def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
                       samples=slice(None)):
     """``run_current_fed``'s checks, in its order, then the grid indices
-    ``samples`` selects and an evaluator of any range of grid indices."""
+    ``samples`` selects, the channel names and an evaluator of any range
+    of grid indices."""
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
     names = _names(channels, CURRENT_FED_CHANNELS)
@@ -304,7 +303,7 @@ def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
                 (omega_e * i_q, -omega_e * i_d, 0.0), basis))
             v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         return _assemble(params, basis, names, i_abc, v_abc)
-    return index, _evaluator(cfg, omega_e, block)
+    return index, names, _evaluator(cfg, omega_e, block)
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
@@ -372,8 +371,8 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
 def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
                       samples=slice(None)):
     """``run_voltage_fed``'s checks, in its order, and its setup, then the
-    grid indices ``samples`` selects and an evaluator of any range of grid
-    indices."""
+    grid indices ``samples`` selects, the channel names and an evaluator of
+    any range of grid indices."""
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
     names = _names(channels, VOLTAGE_FED_CHANNELS)
@@ -403,7 +402,7 @@ def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
         v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         v_n = np.mean(park_inverse((v_d, v_q, 0.0), basis) - v_abc, axis=0)
         return _assemble(params, basis, names, i_abc, v_abc, v_n=v_n)
-    return index, _evaluator(cfg, omega_e, block)
+    return index, names, _evaluator(cfg, omega_e, block)
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

@@ -861,9 +861,9 @@ class TestSimulateJob:
 
         def counted_plan(scenario, channels):
             planned.append(channels)
-            grid, evaluate = plan(scenario, channels)
-            return grid, lambda index: (evaluated.append(index)
-                                        or evaluate(index))
+            grid, names, evaluate = plan(scenario, channels)
+            return grid, names, lambda index: (evaluated.append(index)
+                                               or evaluate(index))
         monkeypatch.setattr(cli, "_simulate", lambda *args: (
             simulated.append(args) or simulate(*args)))
         monkeypatch.setattr(cli, "_plan", counted_plan)
@@ -1524,12 +1524,12 @@ def test_channel_selection_leaves_every_artifact_unchanged(
             for name in (ts.channels if channels is None else channels)})
 
     def every_channel_plan(scenario, channels):
-        grid, evaluate = plan(scenario, None)
+        grid, _, evaluate = plan(scenario, None)
 
         def run(index):
             t, theta, values = evaluate(index)
             return t, theta, {name: values[name] for name in channels}
-        return grid, run
+        return grid, list(channels), run
     monkeypatch.setattr(cli, "_simulate", every_channel)
     monkeypatch.setattr(cli, "_plan", every_channel_plan)
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
@@ -1549,14 +1549,14 @@ def full_grid_plan(simulate, plan):
     """``_plan`` whose evaluator evaluates every grid sample through
     ``simulate``, then selects the range."""
     def make(scenario, channels):
-        grid, _ = plan(scenario, channels)
+        grid, names, _ = plan(scenario, channels)
 
         def run(index):
             ts = simulate(scenario, channels)
             pick = slice(index.start, index.stop, index.step)
             return ts.t[pick], ts.theta[pick], {
                 name: data[pick] for name, data in ts.channels.items()}
-        return grid, run
+        return grid, names, run
     return make
 
 

@@ -692,7 +692,8 @@ class TestSampleSelection:
 
 
 def plan(nominal, mode, channels, cfg):
-    """``simulate``'s run as its plan: the grid and its evaluator."""
+    """``simulate``'s run as its plan: the grid, the channel names and
+    the evaluator."""
     p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
     if mode == "current-fed":
         return refsim._current_fed_plan(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
@@ -719,8 +720,9 @@ class TestPlan:
                                        channels, start, length, step):
         cfg = SimConfig(dt=1e-6, duration=0.04)
         full = full_long_runs[mode]
-        grid, evaluate = plan(nominal, mode, channels, cfg)
+        grid, names, evaluate = plan(nominal, mode, channels, cfg)
         assert grid == range(40_001)
+        assert names == list(full.channels if channels is None else channels)
         index = grid[start:start + length * step:step]
         assert len(index) == length
         t, theta, values = evaluate(index)
