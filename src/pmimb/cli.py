@@ -500,6 +500,11 @@ def _job_compare(scenario: Scenario, out_dir: Path):
                                   (t, theta, *sim.values(), *model)):
             kept = values[first::stride]
             column[row:row + kept.size] = kept
+        # The block's times and angles, made first, are freed before the
+        # next block, which reuses their space; its values, made last, stay
+        # until then, so the heap's top is not handed back and faulted in
+        # again every block.
+        del t, theta
     entries = [(f"compare.{axis}.{key}",
                 "n/a" if value is None else _fmt(value))
                for axis, axis_sums in sums.items()
