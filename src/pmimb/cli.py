@@ -26,18 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-# compare_waveforms is bound for perfbench/tracing.py alone: the compare
-# job folds its blocks itself.
+# Bound only for perfbench/tracing.py to look up: compare_waveforms (the
+# compare job folds its own blocks), compose_total (closed_form_dq calls it
+# through imbalance), the delta functions (nothing calls them), and
+# run_current_fed and run_voltage_fed (the jobs evaluate through plans).
 from .harmonics import _BLOCK, _comparison, _error_sums, compare_waveforms
 from .identify import _INVERTIBLE, fit_flux, fit_resistance
-# Bound for perfbench/tracing.py alone: closed_form_dq calls compose_total
-# through imbalance, and nothing calls the delta functions.
 from .imbalance import (_FAMILIES, _phasors, _terms, closed_form_dq,
                         compose_total, flux_delta, inductance_delta,
                         resistance_delta)
 from .machine import (_PHASE_KEYS, OperatingPoint, decompose,
                       ideal_dq_nonsalient)
-from .refsim import (TimeSeries, _current_fed_plan, _grid_size,
+from .refsim import (TimeSeries, _blocked, _current_fed_plan, _grid_size,
                      _voltage_fed_plan, run_current_fed, run_voltage_fed)
 from .scenario import Scenario, parse_scenario
 
@@ -45,6 +45,9 @@ from .scenario import Scenario, parse_scenario
 # vanish against the per-value work, small enough that the block's
 # temporaries (about 230 bytes a value) stay under two megabytes.
 _BLOCK_ROWS = 512
+# Rows the CSV writer holds from writes of fewer than _BLOCK_ROWS, so a job
+# writing a few hundred a block does not hand its heap back after each.
+_HELD_ROWS = 8 * _BLOCK_ROWS
 # Bound on the relative error of |x| * 10**k in long double: the table
 # entry and the product each round once, by at most eps / 2. A long
 # double no wider than double certifies no digit.
@@ -156,34 +159,61 @@ def _printf_fields(seps, values):
 
 def write_csv(ts: TimeSeries, path):
     """Write ``ts`` as CSV: ``t``, ``theta`` and every channel in the
-    series' order, one row per sample.
+    series' order, one row per sample, each value as ``%.17g`` prints it,
+    so a read-back gives every sample exactly. ``_format_block`` takes a
+    value's digits from |x| * 10**(16 - e) in long double and its layout
+    from a template table; ``%.17g`` itself formats inf, nan and each value
+    within the product's error bound of a .5 boundary (under 2 %, or all
+    where long double is no wider than double). A channel name
+    ``read_csv`` would not read back raises ``ConfigError``: ``t``,
+    ``theta``, one holding a comma or a character that is not printable,
+    or one empty or padded with spaces."""
+    with _csv_writer(path, ts.channels) as write:
+        write(ts.t, ts.theta, *ts.channels.values())
 
-    Values carry 17 significant digits (``%.17g``) so a read-back
-    reproduces every sample exactly; the bytes are those of formatting
-    each value on its own. A block of rows at a time, a value's digits d
-    and exponent e come from |x| * 10**(16 - e) in long double, and its
-    layout from a template per sign, exponent class and digit count.
-    ``%.17g`` itself formats inf, nan and each value whose product lies
-    within its error bound of a .5 boundary: under 2 % of values, and all
-    of them where long double is no wider than double.
 
-    A channel name ``read_csv`` would not read back raises
-    ``ConfigError``: ``t``, ``theta``, one holding a comma or a character
-    that is not printable, or one empty or padded with spaces.
-    """
-    for name in ts.channels:
+@contextlib.contextmanager
+def _csv_writer(path, channels):
+    """``write_csv``'s file of ``t``, ``theta`` and ``channels``, names
+    checked first: the context takes its columns' rows, any number a call,
+    and where the calls cut them moves no byte. The text goes to a new
+    file beside the one ``path`` resolves to, which it replaces only if
+    the context exits without an exception; else it is removed."""
+    for name in channels:
         if (name in ("t", "theta") or "," in name or not name.isprintable()
                 or not name or name != name.strip()):
             raise ConfigError(f"channel name {name!r} is not a CSV column")
-    columns = [ts.t, ts.theta, *ts.channels.values()]
-    header = ",".join(["t", "theta", *ts.channels]).encode("utf-8")
-    rows = columns[0].size
-    with open(path, "wb") as handle:
-        handle.write(header)
-        for start in range(0, rows, _BLOCK_ROWS):
-            handle.write(_format_block(np.column_stack(
-                [col[start:start + _BLOCK_ROWS] for col in columns])))
-        handle.write(b"\n")
+    held = []
+
+    def flush():
+        handle.writelines(map(_format_block, held))
+        held.clear()
+
+    def write(*columns):
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            held.append(np.column_stack(
+                [col[start:start + _BLOCK_ROWS] for col in columns]))
+            if (columns[0].size >= _BLOCK_ROWS
+                    or sum(map(len, held)) >= _HELD_ROWS):
+                flush()
+    target = os.path.realpath(path)
+    # A device or a pipe is written in place.
+    temp = (target if os.path.exists(target) and not os.path.isfile(target)
+            else f"{target}.{os.urandom(6).hex()}.tmp")
+    handle = open(temp, "wb" if temp == target else "xb")
+    try:
+        with handle:
+            handle.write(",".join(["t", "theta", *channels]).encode())
+            yield write
+            flush()
+            handle.write(b"\n")
+        if temp != target:
+            os.replace(temp, target)
+    except BaseException:
+        if temp != target:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
 
 
 # The bytes of a data row write_csv writes. A block of nothing else,
@@ -403,24 +433,19 @@ def _coefficient_entries(scenario: Scenario):
 _SUMMARY_CHANNELS = ("i_d", "i_q", "t_e")
 # The only simulated channels compare and identify read.
 _VOLTAGES_DQ = ("v_d", "v_q")
-
-
-def _simulate(scenario: Scenario, channels, samples=slice(None)):
-    """Run the scenario's simulation, computing only ``channels`` at the
-    grid indices ``samples`` selects."""
-    if scenario.mode == "voltage-fed":
-        return run_voltage_fed(scenario.machine, (scenario.v_d, scenario.v_q),
-                               scenario.omega_e, scenario.sim,
-                               channels=channels, samples=samples)
-    return run_current_fed(scenario.machine, (scenario.i_d, scenario.i_q),
-                           scenario.omega_e, scenario.sim, i_0=scenario.i_0,
-                           channels=channels, samples=samples)
+# Grid samples a job may simulate: at 4-6 M samples/s (a 2-CPU x86-64
+# host), a compare of 2**32 samples takes 12-18 minutes.
+_MAX_SAMPLES = 2**32
 
 
 def _plan(scenario: Scenario, channels):
     """The scenario's grid indices, ``channels`` and an evaluator of any
-    range of the indices, computing only those channels: the drive checks
-    and the setup run here, once."""
+    range of the indices: a grid past _MAX_SAMPLES is refused, then the
+    drive checks and the setup run here, once."""
+    n = _grid_size(scenario.sim)
+    if n > _MAX_SAMPLES:
+        raise ConfigError(f"sim: duration / dt gives {n} grid samples, "
+                          "more than 2**32")
     if scenario.mode == "voltage-fed":
         return _voltage_fed_plan(scenario.machine,
                                  (scenario.v_d, scenario.v_q),
@@ -435,83 +460,62 @@ def _job_coeffs(scenario: Scenario, out_dir: Path):
 
 
 def _job_simulate(scenario: Scenario, out_dir: Path):
-    """Simulate only the samples the job reads, each bit for bit the full
-    run's: the CSV's channels (checked against the mode at parse time) on
-    every stride-th sample, first, so a grid too large to allocate fails
-    before anything else runs. The summary's means are of the late half of
-    its channels, summed ``_BLOCK`` samples at a time as ``_comparison``
-    sums: each block by np.sum, then the block sums by np.sum. A CSV of
-    every sample and every summary channel holds the late half, so its
-    blocks are summed; otherwise one plan evaluates the blocks one at a
-    time, and no grid-length array exists for the summary."""
-    n = _grid_size(scenario.sim)
-    ts = _simulate(scenario, scenario.channels,
-                   slice(0, None, scenario.stride))
-    if scenario.stride == 1 and (
-            scenario.channels is None  # every channel of the mode
-            or set(_SUMMARY_CHANNELS) <= set(scenario.channels)):
-        blocks = ({name: ts.channels[name][start:start + _BLOCK]
-                   for name in _SUMMARY_CHANNELS}
-                  for start in range(n // 2, n, _BLOCK))
-    else:
-        grid, _, evaluate = _plan(scenario, _SUMMARY_CHANNELS)
-        blocks = (evaluate(grid[start:start + _BLOCK])[2]
-                  for start in range(n // 2, n, _BLOCK))
-    sums = [[np.sum(block[name]) for name in _SUMMARY_CHANNELS]
-            for block in blocks]
-    csv_path = out_dir / scenario.csv_name
-    write_csv(ts, csv_path)
-    entries = [
-        ("simulate.mode", scenario.mode),
-        ("simulate.samples", str(n)),
-        # The grid's last time, as every run computes it.
-        ("simulate.t_end", _fmt((n - 1) * scenario.sim.dt)),
-        ("simulate.csv", csv_path.name),
-    ]
-    entries += [(f"simulate.mean_{name}", _fmt(np.sum(column) / (n - n // 2)))
+    """Walk one plan once, writing the CSV as it goes: its channels at its
+    rows, every stride-th sample, a ``_BLOCK`` of rows at a time, and the
+    summary's over the late half in ``_BLOCK`` ranges from n // 2, summed
+    as ``_comparison`` sums. At stride 1 the late ranges give the CSV's
+    late rows too, so each sample is evaluated once."""
+    grid, names, evaluate = _plan(scenario, scenario.channels)
+    n, half, stride = len(grid), len(grid) // 2, scenario.stride
+    csv_path, sums = out_dir / scenario.csv_name, []
+    with _csv_writer(csv_path, names) as write:
+        rows = grid[:half] if stride == 1 else grid[::stride]
+        for start in range(0, len(rows), _BLOCK):
+            t, theta, values = evaluate(rows[start:start + _BLOCK])
+            write(t, theta, *values.values())
+        for start in range(half, n, _BLOCK):
+            t, theta, values = evaluate(grid[start:start + _BLOCK], {
+                *_SUMMARY_CHANNELS, *(names if stride == 1 else ())})
+            sums.append([np.sum(values[name]) for name in _SUMMARY_CHANNELS])
+            if stride == 1:
+                write(t, theta, *(values[name] for name in names))
+    # t_end is the grid's last time, as every run computes it.
+    entries = [("simulate.mode", scenario.mode), ("simulate.samples", str(n)),
+               ("simulate.t_end", _fmt((n - 1) * scenario.sim.dt)),
+               ("simulate.csv", csv_path.name)]
+    entries += [(f"simulate.mean_{name}", _fmt(np.sum(column) / (n - half)))
                 for name, column in zip(_SUMMARY_CHANNELS, zip(*sums))]
     return entries, [csv_path]
 
 
 def _job_compare(scenario: Scenario, out_dir: Path):
     """Compare the closed form with the simulated v_d, v_q a block of
-    ``_BLOCK`` samples at a time, all through one plan. Each block is
-    evaluated, bit for bit the full run's, and modelled; its errors are
-    folded as ``compare_waveforms`` folds them, and the rows the CSV keeps,
-    every stride-th sample, are copied out. So the job holds those rows
-    plus one block's working set. The CSV is written after the last
-    block, so a block that fails leaves none."""
+    ``_BLOCK`` samples at a time, all through one plan: each block's
+    errors are folded as ``compare_waveforms`` folds them, and its CSV
+    rows, every stride-th sample, are written."""
     # A step too coarse for the speed is refused here, before any block.
     grid, _, evaluate = _plan(scenario, _VOLTAGES_DQ)
-    stride = scenario.stride
-    out = {name: np.empty(len(grid[::stride])) for name in
-           ("t", "theta", "v_d_sim", "v_q_sim", "v_d_model", "v_q_model")}
     drive = (scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0)
-    sums = {"v_d": [], "v_q": []}
-    for start in range(0, len(grid), _BLOCK):
-        t, theta, sim = evaluate(grid[start:start + _BLOCK])
-        model = closed_form_dq(scenario.machine,
-                               OperatingPoint(theta, *drive))
-        for axis_sums, a, b in zip(sums.values(), sim.values(), model):
-            axis_sums.append(_error_sums(a, b))
-        # The block's first kept sample and its row in the CSV.
-        first, row = -start % stride, -(-start // stride)
-        for column, values in zip(out.values(),
-                                  (t, theta, *sim.values(), *model)):
-            kept = values[first::stride]
-            column[row:row + kept.size] = kept
-        # The block's times and angles, made first, are freed before the
-        # next block, which reuses their space; its values, made last, stay
-        # until then, so the heap's top is not handed back and faulted in
-        # again every block.
-        del t, theta
-    entries = [(f"compare.{axis}.{key}",
-                "n/a" if value is None else _fmt(value))
-               for axis, axis_sums in sums.items()
-               for key, value in vars(_comparison(axis_sums)).items()]
-
-    csv_path = out_dir / scenario.csv_name
-    write_csv(TimeSeries(out.pop("t"), out.pop("theta"), out), csv_path)
+    csv_path, sums = out_dir / scenario.csv_name, {"v_d": [], "v_q": []}
+    with _csv_writer(csv_path, ("v_d_sim", "v_q_sim", "v_d_model",
+                                "v_q_model")) as write:
+        for start in range(0, len(grid), _BLOCK):
+            t, theta, sim = evaluate(grid[start:start + _BLOCK])
+            model = closed_form_dq(scenario.machine,
+                                   OperatingPoint(theta, *drive))
+            for axis_sums, a, b in zip(sums.values(), sim.values(), model):
+                axis_sums.append(_error_sums(a, b))
+            # From the block's first kept sample.
+            write(*(values[-start % scenario.stride::scenario.stride]
+                    for values in (t, theta, *sim.values(), *model)))
+            # The block's times and angles, made first, are freed for the
+            # next block to reuse; its values stay until then, so the heap's
+            # top is not handed back and faulted in again every block.
+            del t, theta
+        entries = [(f"compare.{axis}.{key}",
+                    "n/a" if value is None else _fmt(value))
+                   for axis, axis_sums in sums.items()
+                   for key, value in vars(_comparison(axis_sums)).items()]
     return entries + _coefficient_entries(scenario), [csv_path]
 
 
@@ -539,7 +543,7 @@ def _job_identify(scenario: Scenario, out_dir: Path):
         # As written, so the summary does not depend on --out.
         source_label = scenario.identify_source
     else:
-        ts = _simulate(scenario, _VOLTAGES_DQ)
+        ts = _blocked(*_plan(scenario, _VOLTAGES_DQ))
         data = {"theta": ts.theta, **ts.channels}
         source_label = "simulated"
     # Contiguous copies of the fitted columns, so the fit does not keep
@@ -662,18 +666,12 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             scenario = parse_scenario(args.scenario)
             artifacts = run_scenario(scenario, args.job, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
-        print(f"error: numeric fault: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, InputError, OSError, FloatingPointError,
+            MemoryError) as exc:
+        kind = ("numeric fault: " if isinstance(exc, FloatingPointError)
+                else "out of memory: " if isinstance(exc, MemoryError) else "")
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
     for path in artifacts:
         print(f"wrote {path}")
     return 0

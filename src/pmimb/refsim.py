@@ -10,11 +10,11 @@ Each runner is a private plan, made once per run, and ``_blocked``. The
 plan checks the drive, the channel names and the selection, does the
 run's setup and returns an evaluator of any range of grid indices; every
 sample is closed form, so a range evaluated alone is bit for bit the full
-run's there. The runners fill their arrays a block of samples at a time,
-so memory is the kept channels plus a fixed block working set; a caller
-that only reduces the samples (the simulate summary's late-half means,
-the compare job's errors) walks the evaluator block by block and holds
-no grid-length array.
+run's there, whichever other channels it computes. The runners fill
+their arrays a block of samples at a time, so memory is the kept channels
+plus a fixed block working set; the simulate and compare jobs walk one
+plan's evaluator block by block, writing and folding each block as they
+go, and hold no grid-length array.
 """
 
 from __future__ import annotations
@@ -140,21 +140,21 @@ def _check_step(cfg: SimConfig, omega_e):
             )
 
 
-def _evaluator(cfg: SimConfig, omega_e, block):
-    """An evaluator of any range of grid indices: it returns their times,
-    angles and ``block(t, theta)``'s {name: values}, each bit for bit the
-    full grid's. A time is its integer index times dt. A lone sample's
-    matrix product rounds apart from the same sample's in a block, so a
-    lone sample i runs as the pair [i, i], first kept."""
-    def evaluate(index):
+def _evaluator(cfg: SimConfig, omega_e, names, block):
+    """An evaluator of any range of grid indices, for ``names`` or other
+    channels of the run: it returns their times, angles and ``block``'s
+    {name: values}, each bit for bit the full grid's. A time is its index
+    times dt. A lone sample's matrix product rounds apart from the same
+    sample's in a block, so a lone sample i runs as [i, i], first kept."""
+    def evaluate(index, channels=names):
         size = len(index)
         # Whole numbers below 2**53, so each is its index exactly.
         t = np.arange(index.start, index.stop, index.step, dtype=float)
         t = t.repeat(2) if size == 1 else t
         t *= cfg.dt
         theta = omega_e * t
-        return t[:size], theta[:size], {
-            name: values[:size] for name, values in block(t, theta).items()}
+        return t[:size], theta[:size], {name: values[:size] for name, values
+                                        in block(t, theta, channels).items()}
     return evaluate
 
 
@@ -292,7 +292,7 @@ def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
     index = _grid_indices(cfg, samples)
     _check_step(cfg, omega_e)
 
-    def block(t, theta):
+    def block(t, theta, names):
         basis = _phase_basis(theta)
         i_abc = np.stack(park_inverse((i_d, i_q, i_0), basis))
         v_abc = None
@@ -303,7 +303,7 @@ def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
                 (omega_e * i_q, -omega_e * i_d, 0.0), basis))
             v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         return _assemble(params, basis, names, i_abc, v_abc)
-    return index, names, _evaluator(cfg, omega_e, block)
+    return index, names, _evaluator(cfg, omega_e, names, block)
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
@@ -388,7 +388,7 @@ def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
     start = -(q.T @ chol.T @ x_ss.real)
     x_re, x_im = x_ss.real[:, None], x_ss.imag[:, None]
 
-    def block(t, theta):
+    def block(t, theta, names):
         basis = _phase_basis(theta)
         decay = start[:, None] * np.exp(-rates[:, None] * t)
         # Row 0 of the basis is cos/sin of theta - 0.0, which is theta.
@@ -402,7 +402,7 @@ def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
         v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         v_n = np.mean(park_inverse((v_d, v_q, 0.0), basis) - v_abc, axis=0)
         return _assemble(params, basis, names, i_abc, v_abc, v_n=v_n)
-    return index, names, _evaluator(cfg, omega_e, block)
+    return index, names, _evaluator(cfg, omega_e, names, block)
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

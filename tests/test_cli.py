@@ -161,12 +161,50 @@ class TestCsvInputOutput:
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
                                       2 * _BLOCK_ROWS + 7])
     @pytest.mark.parametrize("stride", [1, 3, None])
-    def test_bytes_match_value_by_value_oracle(self, tmp_path, rows, stride):
+    @pytest.mark.parametrize("block", [None, 1, 7, "grid"])
+    def test_bytes_match_value_by_value_oracle(self, tmp_path, monkeypatch,
+                                               rows, stride, block):
+        # write_csv hands the writer every row at once. The jobs hand it
+        # one block at a time: here 1 or 7 rows a call, or as compare
+        # does, the kept rows of each 100-sample block of the grid, an
+        # uneven count that may be none. The writer holds such short
+        # writes; past 20 held rows it formats them, with 7 rows a call
+        # or 100-sample blocks, and at the end otherwise.
+        if block in (7, "grid"):
+            monkeypatch.setattr(cli, "_HELD_ROWS", 20)
         stride = rows + 1 if stride is None else stride
         ts = awkward_series(rows)
         path = tmp_path / "out.csv"
-        write_csv(strided(ts, stride), path)
+        columns = [ts.t, ts.theta, *ts.channels.values()]
+        if block is None:
+            write_csv(strided(ts, stride), path)
+        elif block == "grid":
+            with cli._csv_writer(path, ts.channels) as write:
+                for start in range(0, rows, 100):
+                    write(*(col[start:start + 100][-start % stride::stride]
+                            for col in columns))
+        else:
+            with cli._csv_writer(path, ts.channels) as write:
+                for start in range(0, rows, block * stride):
+                    write(*(col[start:start + block * stride:stride]
+                            for col in columns))
         assert path.read_bytes() == oracle_bytes(ts, None, stride)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # A pipe is not replaced by a file: its reader gets the bytes.
+        ts = awkward_series(1031)
+        path, pipe, got = tmp_path / "out.csv", tmp_path / "pipe.csv", []
+        write_csv(ts, path)
+        os.mkfifo(pipe)
+        reader = threading.Thread(target=lambda: got.append(
+            pipe.read_bytes()), daemon=True)
+        reader.start()
+        write_csv(ts, pipe)
+        reader.join(timeout=10)
+        assert got == [path.read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.csv", "pipe.csv"] and not pipe.is_file()
 
     @pytest.mark.parametrize("channels", [("edge", "i_a"), ()])
     def test_channel_subset_bytes_match_oracle(self, tmp_path, channels):
@@ -844,38 +882,43 @@ class TestSimulateJob:
         data = read_csv(out / "timeseries.csv")
         assert data["t"].size == math.ceil(3001 / 5)
 
-    @pytest.mark.parametrize("outputs, runs", [
+    @pytest.mark.parametrize("outputs, stride", [
         ("", 1), ("channels = t_e, v_d, i_q, i_d\n", 1),
-        ("channels = i_d, i_q\n", 2), ("stride = 2\n", 2),
+        ("channels = i_d, i_q\n", 1), ("stride = 2\n", 2),
     ])
     def test_late_half_is_simulated_once(self, tmp_path, monkeypatch,
-                                         outputs, runs):
-        # A CSV of every sample and every summary channel holds the late
-        # half, so the summary's means come from it. Otherwise a second
-        # run, one plan, evaluates each late sample once, a block at a
-        # time: blocks of 512 make the 1501 late samples of the
-        # 3001-sample grid three blocks.
-        plans = runs - 1
-        simulated, planned, evaluated = [], [], []
-        simulate, plan = cli._simulate, cli._plan
+                                         outputs, stride):
+        # One plan evaluates the summary's channels at each late sample
+        # once, a block at a time: blocks of 512 make the 1501 late
+        # samples of the 3001-sample grid three blocks. At stride 1 the
+        # CSV's rows come from the same calls, so every grid sample is
+        # evaluated once, whichever channels the CSV holds.
+        planned, calls = [], []
+        plan = cli._plan
 
         def counted_plan(scenario, channels):
             planned.append(channels)
             grid, names, evaluate = plan(scenario, channels)
-            return grid, names, lambda index: (evaluated.append(index)
-                                               or evaluate(index))
-        monkeypatch.setattr(cli, "_simulate", lambda *args: (
-            simulated.append(args) or simulate(*args)))
+
+            def counted(index, channels=names):
+                calls.append((index, channels))
+                return evaluate(index, channels)
+            return grid, names, counted
         monkeypatch.setattr(cli, "_plan", counted_plan)
         monkeypatch.setattr(cli, "_BLOCK", 512)
         text = MACHINE + OP_SIM + "[outputs]\n" + outputs
-        assert main(["simulate", "--scenario", write_scenario(
-            tmp_path, text), "--out", str(tmp_path / "out")]) == 0
-        assert len(simulated) == 1
-        assert planned == [("i_d", "i_q", "t_e")] * plans
-        assert [len(index) for index in evaluated] == [512, 512, 477] * plans
-        assert [i for index in evaluated for i in index] == list(
-            range(1500, 3001)) * plans
+        scenario = write_scenario(tmp_path, text)
+        assert main(["simulate", "--scenario", scenario,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert planned == [parse_scenario(scenario).channels]
+        late = [index for index, channels in calls
+                if {"i_d", "i_q", "t_e"} <= set(channels)
+                and index.start >= 1500 and index.step == 1]
+        assert [len(index) for index in late] == [512, 512, 477]
+        assert [i for index in late for i in index] == list(range(1500, 3001))
+        if stride == 1:
+            assert sorted(i for index, _ in calls for i in index) == list(
+                range(3001))
 
     def test_repeated_channel_exits_2(self, tmp_path, capsys):
         text = MACHINE + OP_SIM + "[outputs]\nchannels = v_d, v_d, i_a\n"
@@ -1515,49 +1558,41 @@ def test_channel_selection_leaves_every_artifact_unchanged(
     # same bytes, messages and exit codes.
     shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
                             capsys)
-    simulate, plan = cli._simulate, cli._plan
-
-    def every_channel(scenario, channels, samples=slice(None)):
-        ts = simulate(scenario, None, samples)
-        return TimeSeries(ts.t, ts.theta, {
-            name: ts.channels[name]
-            for name in (ts.channels if channels is None else channels)})
+    plan = cli._plan
 
     def every_channel_plan(scenario, channels):
-        grid, _, evaluate = plan(scenario, None)
+        grid, names, _ = plan(scenario, channels)
+        every = plan(scenario, None)[2]
 
-        def run(index):
-            t, theta, values = evaluate(index)
+        def run(index, channels=names):
+            t, theta, values = every(index)
             return t, theta, {name: values[name] for name in channels}
-        return grid, list(channels), run
-    monkeypatch.setattr(cli, "_simulate", every_channel)
+        return grid, names, run
     monkeypatch.setattr(cli, "_plan", every_channel_plan)
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
 
 
-def full_grid_then_slice(simulate):
-    """``_simulate`` evaluating every grid sample, then selecting."""
-    def run(scenario, channels, samples=slice(None)):
-        ts = simulate(scenario, channels)
-        return TimeSeries(ts.t[samples], ts.theta[samples], {
-            name: data[samples] for name, data in ts.channels.items()})
-    return run
-
-
-def full_grid_plan(simulate, plan):
-    """``_plan`` whose evaluator evaluates every grid sample through
-    ``simulate``, then selects the range."""
+def full_grid_plan(plan):
+    """``_plan`` whose evaluator evaluates every grid sample, a block at a
+    time, then selects the range."""
     def make(scenario, channels):
-        grid, names, _ = plan(scenario, channels)
+        grid, names, evaluate = plan(scenario, channels)
 
-        def run(index):
-            ts = simulate(scenario, channels)
+        def run(index, channels=names):
+            ts = refsim._blocked(grid, channels, lambda part: evaluate(
+                part, channels))
             pick = slice(index.start, index.stop, index.step)
             return ts.t[pick], ts.theta[pick], {
                 name: data[pick] for name, data in ts.channels.items()}
         return grid, names, run
     return make
+
+
+def simulate_full(scenario, channels):
+    """Every grid sample of ``channels`` (every channel for None), as the
+    jobs' plan evaluates them."""
+    return refsim._blocked(*cli._plan(scenario, channels))
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
@@ -1568,9 +1603,7 @@ def test_sample_selection_leaves_every_artifact_unchanged(
     # codes.
     shipped = run_every_job(scenario, tmp_path / "shipped", monkeypatch,
                             capsys)
-    monkeypatch.setattr(cli, "_plan", full_grid_plan(cli._simulate,
-                                                     cli._plan))
-    monkeypatch.setattr(cli, "_simulate", full_grid_then_slice(cli._simulate))
+    monkeypatch.setattr(cli, "_plan", full_grid_plan(cli._plan))
     assert run_every_job(scenario, tmp_path / "full", monkeypatch,
                          capsys) == shipped
 
@@ -1607,7 +1640,7 @@ def test_simulate_selection_edges_match_the_full_run(
 
     # The oracle evaluates every sample and channel, then selects the
     # channels in the order named, and the rows by the stride.
-    full = cli._simulate(scenario, None)
+    full = simulate_full(scenario, None)
     n = full.t.size
     write_csv(strided(TimeSeries(full.t, full.theta, {
         name: full.channels[name] for name in (channels or full.channels)}),
@@ -1624,16 +1657,15 @@ def test_simulate_selection_edges_match_the_full_run(
 
 
 # Blocks of 512 make the 3001-sample grid six blocks and its late half
-# three. Each job still makes one plan, and each run checks its drive and
-# its step and does its setup once: compare's one plan; simulate's CSV
-# run and the plan of its late half.
-@pytest.mark.parametrize("job, mode, runs", [
-    ("compare", "current-fed", 1),
-    ("simulate", "current-fed", 2),
-    ("simulate", "voltage-fed", 2),
+# three. Each job makes one plan, which checks its drive and its step and
+# does its setup once.
+@pytest.mark.parametrize("job, mode", [
+    ("compare", "current-fed"),
+    ("simulate", "current-fed"),
+    ("simulate", "voltage-fed"),
 ])
 def test_a_job_makes_one_plan_however_many_blocks(tmp_path, monkeypatch,
-                                                   job, mode, runs):
+                                                   job, mode):
     counts = {}
 
     def count(module, name):
@@ -1653,12 +1685,95 @@ def test_a_job_makes_one_plan_however_many_blocks(tmp_path, monkeypatch,
         "\n[outputs]\nstride = 2\n")
     assert main([job, "--scenario", write_scenario(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 0
-    # One basis a block: compare's six, or simulate's CSV run (its 1501
-    # rows are one block of refsim's) and its three late blocks.
-    bases = 6 if job == "compare" else 1 + 3
-    setups = {"_steady_phasor": runs} if mode == "voltage-fed" else {}
-    assert counts == {"_plan": 1, "_require_finite": runs,
-                      "_check_step": runs, "_phase_basis": bases, **setups}
+    # One basis an evaluation: compare's six blocks; simulate's 1501 rows
+    # in blocks of 512, then the summary's three late blocks.
+    bases = 6 if job == "compare" else 3 + 3
+    setups = {"_steady_phasor": 1} if mode == "voltage-fed" else {}
+    assert counts == {"_plan": 1, "_require_finite": 1, "_check_step": 1,
+                      "_phase_basis": bases, **setups}
+
+
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_job_failing_at_a_block_leaves_the_previous_csv(
+        tmp_path, monkeypatch, capsys, job):
+    # Blocks of 512 make the 3001-sample grid six blocks, and the second
+    # evaluation fails, after the first block's rows went to a temporary
+    # file beside the CSV. That file is removed, so the CSV of the run
+    # before, in the same --out, keeps its bytes.
+    scenario = write_scenario(tmp_path, MACHINE + OP_SIM)
+    out = tmp_path / "out"
+    assert main([job, "--scenario", scenario, "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    plan, calls, during = cli._plan, [], []
+
+    def failing_plan(scenario, channels):
+        grid, names, evaluate = plan(scenario, channels)
+
+        def run(index, channels=names):
+            calls.append(index)
+            if len(calls) == 2:
+                during.extend(sorted(path.name for path in out.iterdir()))
+                raise InputError("second block")
+            return evaluate(index, channels)
+        return grid, names, run
+    monkeypatch.setattr(cli, "_plan", failing_plan)
+    monkeypatch.setattr(cli, "_BLOCK", 512)
+    capsys.readouterr()
+    assert main([job, "--scenario", scenario, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: second block\n")
+    assert during[:2] == ["summary.txt", "timeseries.csv"]
+    assert len(during) == 3 and during[2].startswith("timeseries.csv.")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("stride", [1, 7, 3001])
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_csv_time_is_the_kept_index_times_dt(tmp_path, monkeypatch, job,
+                                             stride):
+    # The jobs write rows as they evaluate them, and no TimeSeries checks
+    # the time base: across blocks of 512, each row's t is its grid index
+    # times dt, bit for bit, at every stride-th index.
+    monkeypatch.setattr(cli, "_BLOCK", 512)
+    text = MACHINE + OP_SIM + f"[outputs]\nstride = {stride}\n"
+    run_scenario(parse_scenario(write_scenario(tmp_path, text)), job,
+                 tmp_path / "out")
+    t = read_csv(tmp_path / "out" / "timeseries.csv")["t"]
+    assert np.array_equal(t, np.arange(0, 3001, stride) * 1e-5)
+
+
+@pytest.mark.parametrize("base, outputs", [
+    ("resistance_compare.ini", None),
+    ("voltage_fed_sim.ini", None),
+    ("voltage_fed_sim.ini", "channels = i_a, i_b, i_0, i_d, i_q\n"
+                            "stride = 20\n"),
+], ids=["every-channel", "voltage-fed-sim", "ripple-study"])
+def test_simulate_evaluates_each_channel_where_it_is_read(
+        tmp_path, monkeypatch, base, outputs):
+    # The CSV's channels at its rows, the summary's over the late half,
+    # and at stride 1 a channel that feeds both once a sample.
+    counts, plan = {}, cli._plan
+
+    def counted_plan(scenario, channels):
+        grid, names, evaluate = plan(scenario, channels)
+
+        def run(index, channels=names):
+            for name in channels:
+                counts[name] = counts.get(name, 0) + len(index)
+            return evaluate(index, channels)
+        return grid, names, run
+    monkeypatch.setattr(cli, "_plan", counted_plan)
+    text = SCENARIOS[base]
+    if outputs is not None:
+        text = text[:text.index("[outputs]")] + "[outputs]\n" + outputs
+    scenario = parse_scenario(write_scenario(tmp_path, text))
+    csv = run_scenario(scenario, "simulate", tmp_path / "out")[0]
+    n = refsim._grid_size(scenario.sim)
+    rows = len(range(0, n, scenario.stride))
+    expected = dict.fromkeys(list(read_csv(csv))[2:], rows)
+    for name in ("i_d", "i_q", "t_e"):
+        expected[name] = (n if scenario.stride == 1 and name in expected
+                          else expected.get(name, 0) + n - n // 2)
+    assert counts == expected
 
 
 def block_fold_mean(values):
@@ -1678,9 +1793,8 @@ def block_fold_mean(values):
 @pytest.mark.parametrize("mode", DRIVES)
 def test_simulate_means_are_the_block_fold_of_the_late_half(
         tmp_path, mode, outputs, late):
-    # A CSV of every sample holds the late half's columns, which the job
-    # folds; a strided CSV of two channels leaves the late half to a plan.
-    # Both fold the same blocks of the same bits.
+    # Whether or not the late half's evaluations also give the CSV's rows,
+    # the job folds the same blocks of the same bits.
     n = 2 * late
     text = MACHINE + DRIVES[mode] + (
         f"\n[sim]\nmode = {mode}\ndt = 1e-5\nduration = {(n - 1) * 1e-5!r}\n"
@@ -1688,7 +1802,7 @@ def test_simulate_means_are_the_block_fold_of_the_late_half(
     scenario = parse_scenario(write_scenario(tmp_path, text))
     summary = read_summary(run_scenario(scenario, "simulate",
                                         tmp_path / "out")[-1])
-    full = cli._simulate(scenario, ("i_d", "i_q", "t_e"))
+    full = simulate_full(scenario, ("i_d", "i_q", "t_e"))
     assert summary["simulate.samples"] == str(full.t.size) == str(n)
     assert summary["simulate.t_end"] == repr(float(full.t[-1]))
     for name in ("i_d", "i_q", "t_e"):
@@ -1973,12 +2087,52 @@ def test_former_crash_exits_with_one_error_line(tmp_path, base, key, value,
     assert not (tmp_path / "out").exists()
 
 
-def test_unallocatable_grid_is_out_of_memory(tmp_path, capsys):
-    # 2**52 samples pass the 2**53 refusal, but their 32 PiB a column
-    # exceed any address space, so the allocation fails at once.
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_grid_past_2_32_samples_is_refused(tmp_path, capsys, monkeypatch,
+                                           job):
+    # 2**52 samples pass the 2**53 refusal, and a job that streams its
+    # blocks would walk them for years; the plan is never made.
+    monkeypatch.setattr(cli, "_current_fed_plan", None)
     scenario = tmp_path / "scenario.ini"
-    scenario.write_text(MACHINE + f"[sim]\ndt = 1\nduration = {2**52 - 1}\n")
-    assert main(["simulate", "--scenario", str(scenario),
+    scenario.write_text(MACHINE + OP_SIM.replace(
+        "dt = 1e-5\nduration = 0.03", f"dt = 1\nduration = {2**52 - 1}"))
+    assert main([job, "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: sim: duration / dt gives 4503599627370496 grid samples, "
+        "more than 2**32\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_of_2_32_samples_is_planned(tmp_path, monkeypatch):
+    # The bound's own count passes it; the stand-in plan ends the job.
+    def plan(*args):
+        raise InputError("planned")
+    monkeypatch.setattr(cli, "_current_fed_plan", plan)
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(MACHINE + OP_SIM.replace(
+        "dt = 1e-5\nduration = 0.03", f"dt = 1\nduration = {2**32 - 1}"))
+    with pytest.raises(InputError, match="^planned$"):
+        run_scenario(parse_scenario(scenario), "simulate", tmp_path / "out")
+
+
+@pytest.mark.parametrize("job", ["simulate", "compare", "identify"])
+def test_failed_allocation_is_out_of_memory(tmp_path, capsys, monkeypatch,
+                                            job):
+    # An allocation that fails mid-job exits 3 with one line, and leaves
+    # no artifact and no output directory.
+    plan = cli._plan
+
+    def starved_plan(scenario, channels):
+        grid, names, _ = plan(scenario, channels)
+
+        def evaluate(index, channels=names):
+            raise MemoryError(f"{len(index)} samples")
+        return grid, names, evaluate
+    monkeypatch.setattr(cli, "_plan", starved_plan)
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIOS["identify_flux.ini"])
+    assert main([job, "--scenario", str(scenario),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ")
@@ -2048,7 +2202,6 @@ def test_failed_job_removes_only_the_directories_it_made(
 @pytest.mark.parametrize("job", ["simulate", "compare"])
 def test_output_naming_a_directory_exits_2_before_the_job(
         tmp_path, capsys, monkeypatch, job, key, name):
-    monkeypatch.setattr(cli, "_simulate", None)
     monkeypatch.setattr(cli, "_plan", None)
     out = tmp_path / "out"
     if name == "sub":
@@ -2070,7 +2223,6 @@ def test_output_naming_a_directory_exits_2_before_the_job(
 @pytest.mark.parametrize("job", ["simulate", "compare"])
 def test_output_in_a_missing_directory_exits_2_before_the_job(
         tmp_path, capsys, monkeypatch, job, key):
-    monkeypatch.setattr(cli, "_simulate", None)
     monkeypatch.setattr(cli, "_plan", None)
     name = "nosuch/deeper/out.txt"
     text = MACHINE + OP_SIM + f"\n[outputs]\n{key} = {name}\n"

@@ -79,6 +79,13 @@ class TestDemodulate:
         assert out.second.phi == 0.0
         assert out.residual_rms < 1e-13
 
+    def test_zero_signal_phase_is_positive_zero(self):
+        # A zero signal gives no scale to floor k against, and atan2(-0.0,
+        # 0.0) is -0.0, which phi == 0.0 cannot tell from +0.0.
+        out = demodulate(np.zeros_like(GRID), GRID)
+        assert out.second.k == 0.0
+        assert math.copysign(1.0, out.second.phi) == 1.0
+
     def test_pure_second_harmonic(self):
         signal = 3.0 * np.cos(2.0 * GRID + math.pi / 4)
         out = demodulate(signal, GRID)

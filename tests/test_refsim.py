@@ -849,7 +849,7 @@ def test_compare_job_summary_is_compare_waveforms_of_the_grid(tmp_path,
     summary = run_scenario(scenario, "compare", tmp_path / "out")[-1]
     entries = dict(line.split(": ", 1)
                    for line in summary.read_text().splitlines())
-    ts = cli._simulate(scenario, ("v_d", "v_q"))
+    ts = refsim._blocked(*cli._plan(scenario, ("v_d", "v_q")))
     assert ts.t.size == size
     model = closed_form_dq(scenario.machine, OperatingPoint(
         ts.theta, scenario.omega_e, scenario.i_d, scenario.i_q, scenario.i_0))
@@ -950,18 +950,26 @@ class TestPeakMemory:
         assert written[0].read_text().count("\n") == 1 + 10_001
         assert peak / (8 * self.N) <= 5
 
-    def test_simulate_job_holds_its_rows_and_one_block(self, tmp_path):
-        # The ripple-study job again: its summary's late-half means are
-        # folded a block at a time through one plan. Less the CSV's rows
-        # (t, theta and five channels on every 20th sample), the peak is
-        # one block's working set, whatever the grid.
+    @pytest.mark.parametrize("outputs, stride", [
+        ("channels = i_a, i_b, i_0, i_d, i_q\nstride = 20\n", 20),
+        ("", 1),
+    ], ids=["ripple-study", "every-channel"])
+    def test_simulate_job_holds_one_block(self, tmp_path, outputs, stride):
+        # The ripple-study job, and every channel at every sample: each
+        # block's CSV rows are written and its late-half sums folded as it
+        # is evaluated, so the peak is one block's working set, whatever
+        # the grid. Held to the end, as they once were, the rows raised the
+        # peak at 800 001 samples from 3.4 to 5.3 MiB at stride 20, and
+        # from 6.3 to 102 MiB at stride 1.
+        text = RIPPLE_SCENARIO.replace(
+            "channels = i_a, i_b, i_0, i_d, i_q\nstride = 20\n", outputs)
         warm_up = tmp_path / "warm-up.ini"
-        warm_up.write_text(RIPPLE_SCENARIO.format(duration=1e-3))
+        warm_up.write_text(text.format(duration=1e-3))
         run_scenario(parse_scenario(warm_up), "simulate", tmp_path / "warm")
-        excess = []
+        peaks = []
         for size in (self.N, 4 * self.N - 3):
             path = tmp_path / f"{size}.ini"
-            path.write_text(RIPPLE_SCENARIO.format(duration=(size - 1) * 1e-6))
+            path.write_text(text.format(duration=(size - 1) * 1e-6))
             scenario = parse_scenario(path)
             tracemalloc.start()
             try:
@@ -970,17 +978,18 @@ class TestPeakMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            rows = len(range(0, size, 20))
-            assert written[0].read_text().count("\n") == 1 + rows
-            excess.append(peak - 8 * 7 * rows)
-        assert excess[1] == pytest.approx(excess[0], rel=0.03)
+            with open(written[0], "rb") as csv:
+                assert sum(1 for _ in csv) == 1 + len(range(0, size, stride))
+            written[0].unlink()  # 300 MB at stride 1
+            peaks.append(peak)
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.03)
 
-    def test_compare_job_holds_its_rows_and_one_block(self, tmp_path):
-        # The compare-sweep job: v_d, v_q simulated, modelled and folded a
-        # block at a time, every 50th row kept for the CSV. Less those
-        # rows, the peak is one block's working set, whatever the grid.
+    def test_compare_job_holds_one_block(self, tmp_path):
+        # The compare-sweep job: v_d, v_q simulated, modelled, folded and
+        # every 50th row written a block at a time, so the peak is one
+        # block's working set, whatever the grid.
         text = COMPARE_SCENARIO + "\n[outputs]\nstride = 50\n"
-        excess = []
+        peaks = []
         for size in (2001, self.N, 4 * self.N - 3):
             path = tmp_path / f"{size}.ini"
             path.write_text(text.format(duration=(size - 1) * 1e-5))
@@ -994,10 +1003,10 @@ class TestPeakMemory:
                 tracemalloc.stop()
             rows = len(range(0, size, 50))
             assert written[0].read_text().count("\n") == 1 + rows
-            excess.append(peak - 8 * 6 * rows)
+            peaks.append(peak)
         # The first run warms up first-call imports and caches.
-        assert excess[2] == pytest.approx(excess[1], rel=0.03)
-        assert excess[1] / (8 * self.N) <= 3
+        assert peaks[2] == pytest.approx(peaks[1], rel=0.03)
+        assert peaks[1] / (8 * self.N) <= 3
 
     def peak_bytes(self, nominal, mode, drive, size, channels=None):
         """Peak traced bytes of one run and the bytes its result keeps."""
