@@ -197,10 +197,15 @@ def _csv_writer(path, channels):
                     or sum(map(len, held)) >= _HELD_ROWS):
                 flush()
     target = os.path.realpath(path)
-    # A device or a pipe is written in place.
+    # A device or a pipe is written in place. A file's temporary name is
+    # as long whatever the target's, so a name near NAME_MAX fits too.
     temp = (target if os.path.exists(target) and not os.path.isfile(target)
-            else f"{target}.{os.urandom(6).hex()}.tmp")
-    handle = open(temp, "wb" if temp == target else "xb")
+            else os.path.join(os.path.dirname(target),
+                              f"pmimb-{os.urandom(6).hex()}.tmp"))
+    try:
+        handle = open(temp, "wb" if temp == target else "xb")
+    except OSError as exc:  # named by path, not by the random temporary
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with handle:
             handle.write(",".join(["t", "theta", *channels]).encode())

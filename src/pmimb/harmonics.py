@@ -145,10 +145,12 @@ def compare_waveforms(a, b) -> WaveformComparison:
     """Error metrics of b against reference a.
 
     The relative metric normalizes by the RMS of the reference and is
-    None when that RMS is zero. The samples are folded ``_BLOCK`` at a
-    time, as the compare job folds its grid: squares are summed pairwise
-    within a block, then block by block, so a grid of one block gives
-    np.mean's sum bit for bit. Memory is one block's scratch array.
+    None when that RMS is zero. A nan or an infinity in either raises
+    ``InputError``, as in ``demodulate``. The samples are folded
+    ``_BLOCK`` at a time, as the compare job folds its grid: squares are
+    summed pairwise within a block, then block by block, so a grid of one
+    block gives np.mean's sum bit for bit. Memory is one block's scratch
+    array.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -157,6 +159,9 @@ def compare_waveforms(a, b) -> WaveformComparison:
     if not a.size:
         return WaveformComparison(0.0, 0.0, None)
     a, b = a.reshape(-1), b.reshape(-1)
+    # Reductions, so no grid-sized temporary: a nan or -inf shows in the
+    # min, +inf in the max.
+    _require_finite(InputError, a=(a.min(), a.max()), b=(b.min(), b.max()))
     return _comparison([_error_sums(a[start:start + _BLOCK],
                                     b[start:start + _BLOCK])
                         for start in range(0, a.size, _BLOCK)])

@@ -7,8 +7,8 @@ solution of the winding ODE under constant rotor-frame voltage commands
 and an isolated star point, checked against fixed-step RK4 in
 tests/oracles.py; ``steady_state_currents`` gives its exact dq steady state.
 Each runner is a private plan, made once per run, and ``_blocked``. The
-plan checks the drive, the channel names and the selection, does the
-run's setup and returns an evaluator of any range of grid indices; every
+plan checks the drive and the channel names, does the run's setup and
+returns the grid and an evaluator of any range of its indices; every
 sample is closed form, so a range evaluated alone is bit for bit the full
 run's there, whichever other channels it computes. The runners fill
 their arrays a block of samples at a time, so memory is the kept channels
@@ -109,24 +109,6 @@ class TimeSeries:
 def _grid_size(cfg: SimConfig):
     """Number of samples on the grid ``cfg`` describes, both ends included."""
     return int(round(cfg.duration / cfg.dt)) + 1
-
-
-def _grid_indices(cfg: SimConfig, samples):
-    """The grid indices ``samples`` selects, as a range, checked before any
-    sample array exists: it must be a slice stepping by at least 1 that
-    selects at least one sample."""
-    size = _grid_size(cfg)
-    try:
-        index = range(size)[samples] if isinstance(samples, slice) else None
-    except (TypeError, ValueError):  # a bound that is no integer, a zero step
-        index = None
-    if index is None or index.step < 1:
-        raise ConfigError(f"samples must be a slice of grid indices stepping "
-                          f"by at least 1, not {samples!r}")
-    if not index:
-        raise ConfigError(f"samples {samples!r} selects none of the {size} "
-                          f"grid samples")
-    return index
 
 
 def _check_step(cfg: SimConfig, omega_e):
@@ -235,8 +217,7 @@ def _blocked(index, names, evaluate):
 
 
 def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
-                    cfg: SimConfig, i_0=0.0, channels=None,
-                    samples=slice(None)) -> TimeSeries:
+                    cfg: SimConfig, i_0=0.0, channels=None) -> TimeSeries:
     """Evaluate the machine exactly under prescribed rotor-frame currents.
 
     Parameters
@@ -260,36 +241,25 @@ def run_current_fed(params: MachineParameters, i_dq_cmd, omega_e,
         time: memory is the kept channels plus a fixed block working set.
         A bare string, a name outside that tuple or a name listed twice
         raises ``ConfigError`` before any sample array exists.
-    samples : slice, optional
-        Grid indices to evaluate, the whole grid by default; ``t`` and
-        ``theta`` hold the selected samples only. Every sample is closed
-        form, so each selected one is bit for bit the full run's at that
-        index, a lone sample included, and memory scales with the
-        selection, not the grid. A selection that is not a slice, steps
-        by less than 1 or is empty raises ``ConfigError`` before any
-        sample array exists.
 
     Returns
     -------
     TimeSeries
         Phase and rotor-frame voltages and currents plus torque, or the
-        named ones in the order named, at the selected samples. Exact:
+        named ones in the order named, at every grid sample. Exact:
         currents are imposed, so no integration is involved.
 
     """
     return _blocked(*_current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0,
-                                       channels, samples))
+                                       channels))
 
 
-def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
-                      samples=slice(None)):
-    """``run_current_fed``'s checks, in its order, then the grid indices
-    ``samples`` selects, the channel names and an evaluator of any range
-    of grid indices."""
+def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None):
+    """``run_current_fed``'s checks, in its order, then the grid's indices,
+    the channel names and an evaluator of any range of grid indices."""
     i_d, i_q = (float(v) for v in i_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, i_dq_cmd=(i_d, i_q), i_0=i_0)
     names = _names(channels, CURRENT_FED_CHANNELS)
-    index = _grid_indices(cfg, samples)
     _check_step(cfg, omega_e)
 
     def block(t, theta, names):
@@ -303,12 +273,12 @@ def _current_fed_plan(params, i_dq_cmd, omega_e, cfg, i_0=0.0, channels=None,
                 (omega_e * i_q, -omega_e * i_d, 0.0), basis))
             v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         return _assemble(params, basis, names, i_abc, v_abc)
-    return index, names, _evaluator(cfg, omega_e, names, block)
+    return (range(_grid_size(cfg)), names,
+            _evaluator(cfg, omega_e, names, block))
 
 
 def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
-                    cfg: SimConfig, channels=None,
-                    samples=slice(None)) -> TimeSeries:
+                    cfg: SimConfig, channels=None) -> TimeSeries:
     """Solve the voltage-fed machine with an isolated star point.
 
     Parameters
@@ -327,18 +297,15 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         As for ``run_current_fed``, over ``VOLTAGE_FED_CHANNELS``, memory
         too: the kept channels plus a fixed block working set. Without a
         voltage channel or "v_n" the winding voltages are not reconstructed.
-    samples : slice, optional
-        As for ``run_current_fed``: the solution below is evaluated at the
-        selected grid samples only, each bit for bit the full run's.
 
     Returns
     -------
     TimeSeries
         All standard channels plus "v_n", the star-point displacement
-        voltage, or the named ones in the order named, at the selected
-        samples. Voltage channels are winding voltages (terminal minus
+        voltage, or the named ones in the order named, at every grid
+        sample. Voltage channels are winding voltages (terminal minus
         star point) from ``phase_voltages``, so v_0 = -v_n to rounding.
-        Initial currents are zero, at grid index 0 whether or not selected.
+        Initial currents are zero, at grid index 0.
 
     Notes
     -----
@@ -351,7 +318,7 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
         x' = A x + Re(F e^{j theta}),  A = -H R_red,  F = H (G_ab - G_c),
 
     with H = L_red^-1 and phase x driven by Re(G_x e^{j theta}). Its
-    solution from rest is evaluated exactly at every selected sample:
+    solution from rest is evaluated exactly at every grid sample:
 
         x(t) = Re(X e^{j theta}) - e^{A t} Re(X),
 
@@ -365,18 +332,16 @@ def run_voltage_fed(params: MachineParameters, v_dq_cmd, omega_e,
 
     """
     return _blocked(*_voltage_fed_plan(params, v_dq_cmd, omega_e, cfg,
-                                       channels, samples))
+                                       channels))
 
 
-def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
-                      samples=slice(None)):
+def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None):
     """``run_voltage_fed``'s checks, in its order, and its setup, then the
-    grid indices ``samples`` selects, the channel names and an evaluator of
-    any range of grid indices."""
+    grid's indices, the channel names and an evaluator of any range of
+    grid indices."""
     v_d, v_q = (float(v) for v in v_dq_cmd)
     _require_finite(ConfigError, omega_e=omega_e, v_dq_cmd=(v_d, v_q))
     names = _names(channels, VOLTAGE_FED_CHANNELS)
-    index = _grid_indices(cfg, samples)
     _check_step(cfg, omega_e)
 
     l_red, r_red, x_ss = _steady_phasor(params, v_d, v_q, omega_e)
@@ -402,7 +367,8 @@ def _voltage_fed_plan(params, v_dq_cmd, omega_e, cfg, channels=None,
         v_abc = phase_voltages(params, i_abc, di_abc, basis, omega_e)
         v_n = np.mean(park_inverse((v_d, v_q, 0.0), basis) - v_abc, axis=0)
         return _assemble(params, basis, names, i_abc, v_abc, v_n=v_n)
-    return index, names, _evaluator(cfg, omega_e, names, block)
+    return (range(_grid_size(cfg)), names,
+            _evaluator(cfg, omega_e, names, block))
 
 
 def steady_state_currents(params: MachineParameters, v_dq_cmd, omega_e):

@@ -1721,9 +1721,68 @@ def test_job_failing_at_a_block_leaves_the_previous_csv(
     capsys.readouterr()
     assert main([job, "--scenario", scenario, "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", "error: second block\n")
-    assert during[:2] == ["summary.txt", "timeseries.csv"]
-    assert len(during) == 3 and during[2].startswith("timeseries.csv.")
+    assert len(during) == 3 and during[1:] == ["summary.txt", "timeseries.csv"]
+    assert during[0].startswith("pmimb-") and during[0].endswith(".tmp")
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("job", ["simulate", "compare"])
+def test_csv_name_near_name_max_is_written(tmp_path, capsys, job):
+    # The temporary file was once the CSV's name plus 17 bytes, so a name
+    # of 239 to 255 bytes failed in open(): File name too long (exit 3).
+    written = {}
+    for name in ("timeseries.csv", "c" * 250 + ".csv"):
+        out = tmp_path / str(len(name))
+        text = MACHINE + OP_SIM + f"[outputs]\ncsv = {name}\n"
+        assert main([job, "--scenario", write_scenario(tmp_path, text),
+                     "--out", str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == {name, "summary.txt"}
+        written[name] = (out / name).read_bytes()
+    assert capsys.readouterr().err == ""
+    assert written["c" * 250 + ".csv"] == written["timeseries.csv"]
+
+
+def test_csv_open_error_names_the_csv(tmp_path, capsys, monkeypatch):
+    # The temporary file's name is random; a failed open names the CSV,
+    # so the error line is the same every run.
+    def refuse(name, mode):
+        raise PermissionError(13, "Permission denied", name)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario",
+                 write_scenario(tmp_path, MACHINE + OP_SIM),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: [Errno 13] Permission denied: "
+                                   f"{str(out / 'timeseries.csv')!r}\n")
+    assert not out.exists()
+
+
+def test_source_csv_that_grows_while_read_exits_3(tmp_path, capsys,
+                                                 monkeypatch):
+    # read_csv counts the line ends, then parses into an array of that
+    # many rows and one more; two rows appended between the passes are
+    # refused, not written past the array's end.
+    out = tmp_path / "out"
+    out.mkdir()
+    source = out / "measured.csv"
+    source.write_bytes(b"t,theta,v_d,v_q\n0,0,1,2\n1,3,1,2\n")
+    blocks, counted = cli._blocks, []
+
+    def growing(handle, pos):
+        yield from blocks(handle, pos)
+        if not counted:  # the counting pass is over
+            counted.append(pos)
+            with open(source, "ab") as grown:
+                grown.write(b"2,6,1,2\n3,9,1,2\n")
+    monkeypatch.setattr(cli, "_blocks", growing)
+    text = MACHINE + OP_SIM + (
+        "[imbalance]\nfamily = resistance\nd_r = 0.01, 0, 0\n"
+        "[identify]\nsource_csv = measured.csv\n")
+    assert main(["identify", "--scenario", write_scenario(tmp_path, text),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: {source}: the file grew while it was read\n")
+    assert counted and source.read_bytes().count(b"\n") == 5
 
 
 @pytest.mark.parametrize("stride", [1, 7, 3001])

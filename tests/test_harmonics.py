@@ -208,6 +208,20 @@ class TestCompareWaveforms:
         with pytest.raises(InputError):
             compare_waveforms(np.zeros(4), np.zeros(5))
 
+    # Once nan metrics; refused as demodulate and the fits refuse them,
+    # in the last block too, and in a grid of one sample.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size, at", [(2, 1), (1, 0),
+                                          (_BLOCK + 3, _BLOCK + 1)])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_non_finite_waveform_rejected(self, which, size, at, bad):
+        waves = {"a": np.ones(size), "b": np.full(size, 2.0)}
+        waves[which][at] = bad
+        with pytest.raises(InputError,
+                           match=f"^{which} must be finite$") as info:
+            compare_waveforms(waves["a"], waves["b"])
+        assert type(info.value) is InputError
+
     def test_empty_waveforms_compare_as_equal(self):
         # No sample differs, and no reference RMS exists to normalize by.
         assert compare_waveforms([], []) == WaveformComparison(0.0, 0.0, None)

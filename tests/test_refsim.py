@@ -502,14 +502,31 @@ SELECTION_CASES = [
 ]
 
 
-def simulate(nominal, mode, channels, samples=slice(None),
-             cfg=SimConfig(dt=1e-5, duration=3e-3)):
+def simulate(nominal, mode, channels, cfg=SimConfig(dt=1e-5, duration=3e-3)):
     p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
     if mode == "current-fed":
         return run_current_fed(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
-                               channels=channels, samples=samples)
-    return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg, channels=channels,
-                           samples=samples)
+                               channels=channels)
+    return run_voltage_fed(p, (1.0, 20.0), 300.0, cfg, channels=channels)
+
+
+def plan(nominal, mode, channels, cfg):
+    """``simulate``'s run as its plan: the grid, the channel names and
+    the evaluator."""
+    p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
+    if mode == "current-fed":
+        return refsim._current_fed_plan(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
+                                        channels=channels)
+    return refsim._voltage_fed_plan(p, (1.0, 20.0), 300.0, cfg,
+                                    channels=channels)
+
+
+def select(nominal, mode, channels, samples,
+           cfg=SimConfig(dt=1e-5, duration=3e-3)):
+    """The grid indices ``samples`` selects of ``simulate``'s run,
+    evaluated through its plan a block of ``_BLOCK`` at a time."""
+    grid, names, evaluate = plan(nominal, mode, channels, cfg)
+    return refsim._blocked(grid[samples], names, evaluate)
 
 
 class TestChannelSelection:
@@ -582,10 +599,12 @@ BOUNDS = st.none() | st.integers(-310, 310)
 
 
 class TestSampleSelection:
-    # Every sample is closed form, so a selection is the full run indexed
-    # by the same slice, signed zeros included, whatever the channels, their
-    # order and the block size. Blocks of 3 and 7 let a step exceed the
-    # block and a selection end in a lone sample, which runs as a pair.
+    # The jobs select samples by handing ranges of the plan's grid to its
+    # evaluator. Every sample is closed form, so any strided range,
+    # evaluated a block at a time, is the full run indexed by the same
+    # slice, signed zeros included, whatever the channels, their order and
+    # the block size. Blocks of 3 and 7 let a step exceed the block and a
+    # selection end in a lone sample, which runs as a pair.
     @given(mode=st.sampled_from(["current-fed", "voltage-fed"]),
            picks=st.lists(st.sampled_from(VOLTAGE_FED_CHANNELS),
                           unique=True),
@@ -609,7 +628,7 @@ class TestSampleSelection:
         original = refsim._BLOCK
         refsim._BLOCK = block
         try:
-            got = simulate(NOMINAL, mode, channels, samples)
+            got = select(NOMINAL, mode, channels, samples)
         finally:
             refsim._BLOCK = original
         assert_selection_is_the_full_run(got, full_runs[mode], samples,
@@ -629,7 +648,7 @@ class TestSampleSelection:
         full = simulate(nominal, mode, None, cfg=cfg)
         assert full.t.size == 40_001
         assert_selection_is_the_full_run(
-            simulate(nominal, mode, None, samples, cfg), full, samples)
+            select(nominal, mode, None, samples, cfg), full, samples)
 
     # The steps of t = index * dt spread by up to 2 ulp of the last time;
     # past about 8.4e6 steps that exceeded a bound of 1e-9 of the step, and
@@ -639,33 +658,8 @@ class TestSampleSelection:
     def test_late_samples_of_a_long_grid(self, nominal, mode, duration):
         cfg = SimConfig(dt=1e-6, duration=duration)
         n = refsim._grid_size(cfg)
-        ts = simulate(nominal, mode, ("i_d",), slice(-1000, None), cfg)
+        ts = select(nominal, mode, ("i_d",), slice(-1000, None), cfg)
         assert np.array_equal(ts.t, np.arange(n - 1000, n) * 1e-6)
-
-    @pytest.mark.parametrize("samples, message", [
-        (None, "samples must be a slice of grid indices stepping by at "
-               "least 1, not None"),
-        (range(5), "samples must be a slice of grid indices stepping by at "
-                   "least 1, not range(0, 5)"),
-        (slice(None, None, 0), "samples must be a slice of grid indices "
-                               "stepping by at least 1, not slice(None, "
-                               "None, 0)"),
-        (slice(None, None, -1), "samples must be a slice of grid indices "
-                                "stepping by at least 1, not slice(None, "
-                                "None, -1)"),
-        (slice(0.5, None), "samples must be a slice of grid indices "
-                           "stepping by at least 1, not slice(0.5, None, "
-                           "None)"),
-        (slice(10, 5), "samples slice(10, 5, None) selects none of the 301 "
-                       "grid samples"),
-    ])
-    @pytest.mark.parametrize("mode", ["current-fed", "voltage-fed"])
-    def test_invalid_selection_refused_before_the_grid(
-            self, nominal, monkeypatch, mode, samples, message):
-        monkeypatch.setattr("pmimb.refsim._check_step", None)
-        with pytest.raises(ConfigError) as excinfo:
-            simulate(nominal, mode, None, samples)
-        assert str(excinfo.value) == message
 
     # Once refused as fewer than 2 samples.
     @pytest.mark.parametrize("samples", [
@@ -674,7 +668,7 @@ class TestSampleSelection:
     def test_one_sample_selection_is_the_full_run(self, full_runs, mode,
                                                   samples):
         assert_selection_is_the_full_run(
-            simulate(NOMINAL, mode, None, samples), full_runs[mode], samples)
+            select(NOMINAL, mode, None, samples), full_runs[mode], samples)
 
     # A matrix product over one sample rounds apart from the same sample in
     # a block; with the package's block size on a 40 001-sample grid, a
@@ -688,18 +682,7 @@ class TestSampleSelection:
                       refsim._BLOCK + 1, full.t.size - 1):
             samples = slice(index, index + 1)
             assert_selection_is_the_full_run(
-                simulate(nominal, mode, None, samples, cfg), full, samples)
-
-
-def plan(nominal, mode, channels, cfg):
-    """``simulate``'s run as its plan: the grid, the channel names and
-    the evaluator."""
-    p = make_machine(nominal, **FAMILY_DEVIATIONS["combined"])
-    if mode == "current-fed":
-        return refsim._current_fed_plan(p, (-1.0, 8.0), 300.0, cfg, i_0=0.5,
-                                        channels=channels)
-    return refsim._voltage_fed_plan(p, (1.0, 20.0), 300.0, cfg,
-                                    channels=channels)
+                select(nominal, mode, None, samples, cfg), full, samples)
 
 
 class TestPlan:

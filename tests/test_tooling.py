@@ -8,12 +8,14 @@ the suite also checks that the simulations still call the traced names,
 once per block of samples.
 The README's library tour runs here too, so an API change cannot leave it
 stale, and so does the artifact digest script that byte-identity checks
-diff between commits.
+diff between commits. The public names and the runners' parameters are
+pinned, so a change to the API has to change this file on purpose.
 """
 
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import re
 import runpy
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import pmimb
 from pmimb import (MachineParameters, SimConfig, parse_scenario, refsim,
                    transforms)
 
@@ -173,3 +176,40 @@ def test_artifact_digest_identify_reads_the_simulated_csv():
         variant], script["JOB_ORDERS"][variant])
     assert [line.split()[1:3] for line in lines] == [
         ["coeffs", "0"], ["simulate", "0"], ["identify", "0"]]
+
+
+# The north star counts the public names; one added or removed is a
+# decision, made here.
+PUBLIC_NAMES = [
+    "BETA", "ConfigError", "HarmonicDecomposition", "IdentifiabilityError",
+    "IdentificationResult", "ImbalanceDecomposition", "InputError",
+    "MachineParameters", "OperatingPoint", "Scenario", "SecondHarmonicPhasor",
+    "SimConfig", "TimeSeries", "WaveformComparison",
+    "balanced_voltage_command", "check_angle_coverage", "closed_form_dq",
+    "compare_waveforms", "compose_total", "decompose", "demodulate",
+    "fit_flux", "fit_resistance", "flux_coeffs", "flux_delta",
+    "ideal_dq_nonsalient", "inductance_coeffs", "inductance_delta",
+    "park_forward", "park_inverse", "parse_scenario", "phase_angles",
+    "phase_voltages", "predict_current_ripple", "resistance_coeffs",
+    "resistance_delta", "run_current_fed", "run_voltage_fed",
+    "steady_state_currents", "torque_abc", "transient_window",
+]
+
+
+def test_public_names_are_pinned():
+    assert pmimb.__all__ == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 41
+    assert [name for name in PUBLIC_NAMES
+            if not hasattr(pmimb, name)] == []
+
+
+# Samples are selected through a run's plan, by the ranges handed to its
+# evaluator; the runners take no selection of their own.
+@pytest.mark.parametrize("runner, parameters", [
+    (pmimb.run_current_fed,
+     ["params", "i_dq_cmd", "omega_e", "cfg", "i_0", "channels"]),
+    (pmimb.run_voltage_fed,
+     ["params", "v_dq_cmd", "omega_e", "cfg", "channels"]),
+], ids=["current-fed", "voltage-fed"])
+def test_runners_take_no_sample_selection(runner, parameters):
+    assert list(inspect.signature(runner).parameters) == parameters
